@@ -25,7 +25,7 @@
 #include "synth/delta.h"
 #include "synth/generator.h"
 #include "util/binary_io.h"
-#include "util/parallel.h"
+#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace {

@@ -34,7 +34,7 @@
 #include "serve/match_service.h"
 #include "store/snapshot.h"
 #include "synth/generator.h"
-#include "util/parallel.h"
+#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace {

@@ -19,7 +19,7 @@
 #include "serve/match_service.h"
 #include "store/snapshot.h"
 #include "synth/generator.h"
-#include "util/parallel.h"
+#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace {

@@ -27,7 +27,7 @@
 #include "sync/sync_engine.h"
 #include "synth/delta.h"
 #include "synth/generator.h"
-#include "util/parallel.h"
+#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace {

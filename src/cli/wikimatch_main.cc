@@ -725,23 +725,14 @@ int RunServe(const Args& args) {
     std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
     return 1;
   }
-  // CorpusSize() would force the deferred decode and defeat the O(1)
-  // mmap startup, so the banner only reports it when the core is already
-  // in memory (legacy snapshots parsed eagerly).
-  if ((*service)->CoreLoaded()) {
-    std::fprintf(stderr, "serving %s (%zu articles, generation %llu); one "
-                 "request per line, 'help' for the protocol, 'reload' to "
-                 "hot-swap the snapshot, 'quit' or EOF to stop\n",
-                 args.snapshot_path.c_str(), (*service)->CorpusSize(),
-                 static_cast<unsigned long long>((*service)->Generation()));
-  } else {
-    std::fprintf(stderr, "serving %s (mmapped, decode deferred to first "
-                 "request, generation %llu); one request per line, 'help' "
-                 "for the protocol, 'reload' to hot-swap the snapshot, "
-                 "'quit' or EOF to stop\n",
-                 args.snapshot_path.c_str(),
-                 static_cast<unsigned long long>((*service)->Generation()));
-  }
+  // Load() maps the snapshot and defers the decode to the first data
+  // request, so the banner reports only what the meta section holds.
+  std::fprintf(stderr, "serving %s (mmapped, decode deferred to first "
+               "request, generation %llu); one request per line, 'help' "
+               "for the protocol, 'reload' to hot-swap the snapshot, "
+               "'quit' or EOF to stop\n",
+               args.snapshot_path.c_str(),
+               static_cast<unsigned long long>((*service)->Generation()));
   // SIGINT/SIGTERM route through one flag for both transports: the TCP
   // server drains on it, the stdin loop polls it (and, with SA_RESTART
   // off, its blocking read returns early instead of eating the signal).

@@ -85,67 +85,14 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 
 util::Result<std::unique_ptr<MatchService>> MatchService::Load(
     const std::string& path, const ServiceOptions& options) {
-  auto service =
-      std::unique_ptr<MatchService>(new MatchService(options));
-  bool lazy = false;
-  auto mapped = store::MappedSnapshot::Map(path);
-  if (mapped.ok()) {
-    // New-format snapshot: defer decoding. Only the meta section (a few
-    // hundred bytes) is read now, so Load() is O(1) in the snapshot size.
-    // A directory missing the mandatory sections would fail at first use,
-    // so route that file to the parse path, which owns the error message.
-    const std::shared_ptr<store::MappedSnapshot>& snap = mapped.ValueOrDie();
-    bool have_corpus = false;
-    bool have_dictionary = false;
-    for (size_t i = 0; i < snap->num_sections(); ++i) {
-      if (snap->section_kind(i) == store::SectionKind::kCorpus) {
-        have_corpus = true;
-      }
-      if (snap->section_kind(i) == store::SectionKind::kDictionary) {
-        have_dictionary = true;
-      }
-    }
-    store::Snapshot meta_only;
-    util::Status meta_status = util::Status::OK();
-    if (have_corpus && have_dictionary) {
-      auto meta_payload = snap->PayloadOfKind(store::SectionKind::kMeta);
-      if (meta_payload.ok()) {
-        meta_status = store::DecodeSnapshotSection(
-            store::SectionKind::kMeta, meta_payload.ValueOrDie(), &meta_only);
-      } else if (meta_payload.status().code() !=
-                 util::StatusCode::kNotFound) {
-        meta_status = meta_payload.status();  // corrupt meta: parse decides
-      }  // no meta section (generation 0): serve the default meta
-    }
-    if (have_corpus && have_dictionary && meta_status.ok()) {
-      auto boot = std::make_shared<GenerationState>();
-      boot->snapshot = std::move(meta_only);
-      boot->mapped = std::move(mapped).ValueOrDie();
-      boot->load_seq = 1;
-      boot->loaded_unix = static_cast<int64_t>(std::time(nullptr));
-      boot->loaded_at = Clock::now();
-      {
-        util::MutexLock lock(service->gen_mu_);
-        service->boot_gen_ = std::move(boot);
-      }
-      service->loads_.store(1, std::memory_order_relaxed);
-      lazy = true;
-    }
+  auto gen = OpenGeneration(path, 1);
+  if (!gen.ok()) return gen.status();
+  auto service = std::unique_ptr<MatchService>(new MatchService(options));
+  {
+    util::MutexLock lock(service->gen_mu_);
+    service->gen_ = std::move(gen).ValueOrDie();
   }
-  if (!lazy) {
-    // Legacy layout (Map → NotFound) or anything else Map could not
-    // establish: the streaming parse path reads both layouts and produces
-    // the descriptive error for genuinely broken files.
-    auto snapshot = store::ReadSnapshotFile(path);
-    if (!snapshot.ok()) return snapshot.status();
-    auto gen =
-        BuildGeneration(std::move(snapshot).ValueOrDie(), 1, nullptr);
-    {
-      util::MutexLock lock(service->gen_mu_);
-      service->gen_ = std::move(gen);
-    }
-    service->loads_.store(1, std::memory_order_relaxed);
-  }
+  service->loads_.store(1, std::memory_order_relaxed);
   {
     // Not yet visible to other threads, but taking the lock keeps the
     // guarded-field proof unconditional (and it is uncontended here).
@@ -157,9 +104,10 @@ util::Result<std::unique_ptr<MatchService>> MatchService::Load(
 
 std::unique_ptr<MatchService> MatchService::Create(
     store::Snapshot snapshot, const ServiceOptions& options) {
-  auto service =
-      std::unique_ptr<MatchService>(new MatchService(options));
-  auto gen = BuildGeneration(std::move(snapshot), 1, nullptr);
+  auto service = std::unique_ptr<MatchService>(new MatchService(options));
+  store::SnapshotMeta meta = snapshot.meta;
+  auto gen = std::make_shared<const GenerationState>(
+      std::move(meta), nullptr, 1, BuildCore(std::move(snapshot)));
   {
     util::MutexLock lock(service->gen_mu_);
     service->gen_ = std::move(gen);
@@ -173,16 +121,60 @@ MatchService::MatchService(const ServiceOptions& options)
       cache_(options.cache_capacity, options.cache_shards),
       started_(Clock::now()) {}
 
-std::shared_ptr<const MatchService::GenerationState>
-MatchService::BuildGeneration(store::Snapshot snapshot, uint64_t load_seq,
-                              std::shared_ptr<store::MappedSnapshot> mapped) {
-  auto gen = std::make_shared<GenerationState>();
-  gen->snapshot = std::move(snapshot);
-  gen->mapped = std::move(mapped);
-  gen->load_seq = load_seq;
-  gen->loaded_unix = static_cast<int64_t>(std::time(nullptr));
-  gen->loaded_at = Clock::now();
-  for (auto& [pair, result] : gen->snapshot.pipelines) {
+MatchService::GenerationState::GenerationState(
+    store::SnapshotMeta meta, std::shared_ptr<store::MappedSnapshot> mapped,
+    uint64_t load_seq, std::unique_ptr<const CoreState> core)
+    : meta(std::move(meta)),
+      mapped(std::move(mapped)),
+      load_seq(load_seq),
+      loaded_unix(static_cast<int64_t>(std::time(nullptr))),
+      loaded_at(Clock::now()),
+      core_(std::move(core)) {}
+
+util::Result<const MatchService::CoreState*>
+MatchService::GenerationState::Core() const {
+  util::MutexLock lock(core_mu_);
+  if (core_ != nullptr) return core_.get();
+  if (!decode_error_.ok()) return decode_error_;
+  auto decoded = mapped->Decode();
+  if (!decoded.ok()) {
+    decode_error_ = decoded.status();
+    return decode_error_;
+  }
+  core_ = BuildCore(std::move(decoded).ValueOrDie());
+  return core_.get();
+}
+
+const MatchService::CoreState* MatchService::GenerationState::BuiltCore()
+    const {
+  util::MutexLock lock(core_mu_);
+  return core_.get();
+}
+
+util::Result<std::shared_ptr<const MatchService::GenerationState>>
+MatchService::OpenGeneration(const std::string& path, uint64_t load_seq) {
+  auto mapped = store::MappedSnapshot::Map(path);
+  if (!mapped.ok()) return mapped.status();
+  // Only the meta section (a few hundred bytes) is read now; a snapshot
+  // without one is generation 0.
+  store::Snapshot meta_only;
+  auto meta = (*mapped)->PayloadOfKind(store::SectionKind::kMeta);
+  if (meta.ok()) {
+    WIKIMATCH_RETURN_NOT_OK(store::DecodeSnapshotSection(
+        store::SectionKind::kMeta, *meta, &meta_only));
+  } else if (meta.status().code() != util::StatusCode::kNotFound) {
+    return meta.status();
+  }
+  return std::make_shared<const GenerationState>(
+      std::move(meta_only.meta), std::move(mapped).ValueOrDie(), load_seq,
+      nullptr);
+}
+
+std::unique_ptr<const MatchService::CoreState> MatchService::BuildCore(
+    store::Snapshot snapshot) {
+  auto core = std::make_unique<CoreState>();
+  core->snapshot = std::move(snapshot);
+  for (auto& [pair, result] : core->snapshot.pipelines) {
     PairServing serving;
     serving.result = &result;
     for (const auto& tr : result.per_type) {
@@ -193,21 +185,21 @@ MatchService::BuildGeneration(store::Snapshot snapshot, uint64_t load_seq,
     }
     serving.translator = std::make_unique<query::QueryTranslator>(
         pair.first, pair.second, result.type_matches, serving.per_type,
-        &gen->snapshot.dictionary);
-    gen->pairs.emplace(pair, std::move(serving));
+        &core->snapshot.dictionary);
+    core->pairs.emplace(pair, std::move(serving));
   }
   {
     // Index the persisted sync report by (pair_lang, type_b). Updates do
     // not carry the type, so the cells' (lang, title) -> key map assigns
     // each update through whichever side names the pair-language article.
-    const sync::SyncReport& report = gen->snapshot.sync_report;
+    const sync::SyncReport& report = core->snapshot.sync_report;
     std::map<std::pair<std::string, std::string>,
              std::pair<std::string, std::string>>
         key_of_title;
     for (size_t i = 0; i < report.cells.size(); ++i) {
       const sync::CellVerdict& v = report.cells[i];
       std::pair<std::string, std::string> key{v.pair_lang, v.type_b};
-      gen->sync_cells[key].push_back(i);
+      core->sync_cells[key].push_back(i);
       key_of_title.emplace(std::make_pair(v.pair_lang, v.pair_title), key);
     }
     for (size_t i = 0; i < report.updates.size(); ++i) {
@@ -217,55 +209,17 @@ MatchService::BuildGeneration(store::Snapshot snapshot, uint64_t load_seq,
         it = key_of_title.find({u.target_lang, u.target_title});
       }
       if (it != key_of_title.end()) {
-        gen->sync_updates[it->second].push_back(i);
+        core->sync_updates[it->second].push_back(i);
       }
     }
   }
-  return gen;
+  return core;
 }
 
 std::shared_ptr<const MatchService::GenerationState> MatchService::Current()
     const {
   util::MutexLock lock(gen_mu_);
-  return gen_ != nullptr ? gen_ : boot_gen_;
-}
-
-util::Result<std::shared_ptr<const MatchService::GenerationState>>
-MatchService::Core() const {
-  {
-    util::MutexLock lock(gen_mu_);
-    if (gen_ != nullptr) return gen_;
-  }
-  // Materialize once: core_mu_ serializes the decode; every other
-  // core-needing request blocks here and then finds gen_ set (or the
-  // sticky error).
-  util::MutexLock core_lock(core_mu_);
-  std::shared_ptr<const GenerationState> boot;
-  {
-    util::MutexLock lock(gen_mu_);
-    if (gen_ != nullptr) return gen_;  // built while we waited
-    boot = boot_gen_;
-  }
-  if (!core_error_.ok()) return core_error_;
-  if (boot == nullptr || boot->mapped == nullptr) {
-    return util::Status::Internal(
-        "no decoded generation and no mapped snapshot to build one from");
-  }
-  auto decoded = boot->mapped->Decode();
-  if (!decoded.ok()) {
-    core_error_ = decoded.status();  // sticky until a successful Reload()
-    return core_error_;
-  }
-  auto gen = BuildGeneration(std::move(decoded).ValueOrDie(), boot->load_seq,
-                             boot->mapped);
-  std::shared_ptr<const GenerationState> out;
-  {
-    util::MutexLock lock(gen_mu_);
-    // A Reload() that raced the decode wins: its generation is newer.
-    if (gen_ == nullptr) gen_ = std::move(gen);
-    out = gen_;
-  }
-  return out;
+  return gen_;
 }
 
 util::Status MatchService::Reload(const std::string& path) {
@@ -277,39 +231,23 @@ util::Status MatchService::Reload(const std::string& path) {
         "no snapshot path to reload from (service was built in memory; "
         "pass an explicit path)");
   }
-  // Deliberately eager, unlike Load(): decode *before* swapping so that on
-  // any error the previous generation keeps serving untouched.
-  store::Snapshot snapshot;
-  std::shared_ptr<store::MappedSnapshot> mapped;
-  auto mapped_result = store::MappedSnapshot::Map(source);
-  if (mapped_result.ok()) {
-    auto decoded = mapped_result.ValueOrDie()->Decode();
-    if (!decoded.ok()) return decoded.status();
-    snapshot = std::move(decoded).ValueOrDie();
-    mapped = std::move(mapped_result).ValueOrDie();
-  } else {
-    auto parsed = store::ReadSnapshotFile(source);
-    if (!parsed.ok()) return parsed.status();
-    snapshot = std::move(parsed).ValueOrDie();
-  }
-  auto gen = BuildGeneration(std::move(snapshot),
-                             loads_.load(std::memory_order_relaxed) + 1,
-                             std::move(mapped));
+  // Build the core *before* swapping so that on any error the previous
+  // generation keeps serving untouched.
+  auto gen =
+      OpenGeneration(source, loads_.load(std::memory_order_relaxed) + 1);
+  if (!gen.ok()) return gen.status();
+  auto core = (*gen)->Core();
+  if (!core.ok()) return core.status();
   {
     util::MutexLock lock(gen_mu_);
-    gen_ = std::move(gen);
-  }
-  {
-    // A fresh generation supersedes any sticky lazy-decode failure.
-    util::MutexLock core_lock(core_mu_);
-    core_error_ = util::Status::OK();
+    gen_ = std::move(gen).ValueOrDie();
   }
   loads_.fetch_add(1, std::memory_order_relaxed);
   source_path_ = source;
   return util::Status::OK();
 }
 
-const MatchService::PairServing* MatchService::GenerationState::FindPair(
+const MatchService::PairServing* MatchService::CoreState::FindPair(
     const std::string& lang_a, const std::string& lang_b) const {
   auto it = pairs.find({lang_a, lang_b});
   return it == pairs.end() ? nullptr : &it->second;
@@ -319,10 +257,35 @@ util::Result<std::vector<std::string>> MatchService::TranslateAttribute(
     const std::string& lang_a, const std::string& lang_b,
     const std::string& type_b, const std::string& lang,
     const std::string& name) const {
-  auto core = Core();
+  auto gen = Current();
+  auto core = gen->Core();
   if (!core.ok()) return core.status();
-  const auto& gen = core.ValueOrDie();
-  const PairServing* pair = gen->FindPair(lang_a, lang_b);
+  return TranslateAttribute(**core, lang_a, lang_b, type_b, lang, name);
+}
+
+util::Result<std::vector<std::string>> MatchService::ListAlignments(
+    const std::string& lang_a, const std::string& lang_b,
+    const std::string& type_b) const {
+  auto gen = Current();
+  auto core = gen->Core();
+  if (!core.ok()) return core.status();
+  return ListAlignments(**core, lang_a, lang_b, type_b);
+}
+
+util::Result<ServedQueryResult> MatchService::EvaluateTranslatedQuery(
+    const std::string& lang_a, const std::string& lang_b,
+    const std::string& query_text) const {
+  auto gen = Current();
+  auto core = gen->Core();
+  if (!core.ok()) return core.status();
+  return EvaluateTranslatedQuery(**core, lang_a, lang_b, query_text);
+}
+
+util::Result<std::vector<std::string>> MatchService::TranslateAttribute(
+    const CoreState& core, const std::string& lang_a,
+    const std::string& lang_b, const std::string& type_b,
+    const std::string& lang, const std::string& name) const {
+  const PairServing* pair = core.FindPair(lang_a, lang_b);
   if (pair == nullptr) {
     return util::Status::NotFound("no pipeline for pair " + lang_a + ":" +
                                   lang_b + " in snapshot");
@@ -347,12 +310,9 @@ util::Result<std::vector<std::string>> MatchService::TranslateAttribute(
 }
 
 util::Result<std::vector<std::string>> MatchService::ListAlignments(
-    const std::string& lang_a, const std::string& lang_b,
-    const std::string& type_b) const {
-  auto core = Core();
-  if (!core.ok()) return core.status();
-  const auto& gen = core.ValueOrDie();
-  const PairServing* pair = gen->FindPair(lang_a, lang_b);
+    const CoreState& core, const std::string& lang_a,
+    const std::string& lang_b, const std::string& type_b) const {
+  const PairServing* pair = core.FindPair(lang_a, lang_b);
   if (pair == nullptr) {
     return util::Status::NotFound("no pipeline for pair " + lang_a + ":" +
                                   lang_b + " in snapshot");
@@ -370,12 +330,9 @@ util::Result<std::vector<std::string>> MatchService::ListAlignments(
 }
 
 util::Result<ServedQueryResult> MatchService::EvaluateTranslatedQuery(
-    const std::string& lang_a, const std::string& lang_b,
-    const std::string& query_text) const {
-  auto core = Core();
-  if (!core.ok()) return core.status();
-  const auto& gen = core.ValueOrDie();
-  const PairServing* pair = gen->FindPair(lang_a, lang_b);
+    const CoreState& core, const std::string& lang_a,
+    const std::string& lang_b, const std::string& query_text) const {
+  const PairServing* pair = core.FindPair(lang_a, lang_b);
   if (pair == nullptr) {
     return util::Status::NotFound("no pipeline for pair " + lang_a + ":" +
                                   lang_b + " in snapshot");
@@ -387,7 +344,7 @@ util::Result<ServedQueryResult> MatchService::EvaluateTranslatedQuery(
   if (!translated.ok()) {
     return translated.status().WithContext("translating c-query");
   }
-  query::QueryEvaluator evaluator(&gen->snapshot.corpus, lang_b);
+  query::QueryEvaluator evaluator(&core.snapshot.corpus, lang_b);
   query::EvaluatorOptions eval_options;
   eval_options.top_k = options_.query_top_k;
   auto answers = evaluator.Run(*translated, eval_options);
@@ -401,7 +358,7 @@ util::Result<ServedQueryResult> MatchService::EvaluateTranslatedQuery(
   out.answers.reserve(answers->size());
   for (const auto& answer : *answers) {
     ServedAnswer served;
-    served.title = gen->snapshot.corpus.Get(answer.article).title;
+    served.title = core.snapshot.corpus.Get(answer.article).title;
     served.score = answer.score;
     served.projections = answer.projections;
     out.answers.push_back(std::move(served));
@@ -436,7 +393,7 @@ std::string MatchService::Dispatch(const GenerationState& gen,
     // poll this at high frequency, and the net server's drain logic uses
     // it as the liveness signal that the process still answers.
     std::ostringstream os;
-    os << "healthy generation=" << gen.snapshot.meta.generation
+    os << "healthy generation=" << gen.meta.generation
        << " load_seq=" << gen.load_seq
        << " uptime_s=" << SecondsSince(started_);
     return RenderOk({os.str()});
@@ -447,11 +404,35 @@ std::string MatchService::Dispatch(const GenerationState& gen,
        << " snapshot_format=" << store::kSnapshotVersion;
     return RenderOk({os.str()});
   }
+  if (command == "generation") {
+    std::ostringstream os;
+    os << "generation=" << gen.meta.generation
+       << " load_seq=" << gen.load_seq
+       << " loaded_unix=" << gen.loaded_unix
+       << " age_s=" << SecondsSince(gen.loaded_at)
+       << " deltas_applied=" << gen.meta.history.size();
+    return RenderOk({os.str()});
+  }
+  if (command == "reload") {
+    std::string target = RestOfLine(line, pos);
+    util::Status status = Reload(target);
+    if (!status.ok()) return RenderErr(status.ToString());
+    auto fresh = Current();
+    std::ostringstream os;
+    os << "reloaded generation=" << fresh->meta.generation
+       << " load_seq=" << fresh->load_seq;
+    return RenderOk({os.str()});
+  }
+  // Every verb below reads data: build (or fetch) the generation's core.
+  auto built = gen.Core();
+  if (!built.ok()) return RenderErr(built.status().ToString());
+  const CoreState& core = **built;
+
   if (command == "stats") {
     ServiceStats stats = Stats();
     std::ostringstream os;
     os << "requests=" << stats.requests << " errors=" << stats.errors
-       << " generation=" << gen.snapshot.meta.generation
+       << " generation=" << gen.meta.generation
        << " loads=" << stats.loads << " loaded_unix=" << gen.loaded_unix
        << " uptime_s=" << stats.uptime_s
        << " generation_age_s=" << SecondsSince(gen.loaded_at)
@@ -463,40 +444,21 @@ std::string MatchService::Dispatch(const GenerationState& gen,
     std::vector<std::string> lines = {os.str()};
     // Build-time pipeline stats travel inside the snapshot; absent (all
     // zero) for snapshots written before they were recorded.
-    for (const auto& [pair, serving] : gen.pairs) {
+    for (const auto& [pair, serving] : core.pairs) {
       lines.push_back("pipeline " + pair.first + ":" + pair.second + " " +
                       serving.result->stats.ToString());
     }
     return RenderOk(lines);
   }
-  if (command == "generation") {
-    std::ostringstream os;
-    os << "generation=" << gen.snapshot.meta.generation
-       << " load_seq=" << gen.load_seq
-       << " loaded_unix=" << gen.loaded_unix
-       << " age_s=" << SecondsSince(gen.loaded_at)
-       << " deltas_applied=" << gen.snapshot.meta.history.size();
-    return RenderOk({os.str()});
-  }
-  if (command == "reload") {
-    std::string target = RestOfLine(line, pos);
-    util::Status status = Reload(target);
-    if (!status.ok()) return RenderErr(status.ToString());
-    auto fresh = Current();
-    std::ostringstream os;
-    os << "reloaded generation=" << fresh->snapshot.meta.generation
-       << " load_seq=" << fresh->load_seq;
-    return RenderOk({os.str()});
-  }
   if (command == "pairs") {
     std::vector<std::string> lines;
-    for (const auto& [pair, serving] : gen.pairs) {
+    for (const auto& [pair, serving] : core.pairs) {
       lines.push_back(pair.first + ":" + pair.second);
     }
     return RenderOk(lines);
   }
   if (command == "sync-status") {
-    const sync::SyncReport& report = gen.snapshot.sync_report;
+    const sync::SyncReport& report = core.snapshot.sync_report;
     std::ostringstream os;
     os << "sync_generation=" << report.generation
        << " cells=" << report.cells.size()
@@ -523,7 +485,7 @@ std::string MatchService::Dispatch(const GenerationState& gen,
   }
 
   if (command == "types") {
-    const PairServing* pair = gen.FindPair(lang_a, lang_b);
+    const PairServing* pair = core.FindPair(lang_a, lang_b);
     if (pair == nullptr) {
       return RenderErr("no pipeline for pair " + lang_a + ":" + lang_b +
                        " in snapshot");
@@ -548,7 +510,7 @@ std::string MatchService::Dispatch(const GenerationState& gen,
     if (name.empty()) {
       return RenderErr("usage: attr <src>:<tgt> <type_b> <lang> <attr>");
     }
-    auto result = TranslateAttribute(lang_a, lang_b, type_b, lang, name);
+    auto result = TranslateAttribute(core, lang_a, lang_b, type_b, lang, name);
     if (!result.ok()) return RenderErr(result.status().ToString());
     *cacheable = true;
     return RenderOk(*result);
@@ -559,7 +521,7 @@ std::string MatchService::Dispatch(const GenerationState& gen,
     if (!NextToken(line, &pos, &type_b) || type_b.empty()) {
       return RenderErr("usage: alignments <src>:<tgt> <type_b>");
     }
-    auto result = ListAlignments(lang_a, lang_b, type_b);
+    auto result = ListAlignments(core, lang_a, lang_b, type_b);
     if (!result.ok()) return RenderErr(result.status().ToString());
     *cacheable = true;
     return RenderOk(*result);
@@ -570,7 +532,7 @@ std::string MatchService::Dispatch(const GenerationState& gen,
     if (query_text.empty()) {
       return RenderErr("usage: query <src>:<tgt> <c-query>");
     }
-    auto result = EvaluateTranslatedQuery(lang_a, lang_b, query_text);
+    auto result = EvaluateTranslatedQuery(core, lang_a, lang_b, query_text);
     if (!result.ok()) return RenderErr(result.status().ToString());
     std::vector<std::string> lines;
     lines.push_back("translated " +
@@ -594,11 +556,11 @@ std::string MatchService::Dispatch(const GenerationState& gen,
     if (!NextToken(line, &pos, &type_b) || type_b.empty()) {
       return RenderErr("usage: sync <src>:<tgt> <type_b>");
     }
-    if (gen.FindPair(lang_a, lang_b) == nullptr) {
+    if (core.FindPair(lang_a, lang_b) == nullptr) {
       return RenderErr("no pipeline for pair " + lang_a + ":" + lang_b +
                        " in snapshot");
     }
-    const sync::SyncReport& report = gen.snapshot.sync_report;
+    const sync::SyncReport& report = core.snapshot.sync_report;
     if (report.empty()) {
       return RenderErr(
           "no sync report in snapshot (run `wikimatch sync` and reload)");
@@ -609,8 +571,8 @@ std::string MatchService::Dispatch(const GenerationState& gen,
     std::vector<std::string> lines;
     lines.push_back("sync_generation=" + std::to_string(report.generation));
     auto emit = [&](const std::string& pair_lang) {
-      auto cit = gen.sync_cells.find({pair_lang, type_b});
-      if (cit != gen.sync_cells.end()) {
+      auto cit = core.sync_cells.find({pair_lang, type_b});
+      if (cit != core.sync_cells.end()) {
         for (size_t idx : cit->second) {
           const sync::CellVerdict& v = report.cells[idx];
           std::ostringstream os;
@@ -620,8 +582,8 @@ std::string MatchService::Dispatch(const GenerationState& gen,
           lines.push_back(os.str());
         }
       }
-      auto uit = gen.sync_updates.find({pair_lang, type_b});
-      if (uit != gen.sync_updates.end()) {
+      auto uit = core.sync_updates.find({pair_lang, type_b});
+      if (uit != core.sync_updates.end()) {
         for (size_t idx : uit->second) {
           const sync::PropagationUpdate& u = report.updates[idx];
           std::ostringstream os;
@@ -645,20 +607,6 @@ std::string MatchService::Dispatch(const GenerationState& gen,
   return RenderErr("verb '" + command + "' is not implemented");
 }
 
-namespace {
-
-// Verbs a meta-only boot generation can answer, so an mmap-loaded service
-// responds to health checks and protocol chatter before (and regardless
-// of) the first core decode. `reload` is here so a corrupt snapshot can be
-// replaced without first paying — or failing — a decode of the bad one.
-bool IsCoreFreeVerb(const std::string& command) {
-  return command == "help" || command == "quit" || command == "exit" ||
-         command == "health" || command == "version" ||
-         command == "generation" || command == "reload";
-}
-
-}  // namespace
-
 std::string MatchService::Handle(const std::string& line) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   // Pin one generation for the whole request. The cache key carries its
@@ -668,26 +616,6 @@ std::string MatchService::Handle(const std::string& line) {
   std::string key = std::to_string(gen->load_seq) + '\x1f' + line;
   std::string cached;
   if (cache_.Get(key, &cached)) return cached;
-  // Cache miss: data-bearing verbs need the decoded core (a no-op once it
-  // exists). The classification runs only here so hits — the hot path —
-  // never pay the token parse. A boot generation and the core it decodes
-  // into share a load_seq, so the key above stays valid either way.
-  size_t peek = 0;
-  std::string command;
-  NextToken(line, &peek, &command);
-  if (IsProtocolVerb(command) && !IsCoreFreeVerb(command)) {
-    auto core = Core();
-    if (!core.ok()) {
-      errors_.fetch_add(1, std::memory_order_relaxed);
-      return RenderErr(core.status().ToString());
-    }
-    gen = std::move(core).ValueOrDie();
-    // A reload racing between the pin and Core() can hand back a newer
-    // generation; re-key so the cached response stays coherent with the
-    // generation that produced it.
-    std::string core_key = std::to_string(gen->load_seq) + '\x1f' + line;
-    if (core_key != key) key = std::move(core_key);
-  }
   bool cacheable = false;
   std::string response = Dispatch(*gen, line, &cacheable);
   if (cacheable) {
@@ -703,7 +631,7 @@ ServiceStats MatchService::Stats() const {
   ServiceStats stats;
   stats.requests = requests_.load(std::memory_order_relaxed);
   stats.errors = errors_.load(std::memory_order_relaxed);
-  stats.generation = gen->snapshot.meta.generation;
+  stats.generation = gen->meta.generation;
   stats.loads = loads_.load(std::memory_order_relaxed);
   stats.loaded_unix = gen->loaded_unix;
   stats.uptime_s = SecondsSince(started_);
@@ -712,23 +640,16 @@ ServiceStats MatchService::Stats() const {
   return stats;
 }
 
-std::vector<store::LanguagePair> MatchService::Pairs() const {
+size_t MatchService::CorpusSize() const {
   auto gen = Current();
-  std::vector<store::LanguagePair> out;
-  out.reserve(gen->pairs.size());
-  for (const auto& [pair, serving] : gen->pairs) out.push_back(pair);
-  return out;
+  const CoreState* core = gen->BuiltCore();
+  return core == nullptr ? 0 : core->snapshot.corpus.size();
 }
 
-size_t MatchService::CorpusSize() const { return Current()->snapshot.corpus.size(); }
-
-uint64_t MatchService::Generation() const {
-  return Current()->snapshot.meta.generation;
-}
+uint64_t MatchService::Generation() const { return Current()->meta.generation; }
 
 bool MatchService::CoreLoaded() const {
-  util::MutexLock lock(gen_mu_);
-  return gen_ != nullptr;
+  return Current()->BuiltCore() != nullptr;
 }
 
 }  // namespace serve

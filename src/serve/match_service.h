@@ -4,34 +4,30 @@
 // alignment listing, and translated c-query evaluation — from immutable
 // in-memory state behind a sharded LRU result cache.
 //
-// Hot reload: the snapshot and every index derived from it live in an
-// immutable Generation object held by shared_ptr. Readers pin the current
-// generation for the duration of one request; Reload() builds the next
-// generation entirely off the read path and then swaps the pointer, so
-// in-flight requests finish against the generation they started on and the
-// old one is freed when its last reader drops it (RCU by shared_ptr).
-// Cache keys are tagged with the generation's load sequence number, which
-// invalidates every cached response at swap time without touching the
-// cache: stale entries simply stop being addressable and age out of the
-// LRU.
-//
-// O(1) startup: Load() mmaps the snapshot (store/snapshot_reader.h) and
-// defers decoding — only the tiny meta section is read eagerly, so the
+// Generations: the snapshot and every index derived from it live in one
+// immutable GenerationState held by shared_ptr. OpenGeneration() maps the
+// snapshot (store/snapshot_reader.h) and decodes only its tiny meta
+// section; the core — the decoded snapshot plus the pair and sync indexes
+// — is built at most once per generation, under the generation's own
+// mutex, by the first Core() call. A decode error sticks to that
+// generation. Load() opens a generation and defers the core, so the
 // service constructs in constant time regardless of snapshot size and the
-// meta verbs (help, health, version, generation) answer immediately. The
-// first request that needs real data materializes the core (decode + index
-// build) once, under its own mutex; a decode failure is sticky and every
-// core-needing request reports it until a successful reload. Reload() is
-// deliberately *eager* — it decodes before swapping, preserving the "on
-// error the old generation keeps serving" contract. Snapshots without the
-// mmap directory (older writers) fall back to the original eager parse
-// path byte-identically. Each generation pins its MappedSnapshot, so
-// replacing or unlinking the snapshot file never invalidates a mapping
-// still being served from.
+// meta verbs (help, health, version, generation, reload) answer without
+// it; the first data request builds it. Reload() opens a generation,
+// builds its core, and only then swaps the pointer, so on any error the
+// previous generation keeps serving. Readers pin the current generation
+// for the duration of one request: in-flight requests finish against the
+// generation they started on, and the old one (with its mapping) is freed
+// when its last reader drops it (RCU by shared_ptr). Replacing or
+// unlinking the snapshot file therefore never invalidates a mapping still
+// being served from. Cache keys are tagged with the generation's load
+// sequence number, which invalidates every cached response at swap time
+// without touching the cache: stale entries simply stop being
+// addressable and age out of the LRU.
 //
-// Thread safety: a generation is read-only after construction (MatchSets
-// are fully path-compressed at build so even their lazy union-find
-// performs no writes), the generation pointer is swapped under a mutex,
+// Thread safety: a core is read-only once built (MatchSets are fully
+// path-compressed at build so even their lazy union-find performs no
+// writes), the generation pointer is swapped under a mutex,
 // the cache is internally synchronized, and counters are atomic —
 // Handle() and Reload() may be called from any number of threads
 // concurrently.
@@ -78,7 +74,7 @@ struct ServiceStats {
   uint64_t loads = 0;       ///< generations installed (initial load = 1)
   int64_t loaded_unix = 0;  ///< wall-clock time the generation installed
   double uptime_s = 0.0;    ///< since service construction
-  double generation_age_s = 0.0;  ///< since the current generation installed
+  double generation_age_s = 0.0;  ///< since the current generation opened
   CacheStats cache;
 };
 
@@ -100,10 +96,10 @@ struct ServedQueryResult {
 /// \brief Thread-safe snapshot-backed match server with hot reload.
 class MatchService {
  public:
-  /// \brief Opens the snapshot at `path` for serving. New-format
-  /// snapshots are mmapped and decoded lazily (O(1) regardless of size);
-  /// older formats are parsed eagerly as before. The path is remembered
-  /// as the default `Reload()` source.
+  /// \brief Opens the snapshot at `path` for serving: maps it and decodes
+  /// only the meta section (O(1) regardless of size); the core is built
+  /// by the first data request. The path is remembered as the default
+  /// `Reload()` source.
   static util::Result<std::unique_ptr<MatchService>> Load(
       const std::string& path, const ServiceOptions& options = {});
 
@@ -111,10 +107,10 @@ class MatchService {
   static std::unique_ptr<MatchService> Create(
       store::Snapshot snapshot, const ServiceOptions& options = {});
 
-  /// \brief Builds serving indexes for the snapshot at `path` (or, with an
-  /// empty path, the path of the last successful load) off the read path,
-  /// then atomically swaps it in. On error the previous generation keeps
-  /// serving untouched. Concurrent Reload() calls are serialized.
+  /// \brief Opens the snapshot at `path` (or, with an empty path, the
+  /// path of the last successful load) and builds its core off the read
+  /// path, then atomically swaps it in. On error the previous generation
+  /// keeps serving untouched. Concurrent Reload() calls are serialized.
   util::Status Reload(const std::string& path = "");
 
   // ---- Typed API (uncached) ----------------------------------------------
@@ -147,9 +143,6 @@ class MatchService {
 
   ServiceStats Stats() const;
 
-  /// \brief Language pairs available in the current generation.
-  std::vector<store::LanguagePair> Pairs() const;
-
   /// \brief Articles in the current generation's corpus (0 while an
   /// mmap-loaded core is still deferred — see CoreLoaded()).
   size_t CorpusSize() const;
@@ -157,8 +150,8 @@ class MatchService {
   /// \brief Snapshot meta generation currently being served.
   uint64_t Generation() const;
 
-  /// \brief True once the decoded core (corpus, pairs, indexes) exists.
-  /// False between an mmap Load() and the first core-needing request.
+  /// \brief True once the current generation's core (corpus, pairs,
+  /// indexes) is built. False between Load() and the first data request.
   bool CoreLoaded() const;
 
  private:
@@ -170,20 +163,13 @@ class MatchService {
     std::unique_ptr<query::QueryTranslator> translator;
   };
 
-  /// One immutable serving epoch: a snapshot plus every index derived
-  /// from it. Never mutated after BuildGeneration returns.
-  struct GenerationState {
+  /// The decoded half of a generation: the snapshot plus every index
+  /// derived from it. Immutable once BuildCore returns.
+  struct CoreState {
     store::Snapshot snapshot;
     std::map<store::LanguagePair, PairServing> pairs;
-    /// Pins the mmap this generation was decoded from (null for parsed or
-    /// in-memory snapshots): the pages stay valid even if the snapshot
-    /// file is replaced or unlinked, until the generation drains.
-    std::shared_ptr<store::MappedSnapshot> mapped;
-    uint64_t load_seq = 0;    ///< 1 for the initial load, +1 per reload
-    int64_t loaded_unix = 0;  ///< wall clock at install
-    Clock::time_point loaded_at;
-    /// (pair_lang, type_b) -> row indices into snapshot.sync_report, built
-    /// once per load so `sync` answers without scanning the report.
+    /// (pair_lang, type_b) -> row indices into snapshot.sync_report, so
+    /// `sync` answers without scanning the report.
     std::map<std::pair<std::string, std::string>, std::vector<size_t>>
         sync_cells;
     std::map<std::pair<std::string, std::string>, std::vector<size_t>>
@@ -193,19 +179,61 @@ class MatchService {
                                 const std::string& lang_b) const;
   };
 
+  /// One serving epoch: the meta section (decoded at open), the pinned
+  /// mapping, and the core, built at most once from that mapping.
+  class GenerationState {
+   public:
+    /// `core` is null for an opened snapshot (built on first Core()) and
+    /// set for an in-memory one, which has no mapping to build from.
+    GenerationState(store::SnapshotMeta meta,
+                    std::shared_ptr<store::MappedSnapshot> mapped,
+                    uint64_t load_seq, std::unique_ptr<const CoreState> core);
+
+    /// The core, built on the first call. A build failure is returned by
+    /// this and every later call on the same generation.
+    util::Result<const CoreState*> Core() const;
+
+    /// The core if it is already built, else null; never builds.
+    const CoreState* BuiltCore() const;
+
+    const store::SnapshotMeta meta;
+    /// Pins the mapping the core is decoded from (null for in-memory
+    /// snapshots): the pages stay valid even if the snapshot file is
+    /// replaced or unlinked, until the generation drains.
+    const std::shared_ptr<store::MappedSnapshot> mapped;
+    const uint64_t load_seq;  ///< 1 for the initial load, +1 per reload
+    const int64_t loaded_unix;  ///< wall clock at open
+    const Clock::time_point loaded_at;
+
+   private:
+    mutable util::Mutex core_mu_;
+    mutable std::unique_ptr<const CoreState> core_
+        WIKIMATCH_GUARDED_BY(core_mu_);
+    mutable util::Status decode_error_ WIKIMATCH_GUARDED_BY(core_mu_);
+  };
+
   explicit MatchService(const ServiceOptions& options);
 
-  static std::shared_ptr<const GenerationState> BuildGeneration(
-      store::Snapshot snapshot, uint64_t load_seq,
-      std::shared_ptr<store::MappedSnapshot> mapped);
+  /// Maps `path` and decodes its meta section; the core is deferred.
+  static util::Result<std::shared_ptr<const GenerationState>> OpenGeneration(
+      const std::string& path, uint64_t load_seq);
 
-  /// Pins the current generation: the decoded core when it exists, else
-  /// the meta-only boot generation (shared_ptr copy under a short lock).
+  static std::unique_ptr<const CoreState> BuildCore(store::Snapshot snapshot);
+
+  /// Pins the current generation (shared_ptr copy under a short lock).
   std::shared_ptr<const GenerationState> Current() const;
 
-  /// The decoded core, materializing it on first call in lazy (mmap)
-  /// mode. A decode failure is sticky until a successful Reload().
-  util::Result<std::shared_ptr<const GenerationState>> Core() const;
+  // Typed API against one core.
+  util::Result<std::vector<std::string>> TranslateAttribute(
+      const CoreState& core, const std::string& lang_a,
+      const std::string& lang_b, const std::string& type_b,
+      const std::string& lang, const std::string& name) const;
+  util::Result<std::vector<std::string>> ListAlignments(
+      const CoreState& core, const std::string& lang_a,
+      const std::string& lang_b, const std::string& type_b) const;
+  util::Result<ServedQueryResult> EvaluateTranslatedQuery(
+      const CoreState& core, const std::string& lang_a,
+      const std::string& lang_b, const std::string& query_text) const;
 
   /// Uncached dispatch against one pinned generation.
   std::string Dispatch(const GenerationState& gen, const std::string& line,
@@ -215,22 +243,10 @@ class MatchService {
   ShardedLruCache cache_;
   Clock::time_point started_;
 
-  // Guards gen_/boot_gen_ (pointer copy + swap only). The pointed-to
-  // GenerationState is immutable after BuildGeneration, so only the
-  // pointers need a lock. gen_ is mutable because Core() materializes it
-  // lazily from const readers.
+  // Guards gen_ (pointer copy + swap only); a GenerationState guards its
+  // own core.
   mutable util::Mutex gen_mu_;
-  mutable std::shared_ptr<const GenerationState> gen_
-      WIKIMATCH_GUARDED_BY(gen_mu_);
-  /// Meta-only generation from an mmap Load(): snapshot.meta plus the
-  /// pinned mapping, no decoded content. Null in eager modes.
-  std::shared_ptr<const GenerationState> boot_gen_
-      WIKIMATCH_GUARDED_BY(gen_mu_);
-
-  // Serializes the one-time lazy core build; sticky decode error.
-  mutable util::Mutex core_mu_;
-  mutable util::Status core_error_ WIKIMATCH_GUARDED_BY(core_mu_) =
-      util::Status::OK();
+  std::shared_ptr<const GenerationState> gen_ WIKIMATCH_GUARDED_BY(gen_mu_);
 
   util::Mutex reload_mu_;  // serializes writers; guards source_path_
   std::string source_path_ WIKIMATCH_GUARDED_BY(reload_mu_);

@@ -1,6 +1,9 @@
 #include "store/snapshot.h"
 
-#include <cstring>
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <sstream>
 
 #include "match/serialize.h"
@@ -11,9 +14,6 @@
 namespace wikimatch {
 namespace store {
 namespace {
-
-constexpr size_t kHeaderSize = 16;           // magic, version, count, reserved
-constexpr size_t kSectionHeaderSize = 16;    // kind u32, size u64, crc u32
 
 std::string EncodeHeader(uint32_t section_count) {
   util::BinaryWriter w;
@@ -28,6 +28,28 @@ util::Status WriteAll(std::FILE* file, const std::string& bytes) {
   if (std::fwrite(bytes.data(), 1, bytes.size(), file) != bytes.size()) {
     return util::Status::IoError("short write to snapshot file");
   }
+  return util::Status::OK();
+}
+
+// A temp path next to `path`, unique across processes (pid) and across
+// writers within one process (counter).
+std::string TempPathFor(const std::string& path) {
+  static std::atomic<uint64_t> counter{0};
+  return path + "." + std::to_string(::getpid()) + "." +
+         std::to_string(counter.fetch_add(1)) + ".tmp";
+}
+
+// Makes a rename inside the directory of `path` durable.
+util::Status SyncParentDirectory(const std::string& path) {
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return util::Status::IoError("cannot open directory " + dir);
+  const int rc = ::fsync(fd);
+  ::close(fd);
+  if (rc != 0) return util::Status::IoError("cannot fsync directory " + dir);
   return util::Status::OK();
 }
 
@@ -87,13 +109,14 @@ std::string OptionsFingerprint::ToString() const {
   return os.str();
 }
 
-util::Result<SnapshotWriter> SnapshotWriter::Open(const std::string& path,
-                                                  bool legacy_layout) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
+util::Result<SnapshotWriter> SnapshotWriter::Open(const std::string& path) {
+  std::string temp_path = TempPathFor(path);
+  std::FILE* file = std::fopen(temp_path.c_str(), "wb");
   if (file == nullptr) {
-    return util::Status::IoError("cannot open " + path + " for writing");
+    return util::Status::IoError("cannot open " + temp_path +
+                                 " for writing");
   }
-  SnapshotWriter writer(file, legacy_layout);
+  SnapshotWriter writer(file, path, std::move(temp_path));
   // Provisional header with section_count = 0; Finish() patches it. A
   // reader that sees zero sections treats the file as incomplete.
   auto status = WriteAll(file, EncodeHeader(0));
@@ -103,26 +126,31 @@ util::Result<SnapshotWriter> SnapshotWriter::Open(const std::string& path,
 
 SnapshotWriter::SnapshotWriter(SnapshotWriter&& other) noexcept
     : file_(other.file_),
-      legacy_layout_(other.legacy_layout_),
-      section_count_(other.section_count_),
-      sections_(std::move(other.sections_)) {
+      path_(std::move(other.path_)),
+      temp_path_(std::move(other.temp_path_)),
+      section_count_(other.section_count_) {
   other.file_ = nullptr;
 }
 
 SnapshotWriter& SnapshotWriter::operator=(SnapshotWriter&& other) noexcept {
   if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
+    Abandon();
     file_ = other.file_;
-    legacy_layout_ = other.legacy_layout_;
+    path_ = std::move(other.path_);
+    temp_path_ = std::move(other.temp_path_);
     section_count_ = other.section_count_;
-    sections_ = std::move(other.sections_);
     other.file_ = nullptr;
   }
   return *this;
 }
 
-SnapshotWriter::~SnapshotWriter() {
-  if (file_ != nullptr) std::fclose(file_);
+SnapshotWriter::~SnapshotWriter() { Abandon(); }
+
+void SnapshotWriter::Abandon() {
+  if (file_ == nullptr) return;
+  std::fclose(file_);
+  file_ = nullptr;
+  ::unlink(temp_path_.c_str());
 }
 
 util::Status SnapshotWriter::WriteSection(SectionKind kind,
@@ -130,23 +158,13 @@ util::Status SnapshotWriter::WriteSection(SectionKind kind,
   if (file_ == nullptr) {
     return util::Status::Internal("snapshot writer already finished");
   }
-  long at = std::ftell(file_);
-  if (at < 0) {
-    return util::Status::IoError("cannot tell position in snapshot file");
-  }
-  const uint32_t crc = Crc32(payload);
   util::BinaryWriter header;
   header.PutU32(static_cast<uint32_t>(kind));
   header.PutU64(payload.size());
-  header.PutU32(crc);
+  header.PutU32(Crc32(payload));
   WIKIMATCH_RETURN_NOT_OK(WriteAll(file_, header.buffer()));
   WIKIMATCH_RETURN_NOT_OK(WriteAll(file_, payload));
   ++section_count_;
-  if (kind != SectionKind::kPad && kind != SectionKind::kDirectory) {
-    sections_.push_back(SectionInfo{static_cast<uint32_t>(kind),
-                                    static_cast<uint64_t>(at),
-                                    payload.size(), crc});
-  }
   return util::Status::OK();
 }
 
@@ -231,63 +249,32 @@ util::Status SnapshotWriter::Finish() {
   if (file_ == nullptr) {
     return util::Status::Internal("snapshot writer already finished");
   }
-  if (!legacy_layout_) {
-    // Pad section: sized so the directory *payload* (which follows the pad
-    // payload plus one more 16-byte section header) starts 8-byte-aligned,
-    // making its u64 entries readable in place from an mmap base.
-    long at = std::ftell(file_);
-    if (at < 0) {
-      return util::Status::IoError("cannot tell position in snapshot file");
-    }
-    const uint64_t dir_payload_unpadded =
-        static_cast<uint64_t>(at) + 2 * kSectionHeaderSize;
-    const size_t pad = (8 - dir_payload_unpadded % 8) % 8;
-    WIKIMATCH_RETURN_NOT_OK(
-        WriteSection(SectionKind::kPad, std::string(pad, '\0')));
-
-    long dir_at = std::ftell(file_);
-    if (dir_at < 0) {
-      return util::Status::IoError("cannot tell position in snapshot file");
-    }
-    util::BinaryWriter dir;
-    dir.PutU64(sections_.size());
-    for (const SectionInfo& s : sections_) {
-      dir.PutU32(s.kind);
-      dir.PutU32(0);  // reserved
-      dir.PutU64(s.header_offset);
-      dir.PutU64(s.payload_size);
-      dir.PutU32(s.crc);
-      dir.PutU32(0);  // reserved
-    }
-    WIKIMATCH_RETURN_NOT_OK(
-        WriteSection(SectionKind::kDirectory, dir.buffer()));
-
-    // Footer: trailing bytes the streaming reader never looks at (it reads
-    // exactly section_count sections).
-    util::BinaryWriter offset_bytes;
-    offset_bytes.PutU64(static_cast<uint64_t>(dir_at));
-    util::BinaryWriter footer;
-    footer.PutU64(static_cast<uint64_t>(dir_at));
-    footer.PutU32(Crc32(offset_bytes.buffer()));
-    footer.PutU32(kSnapshotFooterMagic);
-    WIKIMATCH_RETURN_NOT_OK(WriteAll(file_, footer.buffer()));
-  }
+  util::Status status = util::Status::OK();
   if (std::fseek(file_, 0, SEEK_SET) != 0) {
-    return util::Status::IoError("cannot seek to snapshot header");
+    status = util::Status::IoError("cannot seek to snapshot header");
   }
-  util::Status status = WriteAll(file_, EncodeHeader(section_count_));
-  int close_rc = std::fclose(file_);
+  if (status.ok()) status = WriteAll(file_, EncodeHeader(section_count_));
+  if (status.ok() &&
+      (std::fflush(file_) != 0 || ::fsync(::fileno(file_)) != 0)) {
+    status = util::Status::IoError("cannot flush " + temp_path_);
+  }
+  if (!status.ok()) {
+    Abandon();
+    return status;
+  }
+  const int close_rc = std::fclose(file_);
   file_ = nullptr;
-  if (!status.ok()) return status;
-  if (close_rc != 0) {
-    return util::Status::IoError("error closing snapshot file");
+  if (close_rc != 0 || std::rename(temp_path_.c_str(), path_.c_str()) != 0) {
+    ::unlink(temp_path_.c_str());
+    return util::Status::IoError("cannot replace " + path_ + " with " +
+                                 temp_path_);
   }
-  return util::Status::OK();
+  return SyncParentDirectory(path_);
 }
 
 util::Status WriteSnapshotFile(const Snapshot& snapshot,
-                               const std::string& path, bool legacy_layout) {
-  auto writer = SnapshotWriter::Open(path, legacy_layout);
+                               const std::string& path) {
+  auto writer = SnapshotWriter::Open(path);
   if (!writer.ok()) return writer.status();
   WIKIMATCH_RETURN_NOT_OK(writer->WriteCorpus(snapshot.corpus));
   WIKIMATCH_RETURN_NOT_OK(writer->WriteDictionary(snapshot.dictionary));
@@ -441,108 +428,11 @@ util::Status DecodeSnapshotSection(SectionKind kind,
       break;
     }
     default:
-      // Unknown kind within a supported version (and the pad/directory
-      // sections, which carry no snapshot content): skip.
+      // Unknown kind within a supported version (including the reserved
+      // kinds 6 and 7): skip.
       break;
   }
   return util::Status::OK();
-}
-
-util::Result<Snapshot> ReadSnapshotFile(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return util::Status::IoError("cannot open snapshot " + path);
-  }
-  struct Closer {
-    std::FILE* f;
-    ~Closer() { std::fclose(f); }
-  } closer{file};
-
-  // File size, for validating section length fields before allocating.
-  if (std::fseek(file, 0, SEEK_END) != 0) {
-    return util::Status::IoError("cannot seek in snapshot " + path);
-  }
-  long file_size = std::ftell(file);
-  if (file_size < 0) {
-    return util::Status::IoError("cannot read size of snapshot " + path);
-  }
-  std::rewind(file);
-
-  std::string header(kHeaderSize, '\0');
-  if (std::fread(header.data(), 1, kHeaderSize, file) != kHeaderSize) {
-    return util::Status::OutOfRange("truncated snapshot " + path +
-                                    ": missing header");
-  }
-  util::BinaryReader hr(header);
-  uint32_t magic = hr.ReadU32().ValueOrDie();
-  uint32_t version = hr.ReadU32().ValueOrDie();
-  uint32_t section_count = hr.ReadU32().ValueOrDie();
-  if (magic != kSnapshotMagic) {
-    return util::Status::ParseError(path + " is not a wikimatch snapshot "
-                                    "(bad magic)");
-  }
-  if (version != kSnapshotVersion) {
-    return util::Status::InvalidArgument(
-        "unsupported snapshot version " + std::to_string(version) +
-        " in " + path + " (this build reads version " +
-        std::to_string(kSnapshotVersion) + ")");
-  }
-  if (section_count == 0) {
-    return util::Status::ParseError("snapshot " + path +
-                                    " is incomplete (zero sections; "
-                                    "build-snapshot did not finish)");
-  }
-
-  Snapshot snapshot;
-  bool have_corpus = false;
-  bool have_dictionary = false;
-  size_t bytes_left = static_cast<size_t>(file_size) - kHeaderSize;
-  for (uint32_t s = 0; s < section_count; ++s) {
-    std::string section_header(kSectionHeaderSize, '\0');
-    if (bytes_left < kSectionHeaderSize ||
-        std::fread(section_header.data(), 1, kSectionHeaderSize, file) !=
-            kSectionHeaderSize) {
-      return util::Status::OutOfRange(
-          "truncated snapshot " + path + ": section " + std::to_string(s) +
-          " header missing");
-    }
-    bytes_left -= kSectionHeaderSize;
-    util::BinaryReader sr(section_header);
-    uint32_t kind = sr.ReadU32().ValueOrDie();
-    uint64_t payload_size = sr.ReadU64().ValueOrDie();
-    uint32_t expected_crc = sr.ReadU32().ValueOrDie();
-    if (payload_size > bytes_left) {
-      return util::Status::OutOfRange(
-          "truncated snapshot " + path + ": section " + std::to_string(s) +
-          " claims " + std::to_string(payload_size) + " bytes but only " +
-          std::to_string(bytes_left) + " remain");
-    }
-    std::string payload(payload_size, '\0');
-    if (payload_size > 0 &&
-        std::fread(payload.data(), 1, payload_size, file) != payload_size) {
-      return util::Status::OutOfRange("truncated snapshot " + path +
-                                      ": section " + std::to_string(s) +
-                                      " payload short");
-    }
-    bytes_left -= payload_size;
-    uint32_t actual_crc = Crc32(payload);
-    if (actual_crc != expected_crc) {
-      return util::Status::ParseError(
-          "corrupt snapshot " + path + ": CRC mismatch in section " +
-          std::to_string(s) + " (kind " + std::to_string(kind) + ")");
-    }
-
-    SectionKind k = static_cast<SectionKind>(kind);
-    util::Status st = DecodeSnapshotSection(k, payload, &snapshot);
-    if (!st.ok()) return st;
-    if (k == SectionKind::kCorpus) have_corpus = true;
-    if (k == SectionKind::kDictionary) have_dictionary = true;
-  }
-  if (!have_corpus || !have_dictionary) {
-    return util::Status::ParseError("snapshot " + path +
-                                    " lacks a corpus or dictionary section");
-  }
-  return snapshot;
 }
 
 }  // namespace store

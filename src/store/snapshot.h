@@ -9,34 +9,26 @@
 //   header   magic u32 ("WMSN") | version u32 | section_count u32 |
 //            reserved u32 (zero)
 //   section  kind u32 | payload_size u64 | crc32 u32 | payload bytes
+//            (repeated section_count times; trailing bytes are ignored)
 //
 // Section kinds: 1 = corpus, 2 = dictionary, 3 = pipeline result (payload
 // begins with lang_a, lang_b; repeats once per pair), 4 = meta (snapshot
 // generation number plus the delta-manifest history appended by
 // `wikimatch apply-delta`), 5 = sync report (the last `wikimatch sync`
-// result, docs/SYNC.md), 6 = directory (offsets/sizes/CRCs of every
-// content section, for the mmap reader), 7 = pad (zero bytes that 8-align
-// the directory payload). Unknown kinds within a supported version are
-// skipped, so sections can be added without a version bump — kinds 4-7
-// were added that way and old readers ignore them. Readers verify the
-// magic, the version, the section count, and every section's CRC-32, and
-// fail with a descriptive util::Status on truncated, corrupt, or
-// version-mismatched input — never undefined behavior.
+// result, docs/SYNC.md). Kinds 6 and 7 are reserved: earlier writers
+// appended a directory (6) and a pad (7) section plus a 16-byte uncounted
+// footer, and the reader skips them like any other unknown kind. Unknown
+// kinds within a supported version are skipped, so sections can be added
+// without a version bump. There is one reader, MappedSnapshot
+// (store/snapshot_reader.h): it walks the counted section headers, and
+// ReadSnapshotFile is that walk plus a full decode. Truncated, corrupt,
+// or version-mismatched input fails with a descriptive util::Status,
+// never undefined behavior.
 //
-// Mmap layout (additive; see src/store/snapshot_reader.h): after the last
-// content section the writer appends a pad section (kind 7) sized so the
-// directory payload starts 8-byte-aligned, the directory section (kind 6),
-// and a fixed 16-byte footer *outside* the counted sections:
-//
-//   footer   directory_header_offset u64 | crc32(of those 8 bytes) u32 |
-//            footer magic u32 ("WMSF")
-//
-// The streaming reader loops exactly section_count sections and ignores
-// trailing bytes, so the footer is invisible to it; pad and directory ride
-// the unknown-kind skip path of old readers. MappedSnapshot finds the
-// directory through the footer in O(1) and validates content-section CRCs
-// lazily, on first touch. Files without a valid footer (older writers, or
-// legacy_layout below) simply fall back to the parse path.
+// Writes are crash-safe and safe under a live mapping: SnapshotWriter
+// writes a temp file next to the target and Finish() renames it over the
+// target after an fsync, so a reader never sees a partial file and a
+// process that has the old file mapped keeps its pages.
 
 #ifndef WIKIMATCH_STORE_SNAPSHOT_H_
 #define WIKIMATCH_STORE_SNAPSHOT_H_
@@ -61,8 +53,6 @@ namespace store {
 
 inline constexpr uint32_t kSnapshotMagic = 0x4E534D57u;  // "WMSN" on disk
 inline constexpr uint32_t kSnapshotVersion = 1;
-inline constexpr uint32_t kSnapshotFooterMagic = 0x46534D57u;  // "WMSF"
-inline constexpr size_t kSnapshotFooterSize = 16;
 
 /// \brief Section kinds of the snapshot container.
 enum class SectionKind : uint32_t {
@@ -71,8 +61,7 @@ enum class SectionKind : uint32_t {
   kPipeline = 3,
   kMeta = 4,
   kSyncReport = 5,
-  kDirectory = 6,
-  kPad = 7,
+  // 6 and 7 are reserved (directory and pad of earlier writers).
 };
 
 /// \brief A language pair, source first ("pt", "en").
@@ -176,17 +165,17 @@ struct Snapshot {
 
 /// \brief Streaming writer: one Write* call per section, then Finish().
 ///
-/// Sections are checksummed and flushed as they are written; the header's
-/// section count is patched in by Finish(), so a file without a successful
-/// Finish() (crash mid-build) is rejected by the reader.
+/// Sections are checksummed and written as they are produced, into a temp
+/// file in the target's directory. Finish() patches the section count into
+/// the header, fsyncs, and renames the temp file over the target, then
+/// fsyncs the directory. A writer destroyed without a successful Finish()
+/// (crash mid-build, error) unlinks its temp file and leaves whatever was
+/// at the target path untouched.
 class SnapshotWriter {
  public:
-  /// \brief Opens `path` for writing and emits a provisional header.
-  /// `legacy_layout` suppresses the pad/directory sections and the footer,
-  /// reproducing pre-directory writers byte for byte (compatibility tests;
-  /// the streaming reader accepts both layouts identically).
-  static util::Result<SnapshotWriter> Open(const std::string& path,
-                                           bool legacy_layout = false);
+  /// \brief Creates the temp file for `path` and emits a provisional
+  /// header.
+  static util::Result<SnapshotWriter> Open(const std::string& path);
 
   SnapshotWriter(SnapshotWriter&& other) noexcept;
   SnapshotWriter& operator=(SnapshotWriter&& other) noexcept;
@@ -202,46 +191,37 @@ class SnapshotWriter {
   util::Status WriteMeta(const SnapshotMeta& meta);
   util::Status WriteSyncReport(const sync::SyncReport& report);
 
-  /// \brief Appends the pad + directory sections and the footer (unless
-  /// legacy_layout), patches the section count into the header, and closes
-  /// the file.
+  /// \brief Patches the section count into the header, makes the file
+  /// durable, and atomically replaces the target path with it.
   util::Status Finish();
 
  private:
-  /// Directory bookkeeping for one written content section.
-  struct SectionInfo {
-    uint32_t kind = 0;
-    uint64_t header_offset = 0;
-    uint64_t payload_size = 0;
-    uint32_t crc = 0;
-  };
-
-  explicit SnapshotWriter(std::FILE* file, bool legacy_layout)
-      : file_(file), legacy_layout_(legacy_layout) {}
+  SnapshotWriter(std::FILE* file, std::string path, std::string temp_path)
+      : file_(file), path_(std::move(path)), temp_path_(std::move(temp_path)) {}
 
   util::Status WriteSection(SectionKind kind, const std::string& payload);
+  /// Closes and unlinks the temp file of an unfinished writer.
+  void Abandon();
 
   std::FILE* file_ = nullptr;
-  bool legacy_layout_ = false;
+  std::string path_;       // the target
+  std::string temp_path_;  // where the bytes go until Finish()
   uint32_t section_count_ = 0;
-  std::vector<SectionInfo> sections_;
 };
 
-/// \brief Writes a complete in-memory snapshot to `path`. `legacy_layout`
-/// reproduces the pre-directory file format (see SnapshotWriter::Open).
+/// \brief Writes a complete in-memory snapshot to `path`.
 util::Status WriteSnapshotFile(const Snapshot& snapshot,
-                               const std::string& path,
-                               bool legacy_layout = false);
+                               const std::string& path);
 
-/// \brief Decodes one content section's payload into `snapshot` — the
-/// shared body of the streaming reader and MappedSnapshot::Decode.
-/// Unknown kinds (including pad and directory) are ignored. The payload
-/// must already be CRC-verified.
+/// \brief Decodes one section's payload into `snapshot` (the body of
+/// MappedSnapshot::Decode). Unknown kinds are ignored. The payload must
+/// already be CRC-verified.
 util::Status DecodeSnapshotSection(SectionKind kind,
                                    std::string_view payload,
                                    Snapshot* snapshot);
 
-/// \brief Reads and validates a snapshot file.
+/// \brief Reads and validates a snapshot file: MappedSnapshot::Map plus
+/// Decode (store/snapshot_reader.h), so every section's CRC is checked.
 ///
 /// Errors: IoError (unreadable file), ParseError (bad magic, CRC mismatch,
 /// malformed section payload), OutOfRange (truncated file or section),

@@ -1,25 +1,24 @@
-// Memory-mapped snapshot access for O(1) serve startup.
+// The snapshot reader. MappedSnapshot::Map mmaps a snapshot file, checks
+// the fixed header, and builds its section table by walking the
+// section_count counted section headers (16 bytes each; the walk reads no
+// payload bytes, so it costs microseconds at any file size). Every bound
+// is checked against the real file size before it is used, so forged
+// sizes are reported as OutOfRange, never read past.
 //
-// MappedSnapshot::Map mmaps a snapshot file and validates only the fixed
-// header and the trailing footer + section directory (a few hundred bytes
-// regardless of snapshot size) — it never reads the content sections, so
-// mapping a multi-gigabyte snapshot costs the same as mapping a tiny one.
-// Content-section CRCs are validated *lazily*: the first Payload() touch of
-// a section checks its CRC-32 and caches the verdict (sticky both ways), so
-// corruption is still always detected before any decoded byte is trusted,
-// just not before the process starts answering health checks.
-//
-// Files without a valid footer — written by pre-directory builds or with
-// SnapshotWriter's legacy_layout — make Map() return NotFound, the caller's
-// cue to fall back to the streaming parse path (ReadSnapshotFile), which
-// reads both layouts identically. Truncated or corrupt *new* files also
-// fail toward that fallback: the parse path owns the descriptive errors.
+// Section CRCs are validated lazily: the first Payload() touch of a
+// section checks its CRC-32 and caches the verdict (sticky both ways), so
+// corruption is always detected before any decoded byte is trusted, just
+// not before the process starts answering health checks. Decode() touches
+// every counted section, reserved and unknown kinds included, so its
+// errors name the section ordinal. ReadSnapshotFile (store/snapshot.h) is
+// Map + Decode.
 //
 // Lifetime: the mapping holds the pages, not the directory entry — a
-// snapshot file may be replaced or unlinked while mapped and every
-// outstanding string_view stays valid until the MappedSnapshot is
-// destroyed. The serving layer pins one shared_ptr<MappedSnapshot> per
-// generation for exactly this reason (docs/SERVING.md).
+// snapshot file may be replaced (SnapshotWriter renames over it) or
+// unlinked while mapped, and every outstanding string_view stays valid
+// until the MappedSnapshot is destroyed. The serving layer pins one
+// shared_ptr<MappedSnapshot> per generation for exactly this reason
+// (docs/SERVING.md).
 
 #ifndef WIKIMATCH_STORE_SNAPSHOT_READER_H_
 #define WIKIMATCH_STORE_SNAPSHOT_READER_H_
@@ -40,10 +39,12 @@ namespace store {
 /// \brief A snapshot file mapped read-only into the address space.
 class MappedSnapshot {
  public:
-  /// \brief Maps `path` and validates header, footer, and directory.
-  /// NotFound: no usable directory footer (legacy layout / older writer /
-  /// truncation) — fall back to ReadSnapshotFile. IoError: the file cannot
-  /// be opened or mapped at all.
+  /// \brief Maps `path` and walks its section headers.
+  ///
+  /// Errors: IoError (cannot open, stat, or map), OutOfRange (file ends
+  /// inside the header, a section header, or a payload), ParseError (bad
+  /// magic, zero section count, no corpus or dictionary section),
+  /// InvalidArgument (unsupported version).
   static util::Result<std::shared_ptr<MappedSnapshot>> Map(
       const std::string& path);
 
@@ -52,8 +53,7 @@ class MappedSnapshot {
   MappedSnapshot(const MappedSnapshot&) = delete;
   MappedSnapshot& operator=(const MappedSnapshot&) = delete;
 
-  /// \brief Content sections listed in the directory (pad and the
-  /// directory itself are not included).
+  /// \brief Counted sections, in file order (unknown kinds included).
   size_t num_sections() const { return entries_.size(); }
 
   SectionKind section_kind(size_t idx) const {
@@ -70,9 +70,8 @@ class MappedSnapshot {
   /// snapshot has no such section.
   util::Result<std::string_view> PayloadOfKind(SectionKind kind) const;
 
-  /// \brief Decodes every content section into an in-memory Snapshot —
-  /// the mmap-backed equivalent of ReadSnapshotFile, validating each
-  /// section's CRC as it is touched.
+  /// \brief Decodes every section into an in-memory Snapshot, validating
+  /// each section's CRC as it is touched.
   util::Result<Snapshot> Decode() const;
 
   const std::string& path() const { return path_; }

@@ -137,7 +137,7 @@ void ThreadPool::For(size_t n, size_t max_workers,
                      const std::function<void(size_t)>& fn) {
   if (n == 0) return;
   // The inline fast path: no pool traffic, and (matching the historical
-  // ParallelFor contract) an exception from fn propagates directly.
+  // parallel-loop contract) an exception from fn propagates directly.
   if (max_workers <= 1 || n == 1 || workers_.empty()) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;

@@ -2,8 +2,8 @@
 // that every parallel loop and background task in the system shares, so
 // nested parallelism (the pipeline aligning type pairs in parallel while
 // each pair's similarity join shards by row) cooperates on a single core
-// budget instead of multiplying threads — the pre-pool ParallelFor spawned
-// fresh std::threads per call, so a P-pair run at T threads could put T²
+// budget instead of multiplying threads — spawning fresh std::threads per
+// loop, as the pre-pool design did, lets a P-pair run at T threads put T²
 // workers on the box.
 //
 // Shape (after the yocto-gl `concurrent` namespace): a lazily created
@@ -33,13 +33,13 @@
 //
 // Determinism: `For(n, ...)` invokes fn(i) exactly once per index and
 // blocks until every invocation finished; callers write results to
-// pre-sized slots indexed by i (the ParallelFor contract), so output is
+// pre-sized slots indexed by i, so output is
 // byte-identical at any pool size and any thread count.
 //
 // Exceptions: the first exception thrown by any fn(i) (in completion
 // order) is captured, remaining indexes stop being handed out, every
 // participant drains, and the exception is rethrown on the calling thread
-// — the same contract util::ParallelFor has always had. Async exceptions
+// — the same contract as a plain sequential loop. Async exceptions
 // are captured into the handle (TaskHandle::error after Wait).
 
 #ifndef WIKIMATCH_UTIL_THREAD_POOL_H_
@@ -121,7 +121,7 @@ class ThreadPool {
   /// \brief Invokes `fn(i)` exactly once for every i in [0, n), using the
   /// calling thread plus up to `max_workers - 1` pool workers, and blocks
   /// until all invocations finished. `max_workers` is the cap on total
-  /// concurrent participants — the ParallelFor `threads` knob — so
+  /// concurrent participants — thread_pool_for's `threads` knob — so
   /// `max_workers <= 1` (or n == 1) runs inline with no pool traffic and
   /// no exception translation. `fn` must be safe to call concurrently for
   /// distinct indexes. First exception is rethrown on the calling thread

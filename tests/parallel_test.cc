@@ -1,5 +1,6 @@
-// Tests for the parallel-for helper and the pipeline's parallel execution
-// determinism.
+// Tests for the parallel-loop contract of util::thread_pool_for (every
+// index exactly once, inline at one thread, first exception rethrown on
+// the caller) and the pipeline's parallel execution determinism.
 
 #include <gtest/gtest.h>
 
@@ -9,14 +10,14 @@
 
 #include "match/pipeline.h"
 #include "synth/generator.h"
-#include "util/parallel.h"
+#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace {
 
 TEST(ParallelForTest, CoversEveryIndexOnce) {
   std::vector<std::atomic<int>> hits(1000);
-  util::ParallelFor(hits.size(), 8, [&](size_t i) {
+  util::thread_pool_for(hits.size(), 8, [&](size_t i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
@@ -24,7 +25,7 @@ TEST(ParallelForTest, CoversEveryIndexOnce) {
 
 TEST(ParallelForTest, InlineWhenSingleThreaded) {
   std::vector<int> order;
-  util::ParallelFor(5, 1, [&](size_t i) {
+  util::thread_pool_for(5, 1, [&](size_t i) {
     order.push_back(static_cast<int>(i));  // Safe: runs inline.
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -32,13 +33,13 @@ TEST(ParallelForTest, InlineWhenSingleThreaded) {
 
 TEST(ParallelForTest, ZeroItems) {
   bool called = false;
-  util::ParallelFor(0, 8, [&](size_t) { called = true; });
+  util::thread_pool_for(0, 8, [&](size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ParallelForTest, MoreThreadsThanItems) {
   std::atomic<size_t> sum{0};
-  util::ParallelFor(3, 64, [&](size_t i) {
+  util::thread_pool_for(3, 64, [&](size_t i) {
     sum.fetch_add(i, std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), 3u);
@@ -50,7 +51,7 @@ TEST(ParallelForTest, WorkerExceptionRethrownOnCallingThread) {
   // joins, and the calling thread rethrows it.
   std::atomic<size_t> ran{0};
   try {
-    util::ParallelFor(1000, 8, [&](size_t i) {
+    util::thread_pool_for(1000, 8, [&](size_t i) {
       if (i == 137) throw std::runtime_error("worker 137 failed");
       ran.fetch_add(1, std::memory_order_relaxed);
     });
@@ -65,19 +66,19 @@ TEST(ParallelForTest, WorkerExceptionRethrownOnCallingThread) {
 
 TEST(ParallelForTest, InlineExceptionStillPropagates) {
   EXPECT_THROW(
-      util::ParallelFor(5, 1,
-                        [&](size_t i) {
-                          if (i == 3) throw std::logic_error("inline");
-                        }),
+      util::thread_pool_for(5, 1,
+                            [&](size_t i) {
+                              if (i == 3) throw std::logic_error("inline");
+                            }),
       std::logic_error);
 }
 
 TEST(ParallelForTest, AllWorkersJoinWhenEveryCallThrows) {
   // Every invocation throwing must still produce exactly one rethrow.
-  EXPECT_THROW(util::ParallelFor(64, 8,
-                                 [&](size_t) {
-                                   throw std::runtime_error("all fail");
-                                 }),
+  EXPECT_THROW(util::thread_pool_for(64, 8,
+                                     [&](size_t) {
+                                       throw std::runtime_error("all fail");
+                                     }),
                std::runtime_error);
 }
 

@@ -2,14 +2,27 @@
 //  * the wikitext parser must never fail on arbitrary mutated input —
 //    malformed markup degrades, it does not error or crash;
 //  * the dump reader must survive truncated/garbled XML;
+//  * hostile snapshot bytes (truncations, byte flips, forged sizes, a
+//    forged footer) end in an error status, an err reply, or a snapshot
+//    whose kept sections are the original's — through ReadSnapshotFile,
+//    MatchService::Load plus a first request, and a live reload;
 //  * aligner behavior must be monotone in its thresholds;
 //  * the full pipeline must be deterministic.
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cstdio>
+
 #include "match/aligner.h"
 #include "match/pipeline.h"
+#include "serve/match_service.h"
+#include "snapshot_bytes.h"
+#include "store/crc32.h"
+#include "store/snapshot.h"
 #include "synth/generator.h"
+#include "util/binary_io.h"
 #include "util/rng.h"
 #include "util/utf8.h"
 #include "wiki/dump_reader.h"
@@ -113,6 +126,238 @@ TEST(DumpFuzzTest, MutatedXml) {
       }
     }
   }
+}
+
+// --------------------------------------------------- Hostile snapshot bytes
+
+namespace ts = testing_snapshot;
+
+// The canonical bytes of a small snapshot, written once per process.
+const std::string& CanonicalSnapshotBytes() {
+  static const std::string* bytes = [] {
+    synth::CorpusGenerator generator(synth::GeneratorOptions::Tiny(7));
+    auto gc = std::move(generator.Generate()).ValueOrDie();
+    match::MatchPipeline pipeline(&gc.corpus);
+    auto result = std::move(pipeline.Run("pt", "en")).ValueOrDie();
+    store::Snapshot snapshot;
+    snapshot.corpus = gc.corpus;
+    snapshot.dictionary = pipeline.dictionary();
+    snapshot.pipelines.emplace(store::LanguagePair("pt", "en"),
+                               std::move(result));
+    snapshot.meta.generation = 3;
+    std::string path = ::testing::TempDir() + "/robust_canonical." +
+                       std::to_string(::getpid()) + ".snap";
+    EXPECT_TRUE(store::WriteSnapshotFile(snapshot, path).ok());
+    auto* out = new std::string(ts::ReadBytes(path));
+    std::remove(path.c_str());
+    return out;
+  }();
+  return *bytes;
+}
+
+std::string SectionBytes(const std::string& image, const ts::SectionSpan& s) {
+  return image.substr(s.header_offset,
+                      ts::kSectionHeaderSize + s.payload_size);
+}
+
+// True when every section of `reserialized` is, in order, a byte-identical
+// section of `original` — nothing the reader kept was altered.
+bool KeptSectionsMatch(const std::string& original,
+                       const std::string& reserialized) {
+  const auto kept = ts::Sections(reserialized);
+  const auto all = ts::Sections(original);
+  size_t next = 0;
+  for (const auto& k : kept) {
+    while (next < all.size() && SectionBytes(original, all[next]) !=
+                                    SectionBytes(reserialized, k)) {
+      ++next;
+    }
+    if (next == all.size()) return false;
+    ++next;
+  }
+  return true;
+}
+
+struct HostileCase {
+  std::string name;
+  std::string bytes;
+  bool content_intact = false;  // only ignorable bytes were touched
+};
+
+// Feeds one hostile image to the three entry points that read snapshot
+// bytes. `live` serves the canonical snapshot at `good_path`.
+void CheckHostileCase(const HostileCase& c, const std::string& path,
+                      const std::string& good_path, serve::MatchService* live,
+                      const std::string& live_baseline) {
+  SCOPED_TRACE(c.name);
+  ts::WriteBytes(path, c.bytes);
+  const std::string& canonical = CanonicalSnapshotBytes();
+
+  // 1. ReadSnapshotFile: an error, or a snapshot whose re-serialization
+  //    keeps only unaltered sections (all of them if content is intact).
+  auto read = store::ReadSnapshotFile(path);
+  if (read.ok()) {
+    const std::string out = path + ".out";
+    ASSERT_TRUE(store::WriteSnapshotFile(*read, out).ok());
+    const std::string reserialized = ts::ReadBytes(out);
+    std::remove(out.c_str());
+    EXPECT_TRUE(KeptSectionsMatch(canonical, reserialized));
+    if (c.content_intact) {
+      EXPECT_EQ(reserialized, canonical);
+    }
+  } else {
+    EXPECT_FALSE(c.content_intact) << read.status().ToString();
+  }
+
+  // 2. Load + a first data request: served only when the file reads.
+  auto service = serve::MatchService::Load(path);
+  if (service.ok()) {
+    const std::string reply = (*service)->Handle("pairs");
+    const bool ok_reply = reply.compare(0, 3, "ok ") == 0;
+    EXPECT_TRUE(ok_reply || reply.compare(0, 4, "err ") == 0) << reply;
+    EXPECT_EQ(ok_reply, read.ok()) << reply;
+  } else {
+    EXPECT_FALSE(read.ok());
+  }
+
+  // 3. reload on a live service: a failed reload keeps the previous
+  //    generation serving; a successful one is reverted for the next case.
+  const std::string reply = live->Handle("reload " + path);
+  const bool reloaded = reply.compare(0, 3, "ok ") == 0;
+  EXPECT_TRUE(reloaded || reply.compare(0, 4, "err ") == 0) << reply;
+  EXPECT_EQ(reloaded, read.ok()) << reply;
+  if (reloaded) {
+    ASSERT_EQ(live->Handle("reload " + good_path).compare(0, 3, "ok "), 0);
+  }
+  EXPECT_EQ(live->Handle("alignments pt:en film"), live_baseline);
+}
+
+// Truncations at every section boundary and one byte either side, byte
+// flips in the header, every section header, sampled payload bytes and
+// any trailing bytes, and forged payload sizes, all over `image`.
+// Damage past the last counted section leaves the content intact.
+std::vector<HostileCase> HostileCasesOf(const std::string& image,
+                                        const std::string& label) {
+  std::vector<HostileCase> cases;
+  const auto sections = ts::Sections(image);
+  const size_t counted_end = sections.back().header_offset +
+                             ts::kSectionHeaderSize +
+                             sections.back().payload_size;
+  std::vector<size_t> boundaries = {0, ts::kHeaderSize};
+  for (const auto& s : sections) {
+    boundaries.push_back(s.header_offset + ts::kSectionHeaderSize);
+    boundaries.push_back(s.header_offset + ts::kSectionHeaderSize +
+                         s.payload_size);
+  }
+  boundaries.push_back(image.size());
+  for (size_t b : boundaries) {
+    for (size_t keep : {b - 1, b, b + 1}) {
+      if (b == 0 && keep != 0) continue;
+      if (keep >= image.size()) continue;  // not a truncation
+      cases.push_back({label + " truncated to " + std::to_string(keep),
+                       image.substr(0, keep), keep >= counted_end});
+    }
+  }
+
+  util::Rng rng(0x5EC7);
+  auto flip = [&](size_t offset, bool content_intact) {
+    HostileCase c{label + " flip at " + std::to_string(offset), image,
+                  content_intact};
+    c.bytes[offset] =
+        static_cast<char>(c.bytes[offset] ^ (1 + rng.NextBounded(255)));
+    cases.push_back(std::move(c));
+  };
+  for (size_t i = 0; i < ts::kHeaderSize; ++i) flip(i, i >= 12);
+  for (const auto& s : sections) {
+    for (size_t i = 0; i < ts::kSectionHeaderSize; ++i) {
+      flip(s.header_offset + i, false);
+    }
+    for (int k = 0; k < 3 && s.payload_size > 0; ++k) {
+      flip(s.header_offset + ts::kSectionHeaderSize +
+               rng.NextBounded(s.payload_size),
+           false);
+    }
+  }
+  for (size_t i = counted_end; i < image.size(); ++i) flip(i, true);
+
+  for (size_t idx = 0; idx < sections.size(); ++idx) {
+    const auto& s = sections[idx];
+    const uint64_t remaining =
+        image.size() - s.header_offset - ts::kSectionHeaderSize;
+    for (uint64_t forged : {uint64_t{0}, remaining + 1,
+                            ~uint64_t{0} - 7, ~uint64_t{0}}) {
+      if (forged == s.payload_size) continue;
+      HostileCase c{label + " section " + std::to_string(idx) + " size " +
+                        std::to_string(forged),
+                    image};
+      std::memcpy(c.bytes.data() + s.header_offset + 4, &forged, 8);
+      cases.push_back(std::move(c));
+    }
+  }
+  return cases;
+}
+
+class HostileSnapshotTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    prefix_ = ::testing::TempDir() + "/robust." + std::to_string(::getpid());
+    good_path_ = prefix_ + ".good.snap";
+    case_path_ = prefix_ + ".case.snap";
+    ts::WriteBytes(good_path_, CanonicalSnapshotBytes());
+    auto service = serve::MatchService::Load(good_path_);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    live_ = std::move(service).ValueOrDie();
+    baseline_ = live_->Handle("alignments pt:en film");
+    ASSERT_EQ(baseline_.compare(0, 3, "ok "), 0) << baseline_;
+  }
+  void TearDown() override {
+    std::remove(good_path_.c_str());
+    std::remove(case_path_.c_str());
+  }
+
+  void Check(const std::vector<HostileCase>& cases) {
+    for (const HostileCase& c : cases) {
+      CheckHostileCase(c, case_path_, good_path_, live_.get(), baseline_);
+    }
+  }
+
+  std::string prefix_, good_path_, case_path_, baseline_;
+  std::unique_ptr<serve::MatchService> live_;
+};
+
+TEST_F(HostileSnapshotTest, CurrentLayoutMutations) {
+  Check(HostileCasesOf(CanonicalSnapshotBytes(), "current"));
+}
+
+TEST_F(HostileSnapshotTest, DirectoryLayoutMutations) {
+  // Files from earlier writers end in reserved sections and a footer;
+  // trailing-byte damage is harmless there.
+  const std::string image = ts::WithDirectoryLayout(CanonicalSnapshotBytes());
+  Check(HostileCasesOf(image, "directory"));
+}
+
+TEST_F(HostileSnapshotTest, ForgedFooterOffsetIsIgnored) {
+  // A footer whose directory offset is 2^64-8, with a matching CRC: the
+  // reader never follows footers, so the file reads like any other.
+  std::string image = ts::WithDirectoryLayout(CanonicalSnapshotBytes());
+  util::BinaryWriter offset;
+  offset.PutU64(0xFFFFFFFFFFFFFFF8ull);
+  util::BinaryWriter footer;
+  footer.PutU64(0xFFFFFFFFFFFFFFF8ull);
+  footer.PutU32(store::Crc32(offset.buffer()));
+  footer.PutU32(0x46534D57u);
+  image.replace(image.size() - 16, 16, footer.buffer());
+  Check({{"forged footer", image, /*content_intact=*/true}});
+}
+
+TEST_F(HostileSnapshotTest, ReservedKindsAndTrailingBytesAreSkipped) {
+  // A fresh file plus counted kind-6 and kind-7 sections with valid CRCs
+  // and 16 trailing bytes decodes to the same bytes as the original.
+  std::string image = CanonicalSnapshotBytes();
+  ts::AppendSection(&image, ts::kDirectoryKind, "not a directory");
+  ts::AppendSection(&image, ts::kPadKind, std::string(5, '\0'));
+  image += std::string(16, '\x7F');
+  Check({{"reserved kinds", image, /*content_intact=*/true}});
 }
 
 // ------------------------------------------------------ Aligner properties

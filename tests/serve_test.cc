@@ -18,6 +18,7 @@
 #include "serve/lru_cache.h"
 #include "serve/match_service.h"
 #include "serve/protocol.h"
+#include "snapshot_bytes.h"
 #include "store/snapshot.h"
 #include "synth/generator.h"
 
@@ -254,19 +255,36 @@ void CopyFile(const std::string& from, const std::string& to) {
   out << in.rdbuf();
 }
 
-// Writes the fixture snapshot in the pre-directory layout (no footer),
-// exactly as an older build would have produced it.
-std::string WriteLegacySnapshot(const std::string& name) {
+// The fixture snapshot as an in-memory Snapshot.
+store::Snapshot FixtureSnapshot() {
   const Fixture& f = GetFixture();
   store::Snapshot snapshot;
   snapshot.corpus = f.gc.corpus;
   snapshot.dictionary = f.dictionary;
   snapshot.pipelines.emplace(store::LanguagePair("pt", "en"), f.result);
+  return snapshot;
+}
+
+// Writes the fixture snapshot in the layout earlier writers produced (pad
+// and directory sections plus an uncounted footer).
+std::string WriteDirectoryLayoutSnapshot(const std::string& name) {
   std::string path = PerPidTempPath(name);
-  auto status =
-      store::WriteSnapshotFile(snapshot, path, /*legacy_layout=*/true);
-  EXPECT_TRUE(status.ok()) << status.ToString();
+  testing_snapshot::WriteBytes(
+      path, testing_snapshot::WithDirectoryLayout(
+                testing_snapshot::ReadBytes(GetFixture().snapshot_path)));
   return path;
+}
+
+// Requests covering every data verb the fixture can answer.
+std::vector<std::string> DataRequests() {
+  return {
+      "pairs",
+      "types pt:en",
+      "alignments pt:en film",
+      "attr pt:en film en starring",
+      std::string("query pt:en ") + kQuery,
+      "sync-status",
+  };
 }
 
 TEST(ServeTest, MmapLoadDefersTheCoreUntilFirstDataRequest) {
@@ -287,28 +305,56 @@ TEST(ServeTest, MmapLoadDefersTheCoreUntilFirstDataRequest) {
   EXPECT_GT((*service)->CorpusSize(), 0u);
 }
 
-TEST(ServeTest, MmapAndLegacyParsedServicesAnswerIdentically) {
-  std::string legacy = WriteLegacySnapshot("legacy_compare.snap");
-  auto lazy_service = MatchService::Load(GetFixture().snapshot_path);
-  auto parsed_service = MatchService::Load(legacy);
-  ASSERT_TRUE(lazy_service.ok()) << lazy_service.status().ToString();
-  ASSERT_TRUE(parsed_service.ok()) << parsed_service.status().ToString();
-  EXPECT_FALSE((*lazy_service)->CoreLoaded());
-  EXPECT_TRUE((*parsed_service)->CoreLoaded());  // legacy parses eagerly
-  const std::vector<std::string> requests = {
-      "pairs",
-      "types pt:en",
-      "alignments pt:en film",
-      "attr pt:en film en starring",
-      std::string("query pt:en ") + kQuery,
-      "sync-status",
-  };
-  for (const auto& request : requests) {
-    EXPECT_EQ((*lazy_service)->Handle(request),
-              (*parsed_service)->Handle(request))
+TEST(ServeTest, DirectoryLayoutSnapshotServesIdentically) {
+  std::string old_layout = WriteDirectoryLayoutSnapshot("directory.snap");
+  auto service = MatchService::Load(GetFixture().snapshot_path);
+  auto old_service = MatchService::Load(old_layout);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_TRUE(old_service.ok()) << old_service.status().ToString();
+  EXPECT_FALSE((*service)->CoreLoaded());
+  EXPECT_FALSE((*old_service)->CoreLoaded());
+  for (const auto& request : DataRequests()) {
+    EXPECT_EQ((*service)->Handle(request), (*old_service)->Handle(request))
         << request;
   }
-  std::remove(legacy.c_str());
+  std::remove(old_layout.c_str());
+}
+
+TEST(ServeTest, LiveServiceSurvivesInPlaceRewrites) {
+  // `wikimatch sync` and `apply-delta` may rewrite the very file a server
+  // has mapped. The writer renames a new file over the path, so the
+  // server keeps the pages it mapped and answers from them — before its
+  // core is built, after, and after a reload.
+  std::string path = PerPidTempPath("rewrite.snap");
+  const store::Snapshot a = FixtureSnapshot();
+  store::Snapshot b = FixtureSnapshot();
+  b.pipelines.clear();  // answers differ from a's on every pair verb
+  b.meta.generation = 1;
+  auto expected_a = MatchService::Create(FixtureSnapshot());
+  auto expected_b = MatchService::Create(b);
+  auto answers_match = [&](MatchService* service, MatchService* expected) {
+    for (const auto& request : DataRequests()) {
+      EXPECT_EQ(service->Handle(request), expected->Handle(request))
+          << request;
+    }
+  };
+
+  ASSERT_TRUE(store::WriteSnapshotFile(a, path).ok());
+  auto service = MatchService::Load(path);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  ASSERT_TRUE(store::WriteSnapshotFile(b, path).ok());  // core not built
+  answers_match(service->get(), expected_a.get());
+  EXPECT_TRUE((*service)->CoreLoaded());
+  ASSERT_TRUE(store::WriteSnapshotFile(a, path).ok());  // core built
+  ASSERT_TRUE(store::WriteSnapshotFile(b, path).ok());
+  answers_match(service->get(), expected_a.get());
+
+  std::string reloaded = (*service)->Handle("reload");
+  ASSERT_EQ(reloaded.compare(0, 3, "ok "), 0) << reloaded;
+  EXPECT_EQ((*service)->Generation(), 1u);
+  ASSERT_TRUE(store::WriteSnapshotFile(a, path).ok());
+  answers_match(service->get(), expected_b.get());
+  std::remove(path.c_str());
 }
 
 TEST(ServeTest, UnlinkedSnapshotStillAnswersItsFirstRequest) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
+
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -14,6 +16,7 @@
 #include "store/crc32.h"
 #include "store/snapshot.h"
 #include "store/snapshot_reader.h"
+#include "snapshot_bytes.h"
 #include "synth/generator.h"
 #include "util/binary_io.h"
 #include "wiki/serialize.h"
@@ -304,20 +307,75 @@ TEST(StoreTest, TruncatedFileIsRejected) {
   std::remove(path.c_str());
 }
 
+// Names in TempDir() that start with `prefix` (temp files of writers).
+std::vector<std::string> FilesWithPrefix(const std::string& prefix) {
+  std::vector<std::string> out;
+  DIR* dir = ::opendir(::testing::TempDir().c_str());
+  if (dir == nullptr) return out;
+  while (dirent* entry = ::readdir(dir)) {
+    std::string name = entry->d_name;
+    if (name.compare(0, prefix.size(), prefix) == 0) out.push_back(name);
+  }
+  ::closedir(dir);
+  return out;
+}
+
 TEST(StoreTest, UnfinishedSnapshotIsRejected) {
-  // A writer that never called Finish() leaves section_count = 0.
+  // A writer that never called Finish() (crash mid-build, error) leaves
+  // the previous file at the path untouched and no temp file behind.
   std::string path = TempPath("unfinished.snap");
+  ASSERT_TRUE(WriteSnapshotFile(MakeSnapshot(), path).ok());
+  const std::string previous = ReadFileBytes(path);
   {
     auto writer = SnapshotWriter::Open(path);
     ASSERT_TRUE(writer.ok());
     ASSERT_TRUE(writer->WriteCorpus(GetFixture().gc.corpus).ok());
     // No Finish().
   }
+  EXPECT_EQ(ReadFileBytes(path), previous);
+  EXPECT_EQ(FilesWithPrefix("unfinished.snap"),
+            std::vector<std::string>{"unfinished.snap"});
+  ASSERT_TRUE(ReadSnapshotFile(path).ok());
+
+  // A file whose header still carries the provisional zero section count
+  // is rejected as incomplete.
+  std::string bytes = previous;
+  testing_snapshot::SetSectionCount(&bytes, 0);
+  WriteFileBytes(path, bytes);
   auto loaded = ReadSnapshotFile(path);
   ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kParseError);
   EXPECT_NE(loaded.status().message().find("incomplete"),
             std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(StoreTest, FinishReplacesTheFileAtomically) {
+  // Finish() renames a complete temp file over the target: a mapping of
+  // the previous file keeps its bytes, the path shows the new file.
+  std::string path = TempPath("replace.snap");
+  ASSERT_TRUE(WriteSnapshotFile(MakeSnapshot(), path).ok());
+  auto before = MappedSnapshot::Map(path);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  Snapshot next = MakeSnapshot();
+  next.meta.generation = 7;
+  ASSERT_TRUE(WriteSnapshotFile(next, path).ok());
+  EXPECT_EQ(FilesWithPrefix("replace.snap"),
+            std::vector<std::string>{"replace.snap"});
+  auto old_decoded = (*before)->Decode();
+  ASSERT_TRUE(old_decoded.ok()) << old_decoded.status().ToString();
+  EXPECT_EQ(old_decoded->meta.generation, 0u);
+  auto new_decoded = ReadSnapshotFile(path);
+  ASSERT_TRUE(new_decoded.ok()) << new_decoded.status().ToString();
+  EXPECT_EQ(new_decoded->meta.generation, 7u);
+  std::remove(path.c_str());
+}
+
+TEST(StoreTest, UnwritableDirectoryIsIoError) {
+  auto status =
+      WriteSnapshotFile(MakeSnapshot(), TempPath("no-such-dir/x.snap"));
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kIoError);
 }
 
 TEST(StoreTest, SectionSizeBeyondFileIsRejected) {
@@ -399,9 +457,8 @@ TEST(StoreTest, Generation0SnapshotOmitsMetaSection) {
   std::string bytes = ReadFileBytes(path);
   uint32_t section_count;
   std::memcpy(&section_count, bytes.data() + 8, 4);
-  // corpus, dictionary, one pipeline (no meta) + the pad and directory
-  // sections every non-legacy writer appends.
-  EXPECT_EQ(section_count, 5u);
+  // corpus, dictionary, one pipeline (no meta).
+  EXPECT_EQ(section_count, 3u);
   auto loaded = ReadSnapshotFile(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->meta.generation, 0u);
@@ -417,8 +474,8 @@ TEST(StoreTest, SyncReportSectionRoundTripAndOmittedWhenEmpty) {
   std::string bytes = ReadFileBytes(path);
   uint32_t section_count;
   std::memcpy(&section_count, bytes.data() + 8, 4);
-  // corpus, dictionary, one pipeline + pad + directory — no kind-5 section.
-  EXPECT_EQ(section_count, 5u);
+  // corpus, dictionary, one pipeline — no kind-5 section.
+  EXPECT_EQ(section_count, 3u);
   std::remove(path.c_str());
 
   Snapshot snapshot = MakeSnapshot();
@@ -446,6 +503,8 @@ TEST(StoreTest, SyncReportSectionRoundTripAndOmittedWhenEmpty) {
 // ------------------------------------------------------------- mmap reader
 
 TEST(MappedSnapshotTest, DecodeMatchesStreamingReaderByteIdentically) {
+  // ReadSnapshotFile is Map + Decode; a decoded snapshot re-serializes to
+  // exactly the bytes it was read from.
   Snapshot snapshot = MakeSnapshot();
   snapshot.meta.generation = 2;
   snapshot.meta.history.push_back({2, 1, 0, 0, 1, 1});
@@ -455,18 +514,18 @@ TEST(MappedSnapshotTest, DecodeMatchesStreamingReaderByteIdentically) {
 
   auto mapped = MappedSnapshot::Map(path);
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ((*mapped)->num_sections(), 4u);
   auto via_mmap = (*mapped)->Decode();
   ASSERT_TRUE(via_mmap.ok()) << via_mmap.status().ToString();
-  auto via_parse = ReadSnapshotFile(path);
-  ASSERT_TRUE(via_parse.ok()) << via_parse.status().ToString();
+  auto via_read = ReadSnapshotFile(path);
+  ASSERT_TRUE(via_read.ok()) << via_read.status().ToString();
 
-  // Strongest equivalence we can assert without an operator== over the
-  // whole snapshot: both decodes re-serialize to identical bytes.
   std::string mmap_out = TempPath("mmap_roundtrip_a.snap");
-  std::string parse_out = TempPath("mmap_roundtrip_b.snap");
+  std::string read_out = TempPath("mmap_roundtrip_b.snap");
   ASSERT_TRUE(WriteSnapshotFile(*via_mmap, mmap_out).ok());
-  ASSERT_TRUE(WriteSnapshotFile(*via_parse, parse_out).ok());
-  EXPECT_EQ(ReadFileBytes(mmap_out), ReadFileBytes(parse_out));
+  ASSERT_TRUE(WriteSnapshotFile(*via_read, read_out).ok());
+  EXPECT_EQ(ReadFileBytes(mmap_out), ReadFileBytes(path));
+  EXPECT_EQ(ReadFileBytes(read_out), ReadFileBytes(path));
   EXPECT_EQ(via_mmap->corpus.size(), snapshot.corpus.size());
   EXPECT_EQ(via_mmap->meta.generation, 2u);
   ASSERT_TRUE(via_mmap->meta.options.has_value());
@@ -474,28 +533,47 @@ TEST(MappedSnapshotTest, DecodeMatchesStreamingReaderByteIdentically) {
               OptionsFingerprint::From(match::PipelineOptions{}));
   std::remove(path.c_str());
   std::remove(mmap_out.c_str());
-  std::remove(parse_out.c_str());
+  std::remove(read_out.c_str());
 }
 
-TEST(MappedSnapshotTest, TruncatedFileFallsBackToStreamingError) {
+TEST(MappedSnapshotTest, TruncatedFileIsOutOfRangeAtMap) {
   std::string path = TempPath("mmap_truncated.snap");
   ASSERT_TRUE(WriteSnapshotFile(MakeSnapshot(), path).ok());
   std::string bytes = ReadFileBytes(path);
-  // Any truncation destroys the trailing footer, so Map() must answer
-  // NotFound (the "use the streaming reader" signal), and the streaming
-  // reader then reports the real damage.
-  for (size_t keep : {size_t{20}, bytes.size() / 2, bytes.size() - 1}) {
+  // Cuts inside the header, a section header, a payload, and the last
+  // byte: the header walk reports each before any payload is read.
+  for (size_t keep : {size_t{0}, size_t{7}, size_t{20}, bytes.size() / 2,
+                      bytes.size() - 1}) {
     WriteFileBytes(path, bytes.substr(0, keep));
     auto mapped = MappedSnapshot::Map(path);
     ASSERT_FALSE(mapped.ok()) << "kept " << keep << " bytes";
-    EXPECT_EQ(mapped.status().code(), util::StatusCode::kNotFound)
+    EXPECT_EQ(mapped.status().code(), util::StatusCode::kOutOfRange)
         << mapped.status().ToString();
-    // Deep cuts damage counted sections, so the streaming reader reports
-    // them; a cut inside the trailing footer leaves every counted section
-    // whole and degrades gracefully to a successful parse.
-    EXPECT_EQ(ReadSnapshotFile(path).ok(), keep == bytes.size() - 1)
-        << "kept " << keep << " bytes";
+    EXPECT_NE(mapped.status().message().find("truncated"), std::string::npos)
+        << mapped.status().ToString();
   }
+  std::remove(path.c_str());
+}
+
+TEST(MappedSnapshotTest, MissingCorpusOrDictionaryIsRejectedAtMap) {
+  // A well-formed file whose only section is the dictionary.
+  std::string path = TempPath("no_corpus.snap");
+  ASSERT_TRUE(WriteSnapshotFile(MakeSnapshot(), path).ok());
+  const std::string bytes = ReadFileBytes(path);
+  const auto sections = testing_snapshot::Sections(bytes);
+  const auto& dict = sections[1];
+  ASSERT_EQ(dict.kind, static_cast<uint32_t>(SectionKind::kDictionary));
+  std::string only_dict = bytes.substr(0, 16);
+  testing_snapshot::SetSectionCount(&only_dict, 0);
+  testing_snapshot::AppendSection(
+      &only_dict, dict.kind,
+      bytes.substr(dict.header_offset + 16, dict.payload_size));
+  WriteFileBytes(path, only_dict);
+  auto mapped = MappedSnapshot::Map(path);
+  ASSERT_FALSE(mapped.ok());
+  EXPECT_EQ(mapped.status().code(), util::StatusCode::kParseError);
+  EXPECT_NE(mapped.status().message().find("lacks a corpus or dictionary"),
+            std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -504,7 +582,7 @@ TEST(MappedSnapshotTest, CorruptSectionDetectedOnFirstLazyTouch) {
   ASSERT_TRUE(WriteSnapshotFile(MakeSnapshot(), path).ok());
   std::string bytes = ReadFileBytes(path);
   // Flip one byte inside the first section's payload (header is 16 bytes,
-  // first section header another 16). The directory stays intact, so
+  // first section header another 16). The section headers stay intact, so
   // Map() succeeds — the damage must surface at first payload touch.
   bytes[33] = static_cast<char>(bytes[33] ^ 0x5A);
   WriteFileBytes(path, bytes);
@@ -537,34 +615,27 @@ TEST(MappedSnapshotTest, UnlinkedWhileMappedKeepsServing) {
   ASSERT_EQ(decoded->pipelines.size(), 1u);
 }
 
-TEST(MappedSnapshotTest, LegacyLayoutFallsBackToParseIdentically) {
-  Snapshot snapshot = MakeSnapshot();
-  std::string legacy_path = TempPath("mmap_legacy.snap");
-  std::string new_path = TempPath("mmap_new.snap");
-  ASSERT_TRUE(
-      WriteSnapshotFile(snapshot, legacy_path, /*legacy_layout=*/true).ok());
-  ASSERT_TRUE(WriteSnapshotFile(snapshot, new_path).ok());
-  // Legacy files have no footer → Map() refuses with NotFound...
-  auto mapped = MappedSnapshot::Map(legacy_path);
-  ASSERT_FALSE(mapped.ok());
-  EXPECT_EQ(mapped.status().code(), util::StatusCode::kNotFound);
-  // ...and the streaming reader decodes them to the same snapshot the new
-  // layout yields through either reader (re-serialized bytes identical).
-  auto via_legacy = ReadSnapshotFile(legacy_path);
-  ASSERT_TRUE(via_legacy.ok()) << via_legacy.status().ToString();
-  auto new_mapped = MappedSnapshot::Map(new_path);
-  ASSERT_TRUE(new_mapped.ok()) << new_mapped.status().ToString();
-  auto via_mmap = (*new_mapped)->Decode();
-  ASSERT_TRUE(via_mmap.ok()) << via_mmap.status().ToString();
-  std::string legacy_out = TempPath("mmap_legacy_rt.snap");
-  std::string mmap_out = TempPath("mmap_new_rt.snap");
-  ASSERT_TRUE(WriteSnapshotFile(*via_legacy, legacy_out).ok());
-  ASSERT_TRUE(WriteSnapshotFile(*via_mmap, mmap_out).ok());
-  EXPECT_EQ(ReadFileBytes(legacy_out), ReadFileBytes(mmap_out));
-  std::remove(legacy_path.c_str());
-  std::remove(new_path.c_str());
-  std::remove(legacy_out.c_str());
-  std::remove(mmap_out.c_str());
+TEST(MappedSnapshotTest, DirectoryLayoutReadsIdentically) {
+  // Files from earlier writers carry a pad section, a directory section,
+  // and an uncounted footer after the content. The reader skips the
+  // reserved kinds and the trailing bytes, and decodes them to the
+  // snapshot the current layout holds (re-serialized bytes identical).
+  std::string path = TempPath("mmap_new.snap");
+  ASSERT_TRUE(WriteSnapshotFile(MakeSnapshot(), path).ok());
+  const std::string current = ReadFileBytes(path);
+  std::string old_path = TempPath("mmap_directory.snap");
+  WriteFileBytes(old_path, testing_snapshot::WithDirectoryLayout(current));
+  auto mapped = MappedSnapshot::Map(old_path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  EXPECT_EQ((*mapped)->num_sections(), 5u);
+  auto decoded = (*mapped)->Decode();
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  std::string out = TempPath("mmap_directory_rt.snap");
+  ASSERT_TRUE(WriteSnapshotFile(*decoded, out).ok());
+  EXPECT_EQ(ReadFileBytes(out), current);
+  std::remove(path.c_str());
+  std::remove(old_path.c_str());
+  std::remove(out.c_str());
 }
 
 TEST(StoreTest, PerUnitAlignStatsRoundTrip) {
