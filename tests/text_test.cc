@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "text/normalize.h"
 #include "text/string_similarity.h"
 #include "text/tokenizer.h"
@@ -204,11 +206,24 @@ TEST(PrefixTest, CommonPrefixLength) {
 // Property sweep: every similarity is symmetric, in [0,1], and 1 on
 // identical strings.
 using SimilarityFn = double (*)(std::string_view, std::string_view);
+
+// The measure's name is what gtest prints for the parameter, so the
+// per-measure test names stay the same from build to build (a bare
+// function pointer would print as its load address).
+struct NamedMeasure {
+  const char* name;
+  SimilarityFn fn;
+};
+
+void PrintTo(const NamedMeasure& measure, std::ostream* os) {
+  *os << measure.name;
+}
+
 class SimilarityPropertyTest
-    : public ::testing::TestWithParam<SimilarityFn> {};
+    : public ::testing::TestWithParam<NamedMeasure> {};
 
 TEST_P(SimilarityPropertyTest, SymmetricBoundedReflexive) {
-  SimilarityFn fn = GetParam();
+  SimilarityFn fn = GetParam().fn;
   const std::vector<std::string> samples = {
       "starring", "elenco original", "直", "đạo diễn", "direção", "a",
       "editora", "editor", "release date", ""};
@@ -231,11 +246,13 @@ double BigramJaccardWrap(std::string_view a, std::string_view b) {
   return NgramJaccard(a, b, 2);
 }
 
-INSTANTIATE_TEST_SUITE_P(AllMeasures, SimilarityPropertyTest,
-                         ::testing::Values(&LevenshteinSimilarity,
-                                           &JaroSimilarity,
-                                           &JaroWinklerSimilarity,
-                                           &TrigramWrap, &BigramJaccardWrap));
+INSTANTIATE_TEST_SUITE_P(
+    AllMeasures, SimilarityPropertyTest,
+    ::testing::Values(NamedMeasure{"Levenshtein", &LevenshteinSimilarity},
+                      NamedMeasure{"Jaro", &JaroSimilarity},
+                      NamedMeasure{"JaroWinkler", &JaroWinklerSimilarity},
+                      NamedMeasure{"Trigram", &TrigramWrap},
+                      NamedMeasure{"BigramJaccard", &BigramJaccardWrap}));
 
 }  // namespace
 }  // namespace text
