@@ -1,7 +1,11 @@
 #include "wiki/dump_reader.h"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <optional>
 
 #include "util/string_util.h"
 
@@ -18,12 +22,15 @@ std::string XmlUnescape(std::string_view s) {
       ++i;
       continue;
     }
-    size_t semi = s.find(';', i + 1);
-    if (semi == std::string_view::npos || semi - i > 12) {
+    // An entity ends at most 12 bytes after its '&'. Looking no further
+    // keeps a run of bare '&' linear.
+    size_t semi = s.substr(i + 1, 12).find(';');
+    if (semi == std::string_view::npos) {
       out.push_back(s[i]);
       ++i;
       continue;
     }
+    semi += i + 1;
     std::string_view ent = s.substr(i + 1, semi - i - 1);
     if (ent == "lt") {
       out.push_back('<');
@@ -96,84 +103,105 @@ std::string XmlEscape(std::string_view s) {
 
 namespace {
 
-// Extracts the text content of the first <tag ...>...</tag> in `s` starting
-// at `from`. Returns false when the open tag is absent. Sets *next to just
-// past the close tag.
-bool ExtractElement(std::string_view s, std::string_view tag, size_t from,
-                    size_t limit, std::string* content, size_t* next) {
-  std::string open1 = "<" + std::string(tag) + ">";
-  std::string open2 = "<" + std::string(tag) + " ";
-  std::string close = "</" + std::string(tag) + ">";
-  size_t open_pos = s.find(open1, from);
-  size_t open_len = open1.size();
-  size_t alt = s.find(open2, from);
+// The open and close markers of one element: `<tag>` and the attribute
+// form `<tag attr="...">` open it, `</tag>` closes it.
+struct Tag {
+  std::string_view open;
+  std::string_view open_with_attrs;
+  std::string_view close;
+};
+
+constexpr Tag kTitle{"<title>", "<title ", "</title>"};
+constexpr Tag kNs{"<ns>", "<ns ", "</ns>"};
+constexpr Tag kText{"<text>", "<text ", "</text>"};
+
+// Returns the unescaped text content of the first `tag` element in `page`,
+// or nullopt when the element is absent or not closed within `page`.
+std::optional<std::string> ExtractElement(std::string_view page,
+                                          const Tag& tag) {
+  size_t open_pos = page.find(tag.open);
+  size_t open_len = tag.open.size();
+  size_t alt = page.find(tag.open_with_attrs);
   if (alt != std::string_view::npos &&
       (open_pos == std::string_view::npos || alt < open_pos)) {
     // Attribute form: skip to the closing '>'.
-    size_t gt = s.find('>', alt);
-    if (gt == std::string_view::npos) return false;
+    size_t gt = page.find('>', alt);
+    if (gt == std::string_view::npos) return std::nullopt;
     open_pos = alt;
     open_len = gt - alt + 1;
   }
-  if (open_pos == std::string_view::npos || open_pos >= limit) return false;
+  if (open_pos == std::string_view::npos) return std::nullopt;
   size_t body_start = open_pos + open_len;
-  size_t close_pos = s.find(close, body_start);
-  if (close_pos == std::string_view::npos || close_pos > limit) return false;
-  *content = XmlUnescape(s.substr(body_start, close_pos - body_start));
-  if (next != nullptr) *next = close_pos + close.size();
-  return true;
+  size_t close_pos = page.find(tag.close, body_start);
+  if (close_pos == std::string_view::npos) return std::nullopt;
+  return XmlUnescape(page.substr(body_start, close_pos - body_start));
+}
+
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
+
+// Reads `path` to EOF instead of sizing the buffer by seeking: a pipe or a
+// /proc file reports no size, and a directory opens but fails to read.
+util::Result<std::string> ReadFile(const std::string& path) {
+  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "rb"));
+  if (f == nullptr) {
+    return util::Status::IoError("cannot open " + path);
+  }
+  std::string buf;
+  char chunk[1 << 16];
+  size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f.get())) > 0) {
+    buf.append(chunk, n);
+  }
+  if (std::ferror(f.get()) != 0) {
+    return util::Status::IoError("cannot read " + path + ": " +
+                                 std::strerror(errno));
+  }
+  return buf;
 }
 
 }  // namespace
 
 util::Result<std::vector<DumpPage>> ParseDump(std::string_view xml) {
+  constexpr std::string_view kPageOpen = "<page>";
+  constexpr std::string_view kPageClose = "</page>";
   std::vector<DumpPage> pages;
   size_t pos = 0;
   while (true) {
-    size_t page_open = xml.find("<page>", pos);
+    size_t page_open = xml.find(kPageOpen, pos);
     if (page_open == std::string_view::npos) break;
-    size_t page_close = xml.find("</page>", page_open);
+    size_t page_close = xml.find(kPageClose, page_open);
     if (page_close == std::string_view::npos) {
       return util::Status::ParseError("unterminated <page> element");
     }
-    DumpPage page;
-    std::string content;
-    if (!ExtractElement(xml, "title", page_open, page_close, &content,
-                        nullptr)) {
+    // Every search below stays inside this page, which keeps the reader
+    // linear in the input. Bounding them changes no result: no suffix of
+    // a marker searched for is a prefix of "</page>", so none can
+    // straddle the page's end, and an attribute-form open tag whose '>'
+    // lies past the end has no close tag inside the page either.
+    std::string_view page = xml.substr(page_open, page_close - page_open);
+    std::optional<std::string> title = ExtractElement(page, kTitle);
+    if (!title.has_value()) {
       return util::Status::ParseError("<page> without <title>");
     }
-    page.title = content;
-    if (ExtractElement(xml, "ns", page_open, page_close, &content, nullptr)) {
-      page.ns = std::atoi(content.c_str());
+    DumpPage& out = pages.emplace_back();
+    out.title = std::move(*title);
+    if (std::optional<std::string> ns = ExtractElement(page, kNs)) {
+      out.ns = std::atoi(ns->c_str());
     }
-    page.is_redirect =
-        xml.substr(page_open, page_close - page_open).find("<redirect") !=
-        std::string_view::npos;
-    if (ExtractElement(xml, "text", page_open, page_close, &content,
-                       nullptr)) {
-      page.text = content;
+    out.is_redirect = page.find("<redirect") != std::string_view::npos;
+    if (std::optional<std::string> text = ExtractElement(page, kText)) {
+      out.text = std::move(*text);
     }
-    pages.push_back(std::move(page));
-    pos = page_close + 7;
+    pos = page_close + kPageClose.size();
   }
   return pages;
 }
 
 util::Result<std::vector<DumpPage>> ReadDumpFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return util::Status::IoError("cannot open " + path);
-  }
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::string buf(static_cast<size_t>(size), '\0');
-  size_t read = std::fread(buf.data(), 1, buf.size(), f);
-  std::fclose(f);
-  if (read != buf.size()) {
-    return util::Status::IoError("short read on " + path);
-  }
-  return ParseDump(buf);
+  WIKIMATCH_ASSIGN_OR_RETURN(std::string xml, ReadFile(path));
+  return ParseDump(xml);
 }
 
 std::string WriteDump(const std::vector<DumpPage>& pages,

@@ -2,8 +2,11 @@
 //
 // Parses the subset of the pages-articles dump schema needed to extract
 // (title, wikitext) pairs: <mediawiki><page><title/><ns/><redirect/>
-// <revision><text/></revision></page>... A hand-rolled streaming scanner —
-// no XML library dependency — with entity unescaping.
+// <revision><text/></revision></page>... A hand-rolled scanner — no XML
+// library dependency — with entity unescaping. It is not streaming: the
+// whole dump is held in memory, then each <page> is located once and its
+// fields are searched for within that page only, so a parse is linear in
+// the input.
 
 #ifndef WIKIMATCH_WIKI_DUMP_READER_H_
 #define WIKIMATCH_WIKI_DUMP_READER_H_
@@ -39,7 +42,9 @@ std::string XmlEscape(std::string_view s);
 /// problems (unterminated elements).
 util::Result<std::vector<DumpPage>> ParseDump(std::string_view xml);
 
-/// \brief Reads and parses a dump file.
+/// \brief Reads and parses a dump file. Reads until EOF, so pipes and
+/// /proc files work; returns IoError when the path cannot be opened or
+/// read (a directory, for one).
 util::Result<std::vector<DumpPage>> ReadDumpFile(const std::string& path);
 
 /// \brief Serializes pages into dump XML (used by the synthetic generator

@@ -1,7 +1,9 @@
 // Robustness and property tests across modules:
 //  * the wikitext parser must never fail on arbitrary mutated input —
 //    malformed markup degrades, it does not error or crash;
-//  * the dump reader must survive truncated/garbled XML;
+//  * the dump reader must survive truncated/garbled XML, and return what
+//    the reference reader in dump_oracle.h returns on generated dumps,
+//    every truncation of a small dump and garbled copies of it;
 //  * hostile snapshot bytes (truncations, byte flips, forged sizes, a
 //    forged footer) end in an error status, an err reply, or a snapshot
 //    whose kept sections are the original's — through ReadSnapshotFile,
@@ -15,6 +17,7 @@
 
 #include <cstdio>
 
+#include "dump_oracle.h"
 #include "match/aligner.h"
 #include "match/pipeline.h"
 #include "serve/match_service.h"
@@ -125,6 +128,123 @@ TEST(DumpFuzzTest, MutatedXml) {
         EXPECT_FALSE(page.title.empty());
       }
     }
+  }
+}
+
+// Passes when the reader returns what the reference reader returns on
+// `xml`: the same pages field for field, or the same status.
+::testing::AssertionResult SameAsOracle(std::string_view xml) {
+  auto want = dump_oracle::ParseDump(xml);
+  auto got = wiki::ParseDump(xml);
+  if (!want.ok() || !got.ok()) {
+    if (got.ok() == want.ok() && got.status() == want.status()) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure()
+           << "reference: " << want.status().ToString()
+           << "; reader: " << got.status().ToString();
+  }
+  if (got->size() != want->size()) {
+    return ::testing::AssertionFailure() << "reference: " << want->size()
+                                         << " pages; reader: " << got->size();
+  }
+  for (size_t i = 0; i < want->size(); ++i) {
+    const wiki::DumpPage& w = (*want)[i];
+    const wiki::DumpPage& g = (*got)[i];
+    if (g.title != w.title || g.ns != w.ns ||
+        g.is_redirect != w.is_redirect || g.text != w.text) {
+      return ::testing::AssertionFailure()
+             << "page " << i << ": reference {" << w.title << ", " << w.ns
+             << ", " << w.is_redirect << ", " << w.text.size()
+             << " text bytes}; reader {" << g.title << ", " << g.ns << ", "
+             << g.is_redirect << ", " << g.text.size() << " text bytes}";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Attribute-form tags, both redirect forms, a page without <ns>, one
+// without <text>, and numeric, unknown, unterminated and over-long
+// entities (&#0000000065; is the longest that decodes).
+const char kOracleDump[] =
+    "<mediawiki xml:lang=\"en\">\n"
+    "  <siteinfo><namespaces><namespace key=\"0\" /></namespaces>"
+    "</siteinfo>\n"
+    "  <page>\n    <title>Caf&#233; &amp; Bar</title>\n    <ns>0</ns>\n"
+    "    <revision><text xml:space=\"preserve\" bytes=\"40\">"
+    "{{Infobox film | name = A&#x42;C &nbsp;x}}</text></revision>\n"
+    "  </page>\n"
+    "  <page>\n    <title xml:space=\"preserve\">Old name</title>\n"
+    "    <ns>0</ns>\n    <redirect title=\"New name\" />\n"
+    "    <revision><text>#REDIRECT [[New name]]</text></revision>\n"
+    "  </page>\n"
+    "  <page>\n    <title>No namespace</title>\n"
+    "    <revision><text>a &lt; b &unknown; &#0; &#99999999; &#0000000065;"
+    " &#00000000065; &</text>"
+    "</revision>\n  </page>\n"
+    "  <page>\n    <title>Template:Box</title>\n    <ns key=\"t\">10</ns>\n"
+    "    <redirect/>\n  </page>\n"
+    "  <page>\n    <title>&quot;Q&quot; &apos;s&apos; &gt;</title>\n"
+    "    <ns>0</ns>\n    <revision><text>&averyveryverylongname; "
+    "&#65</text></revision>\n  </page>\n"
+    "</mediawiki>\n";
+
+TEST(DumpOracleTest, GeneratedDumpsParseIdentically) {
+  synth::CorpusGenerator generator(synth::GeneratorOptions::Paper(0.02));
+  auto generated = generator.Generate();
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  const wiki::Corpus& corpus = generated->corpus;
+  for (const std::string lang : {"en", "pt", "vi"}) {
+    std::vector<wiki::DumpPage> pages;
+    for (wiki::ArticleId id : corpus.ArticlesInLanguage(lang)) {
+      const wiki::Article& a = corpus.Get(id);
+      std::string text;
+      if (a.infobox.has_value()) {
+        text += "{{Infobox " + a.infobox->template_type;
+        for (const auto& [attr, value] : a.infobox->attributes) {
+          text += "\n| " + attr + " = " + value.raw;
+        }
+        text += "\n}}\n";
+      }
+      text += " + a.title + \n";
+      for (const auto& cat : a.categories) text += "[[category:" + cat + "]]\n";
+      for (const auto& [other, title] : a.cross_language_links) {
+        text += "[[" + other + ":" + title + "]]\n";
+      }
+      pages.push_back(wiki::DumpPage{a.title, 0, false, std::move(text)});
+    }
+    ASSERT_FALSE(pages.empty()) << lang;
+    const std::string xml = wiki::WriteDump(pages, lang);
+    EXPECT_TRUE(SameAsOracle(xml)) << lang;
+    auto parsed = wiki::ParseDump(xml);
+    ASSERT_TRUE(parsed.ok());
+    ASSERT_EQ(parsed->size(), pages.size()) << lang;
+    for (size_t i = 0; i < pages.size(); ++i) {
+      ASSERT_EQ((*parsed)[i].title, pages[i].title) << lang << " page " << i;
+      ASSERT_EQ((*parsed)[i].text, pages[i].text) << lang << " page " << i;
+    }
+  }
+}
+
+TEST(DumpOracleTest, EveryTruncationParsesIdentically) {
+  const std::string xml = kOracleDump;
+  auto full = wiki::ParseDump(xml);
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  ASSERT_EQ(full->size(), 5u);
+  for (size_t cut = 0; cut <= xml.size(); ++cut) {
+    ASSERT_TRUE(SameAsOracle(std::string_view(xml).substr(0, cut)))
+        << "cut at " << cut;
+  }
+}
+
+TEST(DumpOracleTest, MutatedDumpsParseIdentically) {
+  const std::string xml = kOracleDump;
+  util::Rng rng(0x0DAC1E);
+  for (int round = 0; round < 600; ++round) {
+    const std::string mutated = Mutate(xml, &rng, 1 + round % 8);
+    ASSERT_TRUE(SameAsOracle(mutated)) << "round " << round;
+    ASSERT_EQ(wiki::XmlUnescape(mutated), dump_oracle::XmlUnescape(mutated))
+        << "round " << round;
   }
 }
 
