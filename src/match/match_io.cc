@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <map>
 
+#include "util/file_io.h"
 #include "util/string_util.h"
 
 namespace wikimatch {
@@ -61,21 +62,6 @@ util::Status WriteFile(const std::string& path, const std::string& content) {
   return util::Status::OK();
 }
 
-util::Result<std::string> ReadFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return util::Status::IoError("cannot open " + path);
-  std::fseek(f, 0, SEEK_END);
-  long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  std::string buf(static_cast<size_t>(size), '\0');
-  size_t read = std::fread(buf.data(), 1, buf.size(), f);
-  std::fclose(f);
-  if (read != buf.size()) {
-    return util::Status::IoError("short read on " + path);
-  }
-  return buf;
-}
-
 }  // namespace
 
 util::Status SaveMatchSets(const TypeMatchSets& matches,
@@ -84,7 +70,7 @@ util::Status SaveMatchSets(const TypeMatchSets& matches,
 }
 
 util::Result<TypeMatchSets> LoadMatchSets(const std::string& path) {
-  WIKIMATCH_ASSIGN_OR_RETURN(std::string content, ReadFile(path));
+  WIKIMATCH_ASSIGN_OR_RETURN(std::string content, util::ReadFile(path));
   return ReadMatchSets(content);
 }
 

@@ -186,6 +186,11 @@ std::unique_ptr<const MatchService::CoreState> MatchService::BuildCore(
     serving.translator = std::make_unique<query::QueryTranslator>(
         pair.first, pair.second, result.type_matches, serving.per_type,
         &core->snapshot.dictionary);
+    // Indexes each target language once; the pairs into it share it.
+    serving.evaluator =
+        &core->evaluators
+             .try_emplace(pair.second, &core->snapshot.corpus, pair.second)
+             .first->second;
     core->pairs.emplace(pair, std::move(serving));
   }
   {
@@ -344,10 +349,9 @@ util::Result<ServedQueryResult> MatchService::EvaluateTranslatedQuery(
   if (!translated.ok()) {
     return translated.status().WithContext("translating c-query");
   }
-  query::QueryEvaluator evaluator(&core.snapshot.corpus, lang_b);
   query::EvaluatorOptions eval_options;
   eval_options.top_k = options_.query_top_k;
-  auto answers = evaluator.Run(*translated, eval_options);
+  auto answers = pair->evaluator->Run(*translated, eval_options);
   if (!answers.ok()) {
     return answers.status().WithContext("evaluating translated c-query");
   }

@@ -8,8 +8,9 @@
 // immutable GenerationState held by shared_ptr. OpenGeneration() maps the
 // snapshot (store/snapshot_reader.h) and decodes only its tiny meta
 // section; the core — the decoded snapshot plus the pair and sync indexes
-// — is built at most once per generation, under the generation's own
-// mutex, by the first Core() call. A decode error sticks to that
+// and a column-indexed query evaluator per target language, built on the
+// thread pool — is built at most once per generation, under the
+// generation's own mutex, by the first Core() call. A decode error sticks to that
 // generation. Load() opens a generation and defers the core, so the
 // service constructs in constant time regardless of snapshot size and the
 // meta verbs (help, health, version, generation, reload) answer without
@@ -161,12 +162,16 @@ class MatchService {
     const match::PipelineResult* result = nullptr;
     std::map<std::string, const eval::MatchSet*> per_type;
     std::unique_ptr<query::QueryTranslator> translator;
+    /// Evaluates translated queries: the core's evaluator for lang_b.
+    const query::QueryEvaluator* evaluator = nullptr;
   };
 
   /// The decoded half of a generation: the snapshot plus every index
   /// derived from it. Immutable once BuildCore returns.
   struct CoreState {
     store::Snapshot snapshot;
+    /// One column-indexed evaluator per target language of a pair.
+    std::map<std::string, query::QueryEvaluator> evaluators;
     std::map<store::LanguagePair, PairServing> pairs;
     /// (pair_lang, type_b) -> row indices into snapshot.sync_report, so
     /// `sync` answers without scanning the report.

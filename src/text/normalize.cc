@@ -139,8 +139,36 @@ std::string NormalizeAttributeName(std::string_view s) {
   return util::CollapseWhitespace(ToLower(replaced));
 }
 
+void AppendNormalizedValue(std::string_view s, std::string* out) {
+  // One pass of ToLower then CollapseWhitespace. A lowercased code point
+  // at or above 0x80 encodes to bytes at or above 0x80, which are never
+  // whitespace, so only ASCII code points can be whitespace.
+  const size_t start = out->size();
+  bool in_space = true;  // Leading whitespace is dropped.
+  size_t pos = 0;
+  while (pos < s.size()) {
+    char32_t cp = static_cast<unsigned char>(s[pos]);
+    if (cp < 0x80) {
+      ++pos;
+    } else {
+      cp = util::DecodeUtf8Char(s, &pos);
+    }
+    cp = ToLowerChar(cp);
+    if (cp < 0x80 && std::isspace(static_cast<int>(cp))) {
+      in_space = true;
+      continue;
+    }
+    if (in_space && out->size() > start) out->push_back(' ');
+    in_space = false;
+    util::AppendUtf8(cp, out);
+  }
+}
+
 std::string NormalizeValue(std::string_view s) {
-  return util::CollapseWhitespace(ToLower(s));
+  std::string out;
+  out.reserve(s.size());
+  AppendNormalizedValue(s, &out);
+  return out;
 }
 
 std::string NormalizeTitle(std::string_view s) {

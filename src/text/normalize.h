@@ -37,6 +37,9 @@ std::string NormalizeAttributeName(std::string_view s);
 /// \brief Canonical value form: lowercase, whitespace collapsed, trimmed.
 std::string NormalizeValue(std::string_view s);
 
+/// \brief Appends NormalizeValue(s) to `out` without a temporary.
+void AppendNormalizedValue(std::string_view s, std::string* out);
+
 /// \brief Canonical article-title form per MediaWiki: first letter
 /// capitalized is ignored (we lowercase), underscores become spaces,
 /// whitespace collapsed.

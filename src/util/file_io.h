@@ -1,0 +1,22 @@
+// Whole-file reads for the inputs the CLI takes by path (MediaWiki dumps
+// and match-set TSVs).
+
+#ifndef WIKIMATCH_UTIL_FILE_IO_H_
+#define WIKIMATCH_UTIL_FILE_IO_H_
+
+#include <string>
+
+#include "util/result.h"
+
+namespace wikimatch {
+namespace util {
+
+/// \brief The bytes of `path`, read to EOF rather than sized by seeking, so
+/// a pipe or a /proc file reads its real content. IoError naming the path
+/// when it cannot be opened or read (a directory opens but fails to read).
+Result<std::string> ReadFile(const std::string& path);
+
+}  // namespace util
+}  // namespace wikimatch
+
+#endif  // WIKIMATCH_UTIL_FILE_IO_H_

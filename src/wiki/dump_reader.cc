@@ -1,12 +1,9 @@
 #include "wiki/dump_reader.h"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <optional>
 
+#include "util/file_io.h"
 #include "util/string_util.h"
 
 namespace wikimatch {
@@ -137,30 +134,6 @@ std::optional<std::string> ExtractElement(std::string_view page,
   return XmlUnescape(page.substr(body_start, close_pos - body_start));
 }
 
-struct FileCloser {
-  void operator()(std::FILE* f) const { std::fclose(f); }
-};
-
-// Reads `path` to EOF instead of sizing the buffer by seeking: a pipe or a
-// /proc file reports no size, and a directory opens but fails to read.
-util::Result<std::string> ReadFile(const std::string& path) {
-  std::unique_ptr<std::FILE, FileCloser> f(std::fopen(path.c_str(), "rb"));
-  if (f == nullptr) {
-    return util::Status::IoError("cannot open " + path);
-  }
-  std::string buf;
-  char chunk[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f.get())) > 0) {
-    buf.append(chunk, n);
-  }
-  if (std::ferror(f.get()) != 0) {
-    return util::Status::IoError("cannot read " + path + ": " +
-                                 std::strerror(errno));
-  }
-  return buf;
-}
-
 }  // namespace
 
 util::Result<std::vector<DumpPage>> ParseDump(std::string_view xml) {
@@ -200,7 +173,7 @@ util::Result<std::vector<DumpPage>> ParseDump(std::string_view xml) {
 }
 
 util::Result<std::vector<DumpPage>> ReadDumpFile(const std::string& path) {
-  WIKIMATCH_ASSIGN_OR_RETURN(std::string xml, ReadFile(path));
+  WIKIMATCH_ASSIGN_OR_RETURN(std::string xml, util::ReadFile(path));
   return ParseDump(xml);
 }
 

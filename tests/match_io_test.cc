@@ -1,6 +1,7 @@
 // Tests for match/dictionary serialization.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 
@@ -59,6 +60,35 @@ TEST(MatchIoTest, FileRoundTrip) {
                                             A("vi", "thể loại")));
   std::remove(path.c_str());
   EXPECT_FALSE(LoadMatchSets(path).ok());
+}
+
+// A directory given as `--matches` opens but cannot be read: an IoError
+// naming the path, not an abort from sizing a buffer by seeking.
+TEST(MatchIoTest, DirectoryIsIoError) {
+  const std::string dir = ::testing::TempDir();
+  auto loaded = LoadMatchSets(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), util::StatusCode::kIoError);
+  EXPECT_NE(loaded.status().message().find(dir), std::string::npos)
+      << loaded.status().ToString();
+}
+
+// A pipe reports no size; it must be read to EOF.
+TEST(MatchIoTest, PipeLoads) {
+  TypeMatchSets original;
+  original["film"].AddPair(A("en", "genre"), A("vi", "thể loại"));
+  const std::string tsv = WriteMatchSets(original);
+  ASSERT_LT(tsv.size(), 4096u);  // fits the pipe buffer: no writer thread
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::write(fds[1], tsv.data(), tsv.size()),
+            static_cast<ssize_t>(tsv.size()));
+  ::close(fds[1]);
+  auto loaded = LoadMatchSets("/dev/fd/" + std::to_string(fds[0]));
+  ::close(fds[0]);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded->at("film").AreMatched(A("en", "genre"),
+                                            A("vi", "thể loại")));
 }
 
 TEST(MatchIoTest, DictionaryRoundTrip) {

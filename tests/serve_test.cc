@@ -21,6 +21,7 @@
 #include "snapshot_bytes.h"
 #include "store/snapshot.h"
 #include "synth/generator.h"
+#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace serve {
@@ -184,6 +185,56 @@ TEST(ServeTest, TranslatedQueryMatchesOneShotPath) {
         << "answer " << i;
   }
   EXPECT_GT(served->constraints_translated, 0u);
+}
+
+// The query index is built on the thread pool when a core is built: the
+// answers must not depend on the pool size or on which generation built
+// it. The cache is off so every request is evaluated.
+TEST(ServeTest, QueryAnswersAreStableAcrossReloadAndPoolSizes) {
+  const std::vector<std::string> queries = {
+      kQuery,
+      "filme(elenco=?)",
+      "filme(elenco=?, direção|diretor=?)",
+      "ator(nascimento|data de nascimento < 1970, ocupação=?)",
+      "filme(elenco=?) and ator(nascimento|data de nascimento < 1960)",
+      "filme(país=\"estados unidos\", elenco=?)",
+      "livro(autor=?)",  // untranslatable: an error answer
+  };
+  ServiceOptions options;
+  options.cache_capacity = 0;
+  auto answer_all = [&](MatchService* service) {
+    std::vector<std::string> out;
+    for (const auto& q : queries) {
+      out.push_back(service->Handle("query pt:en " + q));
+    }
+    return out;
+  };
+
+  std::vector<std::string> reference;
+  {
+    util::ThreadPool pool(1);
+    util::ScopedThreadPoolOverride use_pool(&pool);
+    auto service = MatchService::Load(GetFixture().snapshot_path, options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    reference = answer_all(service->get());
+    std::string reloaded = (*service)->Handle("reload");
+    ASSERT_EQ(reloaded.compare(0, 3, "ok "), 0) << reloaded;
+    EXPECT_EQ(answer_all(service->get()), reference);
+  }
+  size_t with_answers = 0;
+  for (const auto& response : reference) {
+    // "ok <lines>": the "translated" line, then one line per answer.
+    with_answers += response.compare(0, 3, "ok ") == 0 &&
+                    std::stoul(response.substr(3)) > 1;
+  }
+  EXPECT_GE(with_answers, 4u);
+  {
+    util::ThreadPool pool(4);
+    util::ScopedThreadPoolOverride use_pool(&pool);
+    auto service = MatchService::Load(GetFixture().snapshot_path, options);
+    ASSERT_TRUE(service.ok()) << service.status().ToString();
+    EXPECT_EQ(answer_all(service->get()), reference);
+  }
 }
 
 TEST(ServeTest, SecondIdenticalRequestIsACacheHit) {

@@ -9,6 +9,8 @@
 #include "text/normalize.h"
 #include "text/string_similarity.h"
 #include "text/tokenizer.h"
+#include "util/rng.h"
+#include "util/string_util.h"
 
 namespace wikimatch {
 namespace text {
@@ -62,6 +64,28 @@ TEST(NormalizeTest, TitleNormalization) {
 
 TEST(NormalizeTest, ValueNormalization) {
   EXPECT_EQ(NormalizeValue("160  Minutes"), "160 minutes");
+}
+
+// NormalizeValue lowercases and collapses whitespace in one pass; it must
+// equal the two passes it fuses on any bytes, including invalid UTF-8,
+// and append after existing content without a separator.
+TEST(NormalizeTest, ValueNormalizationIsLowerThenCollapse) {
+  const std::string alphabet[] = {"A", "z", " ", "\t", "\n", "\v", "\r",
+                                  "\f", "\xC3\x89", "\xC3\xA9", "\xE1\xBA\xA0",
+                                  "\xC6\xAF", "\xC5\xB8", "\x80", "\xFF",
+                                  "\xC3", "\xED\xA0\x80", std::string(1, '\0'),
+                                  "7", "\xC2\xA0"};
+  util::Rng rng(42);
+  for (int round = 0; round < 2000; ++round) {
+    std::string s;
+    const size_t len = rng.NextBounded(12);
+    for (size_t i = 0; i < len; ++i) s += alphabet[rng.NextBounded(20)];
+    const std::string want = util::CollapseWhitespace(ToLower(s));
+    EXPECT_EQ(NormalizeValue(s), want);
+    std::string appended = "x ";
+    AppendNormalizedValue(s, &appended);
+    EXPECT_EQ(appended, "x " + want);
+  }
 }
 
 // -------------------------------------------------------------- Tokenizer

@@ -243,7 +243,7 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
         -DWIKIMATCH_DEADLOCK_DEBUG=ON \
         -DWIKIMATCH_BUILD_BENCHMARKS=OFF -DWIKIMATCH_BUILD_EXAMPLES=OFF &&
       cmake --build "$tsan_dir" -j --target thread_pool_test parallel_test \
-        align_join_test serve_test lru_cache_test net_server_test \
+        align_join_test serve_test query_test lru_cache_test net_server_test \
         protocol_robustness_test ingest_test sync_test deadlock_test &&
       "$tsan_dir"/tests/deadlock_test &&
       # thread_pool_test stresses the shared work-stealing pool itself:
@@ -256,6 +256,9 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
       # generation swap); lru_cache_test races inserts against a
       # generation-key bump across cache shards.
       "$tsan_dir"/tests/serve_test &&
+      # query_test builds every evaluator's column index on the shared
+      # pool, one type per task, and compares it with the reference scan.
+      "$tsan_dir"/tests/query_test &&
       "$tsan_dir"/tests/lru_cache_test &&
       # net_server_test drives the epoll TCP server end to end, including
       # the reload-under-live-traffic stress (the multi-threaded event
