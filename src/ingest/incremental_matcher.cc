@@ -5,6 +5,7 @@
 #include <optional>
 #include <sstream>
 #include <tuple>
+#include <unordered_set>
 
 #include "match/schema_builder.h"
 #include "match/type_matcher.h"
@@ -149,26 +150,31 @@ IncrementalMatcher::UnitFootprint IncrementalMatcher::ComputeFootprint(
     if (!b.infobox.has_value() || b.entity_type != type_b) continue;
     duals.emplace_back(id, other);
   }
+  // Each distinct target's chain is walked once per language: repeats
+  // add nothing to the title set.
+  std::unordered_set<std::string> walked[2];
   for (const auto& [id_a, id_b] : duals) {
     for (int side = 0; side < 2; ++side) {
       wiki::ArticleId id = side == 0 ? id_a : id_b;
       const std::string& lang = side == 0 ? lang_a : lang_b;
+      auto& walked_in_lang = walked[lang_a == lang_b ? 0 : side];
       const wiki::Article& article = corpus.Get(id);
       for (const auto& [attr, value] : article.infobox->attributes) {
         (void)attr;
         if (side == 0 && lang_a != lang_b) {
           // lang_a components pass through the dictionary pre-translation;
           // record them so dictionary diffs can dirty this unit.
-          for (const std::string& component :
-               match::ValueComponents(value)) {
-            fp.terms.insert(component);
+          for (std::string& component : match::ValueComponents(value)) {
+            fp.terms.insert(std::move(component));
           }
         }
         // Link canonicalization reads the target's redirect chain and the
         // landing article's record (the record change is caught via the
         // landing title being in the set).
         for (const auto& link : value.links) {
-          AddTitleChain(corpus, lang, link.target, &fp.titles);
+          if (walked_in_lang.insert(link.target).second) {
+            AddTitleChain(corpus, lang, link.target, &fp.titles);
+          }
         }
       }
     }
@@ -177,14 +183,24 @@ IncrementalMatcher::UnitFootprint IncrementalMatcher::ComputeFootprint(
 }
 
 void IncrementalMatcher::RebuildFootprints() {
+  // One pool slot per unit across every language pair, merged in unit
+  // order.
+  std::vector<std::pair<const LanguagePair*, const match::TypePairResult*>>
+      units;
   footprints_.clear();
   for (const auto& [pair, result] : results_) {
-    auto& per_pair = footprints_[pair];
-    for (const auto& unit : result.per_type) {
-      per_pair.emplace(UnitKey{unit.type_a, unit.type_b},
-                       ComputeFootprint(corpus_, pair.first, unit.type_a,
-                                        pair.second, unit.type_b));
-    }
+    for (const auto& unit : result.per_type) units.emplace_back(&pair, &unit);
+  }
+  std::vector<UnitFootprint> fps(units.size());
+  util::thread_pool_for(units.size(), options_.num_threads, [&](size_t i) {
+    const auto& [pair, unit] = units[i];
+    fps[i] = ComputeFootprint(corpus_, pair->first, unit->type_a,
+                              pair->second, unit->type_b);
+  });
+  for (size_t i = 0; i < units.size(); ++i) {
+    const auto& [pair, unit] = units[i];
+    footprints_[*pair].emplace(UnitKey{unit->type_a, unit->type_b},
+                               std::move(fps[i]));
   }
 }
 
@@ -394,8 +410,10 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
 
     // Same slot scheme as MatchPipeline::Run, over the dirty units only,
     // so output order and merge order match a rebuild at any thread count.
+    // A realigned unit's footprint is computed in the same task.
     std::vector<std::optional<match::TypePairResult>> slots(
         out.type_matches.size());
+    std::vector<UnitFootprint> slot_fps(out.type_matches.size());
     std::vector<util::Status> errors(out.type_matches.size());
     util::thread_pool_for(
         out.type_matches.size(), options_.num_threads, [&](size_t i) {
@@ -426,6 +444,8 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
           }
           result.alignment = std::move(alignment).ValueOrDie();
           slots[i] = std::move(result);
+          slot_fps[i] = ComputeFootprint(corpus_, lang_a, tm.type_a, lang_b,
+                                         tm.type_b);
         });
 
     auto& fps_out = new_footprints[pair];
@@ -436,8 +456,7 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
       if (dirty[i]) {
         ++stats.units_recomputed;
         if (!slots[i].has_value()) continue;  // NotFound: skipped, like Run
-        fps_out.emplace(key, ComputeFootprint(corpus_, lang_a, tm.type_a,
-                                              lang_b, tm.type_b));
+        fps_out.emplace(key, std::move(slot_fps[i]));
         out.per_type.push_back(std::move(*slots[i]));
       } else {
         ++stats.units_reused;

@@ -71,7 +71,9 @@ struct ApplyStats {
   size_t units_recomputed = 0;
   double corpus_ms = 0.0;      ///< in-place corpus patch + change tracking
   double dictionary_ms = 0.0;  ///< affected-key dictionary patch
-  double align_ms = 0.0;       ///< type matching + dirty-unit realignment
+  /// Type matching plus dirty-unit realignment; each realigned unit's
+  /// footprint is computed inside its realign task.
+  double align_ms = 0.0;
   double total_ms = 0.0;
 
   /// \brief One-line key=value rendering (CLI stderr).
@@ -149,6 +151,8 @@ class IncrementalMatcher {
                                         const std::string& lang_b,
                                         const std::string& type_b);
 
+  /// Recomputes every unit's footprint on the shared pool (up to
+  /// options_.num_threads participants), one task per unit.
   void RebuildFootprints();
 
   /// The previous generation's containers, bundled so their destruction

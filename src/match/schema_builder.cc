@@ -1,6 +1,8 @@
 #include "match/schema_builder.h"
 
 #include <algorithm>
+#include <unordered_map>
+#include <utility>
 
 #include "text/normalize.h"
 #include "text/tokenizer.h"
@@ -51,11 +53,6 @@ std::string CanonicalLinkTarget(const wiki::Corpus& corpus,
   return best;
 }
 
-struct BuildSide {
-  std::string lang;
-  std::string type;
-};
-
 }  // namespace
 
 util::Result<TypePairData> BuildTypePairData(
@@ -92,92 +89,108 @@ util::Result<TypePairData> BuildTypePairData(
 
   la::TermDictionary& value_terms = data.value_terms;
   la::TermDictionary link_terms;
-  std::map<eval::AttrKey, size_t> group_index;
-
-  auto group_of = [&](const eval::AttrKey& key) -> AttributeGroup& {
-    auto it = group_index.find(key);
-    if (it == group_index.end()) {
-      it = group_index.emplace(key, data.groups.size()).first;
-      AttributeGroup g;
-      g.key = key;
-      data.groups.push_back(std::move(g));
-    }
-    return data.groups[it->second];
+  // Per-side memos of this build: a value component or link target seen
+  // before on the same side reuses the term id of its first occurrence.
+  // Only first occurrences translate, canonicalize and intern, and they
+  // reach the term dictionaries in traversal order, so every id is the one
+  // a per-occurrence build assigns.
+  std::unordered_map<std::string, uint32_t> value_ids[2];
+  std::unordered_map<std::string, uint32_t> link_ids[2];
+  // Attribute name -> group index per language; sides that share a
+  // language share their groups.
+  std::unordered_map<std::string, size_t> group_index[2];
+  // Per group: 1 + the ordinal of the last infobox that counted it, and
+  // the value and link term id of every occurrence (the group's vectors
+  // are filled from them once, at the end).
+  struct GroupHits {
+    size_t last_counted = 0;
+    std::vector<uint32_t> values;
+    std::vector<uint32_t> links;
   };
-
-  // Per-infobox attribute sets, kept for mono-language co-occurrence.
-  std::vector<std::vector<size_t>> infobox_groups;
+  std::vector<GroupHits> hits;
+  // Groups of each infobox, back to back, for co-occurrence below.
+  std::vector<size_t> present;
+  std::vector<size_t> present_end;
 
   for (uint32_t dual = 0; dual < duals.size(); ++dual) {
     for (int side = 0; side < 2; ++side) {
       wiki::ArticleId id = side == 0 ? duals[dual].first : duals[dual].second;
       const std::string& lang = side == 0 ? lang_a : lang_b;
-      const wiki::Article& article = corpus.Get(id);
-      const wiki::Infobox& box = article.infobox.value();
+      const wiki::Infobox& box = corpus.Get(id).infobox.value();
+      const bool translate =
+          side == 0 && options.translate_values && lang_a != lang_b;
+      auto& groups_of_lang = group_index[lang_a == lang_b ? 0 : side];
+      const size_t stamp = 2 * size_t{dual} + side + 1;
 
-      std::set<std::string> seen_attrs;
-      std::vector<size_t> present;
       for (const auto& [attr, value] : box.attributes) {
-        eval::AttrKey key{lang, attr};
-        AttributeGroup& group = group_of(key);
-        size_t gi = group_index[key];
-        if (seen_attrs.insert(attr).second) {
+        auto [slot, fresh] = groups_of_lang.try_emplace(attr, 0);
+        if (fresh) {
+          slot->second = data.groups.size();
+          AttributeGroup g;
+          g.key = eval::AttrKey{lang, attr};
+          data.groups.push_back(std::move(g));
+          hits.emplace_back();
+        }
+        const size_t gi = slot->second;
+        AttributeGroup& group = data.groups[gi];
+        GroupHits& group_hits = hits[gi];
+        if (group_hits.last_counted != stamp) {
+          group_hits.last_counted = stamp;
           group.occurrences += 1.0;
-          group.dual_docs.insert(dual);
+          group.dual_docs.insert(group.dual_docs.end(), dual);
           present.push_back(gi);
         }
         // Value components, translated into lang_b when on the lang_a side.
-        for (std::string component : ValueComponents(value)) {
-          if (options.translate_values && lang == lang_a &&
-              lang_a != lang_b) {
-            component =
-                dictionary.TranslateOrKeep(lang_a, component, lang_b);
+        for (std::string& component : ValueComponents(value)) {
+          auto [term, first] = value_ids[side].try_emplace(
+              std::move(component), 0);
+          if (first) {
+            term->second = value_terms.GetOrAdd(
+                translate
+                    ? dictionary.TranslateOrKeep(lang_a, term->first, lang_b)
+                    : term->first);
           }
-          group.values.Add(value_terms.GetOrAdd(component), 1.0);
+          group_hits.values.push_back(term->second);
         }
         // Link structure: canonicalized targets.
         for (const auto& link : value.links) {
-          std::string canon = CanonicalLinkTarget(corpus, lang, link.target);
-          group.links.Add(link_terms.GetOrAdd(canon), 1.0);
+          auto [term, first] = link_ids[side].try_emplace(link.target, 0);
+          if (first) {
+            term->second = link_terms.GetOrAdd(
+                CanonicalLinkTarget(corpus, lang, link.target));
+          }
+          group_hits.links.push_back(term->second);
         }
       }
-      // Mono-language co-occurrence counts.
-      std::sort(present.begin(), present.end());
-      for (size_t i = 0; i < present.size(); ++i) {
-        for (size_t j = i + 1; j < present.size(); ++j) {
-          data.co_occur[{present[i], present[j]}] += 1.0;
-        }
-      }
-      infobox_groups.push_back(std::move(present));
+      present_end.push_back(present.size());
     }
   }
 
-  // Drop attributes under the occurrence floor.
-  if (options.min_occurrences > 1) {
-    std::vector<AttributeGroup> kept;
-    std::vector<size_t> remap(data.groups.size(), SIZE_MAX);
-    for (size_t i = 0; i < data.groups.size(); ++i) {
-      if (data.groups[i].occurrences >=
-          static_cast<double>(options.min_occurrences)) {
-        remap[i] = kept.size();
-        kept.push_back(std::move(data.groups[i]));
+  // Mono-language co-occurrence: infoboxes containing both groups, counted
+  // in a dense upper-triangular matrix over this build's groups.
+  const size_t num_groups = data.groups.size();
+  std::vector<uint32_t> co_counts(num_groups * num_groups, 0);
+  for (size_t box = 0, begin = 0; box < present_end.size(); ++box) {
+    const size_t end = present_end[box];
+    for (size_t i = begin; i < end; ++i) {
+      for (size_t j = i + 1; j < end; ++j) {
+        size_t lo = std::min(present[i], present[j]);
+        size_t hi = std::max(present[i], present[j]);
+        ++co_counts[lo * num_groups + hi];
       }
     }
-    std::map<std::pair<size_t, size_t>, double> new_co;
-    for (const auto& [key, count] : data.co_occur) {
-      size_t i = remap[key.first];
-      size_t j = remap[key.second];
-      if (i == SIZE_MAX || j == SIZE_MAX) continue;
-      new_co[{std::min(i, j), std::max(i, j)}] = count;
-    }
-    data.groups = std::move(kept);
-    data.co_occur = std::move(new_co);
+    begin = end;
   }
 
-  // Deterministic group order: lang_a groups first, then lang_b, each by
-  // name; remap co-occurrence keys accordingly.
-  std::vector<size_t> order(data.groups.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  // Groups at or above the occurrence floor, in the deterministic output
+  // order: lang_a groups first, then lang_b, each by name.
+  std::vector<size_t> order;
+  for (size_t i = 0; i < num_groups; ++i) {
+    if (data.groups[i].occurrences >=
+        static_cast<double>(options.min_occurrences)) {
+      order.push_back(i);
+    }
+  }
   std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
     const eval::AttrKey& kx = data.groups[x].key;
     const eval::AttrKey& ky = data.groups[y].key;
@@ -186,21 +199,35 @@ util::Result<TypePairData> BuildTypePairData(
     if (ax != ay) return ax;
     return kx.name < ky.name;
   });
-  std::vector<size_t> inverse(order.size());
-  for (size_t pos = 0; pos < order.size(); ++pos) inverse[order[pos]] = pos;
+  // Output positions ascend in both loops, so the map fills in key order.
+  for (size_t p = 0; p < order.size(); ++p) {
+    for (size_t q = p + 1; q < order.size(); ++q) {
+      size_t lo = std::min(order[p], order[q]);
+      size_t hi = std::max(order[p], order[q]);
+      uint32_t count = co_counts[lo * num_groups + hi];
+      if (count == 0) continue;
+      data.co_occur.emplace_hint(data.co_occur.end(), std::make_pair(p, q),
+                                 static_cast<double>(count));
+    }
+  }
+  // Term frequencies: each distinct id once, in ascending order.
+  auto fill = [](std::vector<uint32_t>* ids, la::SparseVector* out) {
+    std::sort(ids->begin(), ids->end());
+    for (size_t i = 0; i < ids->size();) {
+      size_t j = i + 1;
+      while (j < ids->size() && (*ids)[j] == (*ids)[i]) ++j;
+      out->Set((*ids)[i], static_cast<double>(j - i));
+      i = j;
+    }
+  };
   std::vector<AttributeGroup> sorted;
   sorted.reserve(order.size());
-  for (size_t pos = 0; pos < order.size(); ++pos) {
-    sorted.push_back(std::move(data.groups[order[pos]]));
+  for (size_t i : order) {
+    fill(&hits[i].values, &data.groups[i].values);
+    fill(&hits[i].links, &data.groups[i].links);
+    sorted.push_back(std::move(data.groups[i]));
   }
   data.groups = std::move(sorted);
-  std::map<std::pair<size_t, size_t>, double> remapped_co;
-  for (const auto& [key, count] : data.co_occur) {
-    size_t i = inverse[key.first];
-    size_t j = inverse[key.second];
-    remapped_co[{std::min(i, j), std::max(i, j)}] = count;
-  }
-  data.co_occur = std::move(remapped_co);
 
   return data;
 }

@@ -1,5 +1,5 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the per-section
-// checksum of the snapshot format. Table-driven, no dependencies.
+// checksum of the snapshot format. Slicing-by-8 tables, no dependencies.
 
 #ifndef WIKIMATCH_STORE_CRC32_H_
 #define WIKIMATCH_STORE_CRC32_H_

@@ -420,7 +420,7 @@ util::Status DecodeSnapshotSection(SectionKind kind,
       break;
     }
     case SectionKind::kSyncReport: {
-      auto report = sync::DecodeSyncReport(std::string(payload));
+      auto report = sync::DecodeSyncReport(payload);
       if (!report.ok()) {
         return report.status().WithContext("snapshot sync report section");
       }

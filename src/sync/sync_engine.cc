@@ -93,7 +93,7 @@ std::string EncodeSyncReport(const SyncReport& report) {
   return w.TakeBuffer();
 }
 
-util::Result<SyncReport> DecodeSyncReport(const std::string& payload) {
+util::Result<SyncReport> DecodeSyncReport(std::string_view payload) {
   util::BinaryReader r(payload);
   WIKIMATCH_ASSIGN_OR_RETURN(uint32_t version, r.ReadU32());
   if (version != kReportFormatVersion) {

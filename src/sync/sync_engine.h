@@ -23,6 +23,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -105,7 +106,7 @@ struct SyncReport {
 /// \brief Binary serialization (snapshot section kind 5, BENCH byte
 /// equivalence checks). Encode/Decode round-trip exactly.
 std::string EncodeSyncReport(const SyncReport& report);
-util::Result<SyncReport> DecodeSyncReport(const std::string& payload);
+util::Result<SyncReport> DecodeSyncReport(std::string_view payload);
 
 /// \brief One aligned type pair to synchronize.
 struct SyncScope {

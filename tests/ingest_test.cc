@@ -475,6 +475,79 @@ TEST(IncrementalMatcherTest, DestroyWhileReclaimInFlight) {
   blocker.Wait();
 }
 
+// FromSnapshot plus a chain of Apply calls, with the footprints rebuilt
+// and recomputed on the shared pool, must not depend on how many threads
+// take part: the pipeline bytes and the reuse counts after every batch
+// are the same at 1 and 4 threads. tools/check.sh also runs this suite at
+// pool sizes 1 and 4.
+TEST(IncrementalMatcherTest, ChainedApplyIsInvariantAcrossThreadCounts) {
+  synth::CorpusGenerator generator(synth::GeneratorOptions::Paper(0.02));
+  auto gc = generator.Generate();
+  ASSERT_TRUE(gc.ok()) << gc.status().ToString();
+  const std::vector<LanguagePair> pairs{{"pt", "en"}, {"vi", "en"}};
+  wiki::Corpus base = std::move(gc->corpus);
+  auto results = FullRun(&base, pairs);
+
+  struct Step {
+    std::vector<std::string> result_bytes;
+    size_t units_reused = 0;
+    size_t units_recomputed = 0;
+  };
+  auto run = [&](size_t threads) {
+    std::vector<Step> steps;
+    store::Snapshot snapshot;
+    snapshot.corpus = base;
+    match::MatchPipeline pipeline(&snapshot.corpus);
+    snapshot.dictionary = pipeline.dictionary();
+    snapshot.pipelines = results;
+    match::PipelineOptions options;
+    options.num_threads = threads;
+    auto matcher_or =
+        IncrementalMatcher::FromSnapshot(std::move(snapshot), options);
+    EXPECT_TRUE(matcher_or.ok()) << matcher_or.status().ToString();
+    if (!matcher_or.ok()) return steps;
+    IncrementalMatcher matcher = std::move(matcher_or).ValueOrDie();
+    for (uint64_t k = 0; k < 3; ++k) {
+      synth::DeltaSpec spec;
+      spec.seed = 40 + k;
+      spec.lang_a = k == 1 ? "vi" : "pt";
+      spec.value_edits = 3;
+      spec.new_articles = 1;
+      spec.removals = k == 2 ? 1 : 0;
+      auto batch = synth::MakeDeltaBatch(matcher.corpus(), spec);
+      EXPECT_TRUE(batch.ok()) << batch.status().ToString();
+      if (!batch.ok()) return steps;
+      auto stats = matcher.Apply(*batch);
+      EXPECT_TRUE(stats.ok()) << stats.status().ToString();
+      if (!stats.ok()) return steps;
+      Step step;
+      for (const auto& pair : pairs) {
+        step.result_bytes.push_back(ResultBytes(matcher.results().at(pair)));
+      }
+      step.units_reused = stats->units_reused;
+      step.units_recomputed = stats->units_recomputed;
+      steps.push_back(std::move(step));
+    }
+    return steps;
+  };
+
+  std::vector<Step> one = run(1);
+  std::vector<Step> four = run(4);
+  ASSERT_EQ(one.size(), 3u);
+  ASSERT_EQ(four.size(), 3u);
+  for (size_t k = 0; k < 3; ++k) {
+    SCOPED_TRACE("batch " + std::to_string(k));
+    EXPECT_EQ(one[k].result_bytes, four[k].result_bytes);
+    EXPECT_EQ(one[k].units_reused, four[k].units_reused);
+    EXPECT_EQ(one[k].units_recomputed, four[k].units_recomputed);
+    EXPECT_GT(one[k].units_recomputed, 0u);
+  }
+  // Some batch must also have reused a unit, or the footprints were
+  // never consulted.
+  EXPECT_GT(one[0].units_reused + one[1].units_reused + one[2].units_reused,
+            0u);
+}
+
 }  // namespace
 }  // namespace ingest
 }  // namespace wikimatch

@@ -10,6 +10,8 @@
 #include "match/pipeline.h"
 #include "match/schema_builder.h"
 #include "match/type_matcher.h"
+#include "schema_oracle.h"
+#include "synth/generator.h"
 #include "wiki/wikitext_parser.h"
 
 namespace wikimatch {
@@ -392,6 +394,119 @@ TEST_F(HandCorpusTest, PipelineEndToEnd) {
   EXPECT_EQ(result->FindByTypeB("nope"), nullptr);
   // Frequencies exported for the metrics.
   EXPECT_EQ(film->frequencies.at({"pt", "direção"}), 2.0);
+}
+
+// ------------------------------------------------------------ SchemaOracle
+
+// The memoized BuildTypePairData against the per-occurrence builder kept
+// in schema_oracle.h, on every type pair of a generated corpus.
+class SchemaOracleTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    synth::CorpusGenerator generator(synth::GeneratorOptions::Paper(0.05));
+    auto g = generator.Generate();
+    ASSERT_TRUE(g.ok()) << g.status().ToString();
+    gc_ = new synth::GeneratedCorpus(std::move(g).ValueOrDie());
+    dictionary_ = new TranslationDictionary();
+    dictionary_->Build(gc_->corpus);
+  }
+  static void TearDownTestSuite() {
+    delete dictionary_;
+    delete gc_;
+  }
+
+  // Builds with both implementations and asserts identical results;
+  // returns whether the pair had any dual infoboxes.
+  static bool ExpectSameData(const std::string& lang_a,
+                             const std::string& type_a,
+                             const std::string& lang_b,
+                             const std::string& type_b,
+                             const SchemaBuilderOptions& options) {
+    const wiki::Corpus& corpus = gc_->corpus;
+    auto got = BuildTypePairData(corpus, *dictionary_, lang_a, type_a, lang_b,
+                                 type_b, options);
+    auto want = schema_oracle::BuildTypePairData(
+        corpus, *dictionary_, lang_a, type_a, lang_b, type_b, options);
+    const std::string where = lang_a + ":" + type_a + "/" + lang_b + ":" +
+                              type_b;
+    EXPECT_EQ(got.ok(), want.ok()) << where;
+    if (!got.ok() || !want.ok()) {
+      EXPECT_EQ(got.status().ToString(), want.status().ToString()) << where;
+      return false;
+    }
+    const TypePairData& a = *got;
+    const TypePairData& b = *want;
+    EXPECT_EQ(a.lang_a, b.lang_a);
+    EXPECT_EQ(a.lang_b, b.lang_b);
+    EXPECT_EQ(a.type_a, b.type_a);
+    EXPECT_EQ(a.type_b, b.type_b);
+    EXPECT_EQ(a.num_duals, b.num_duals) << where;
+    EXPECT_EQ(a.groups.size(), b.groups.size()) << where;
+    for (size_t i = 0; i < std::min(a.groups.size(), b.groups.size()); ++i) {
+      const AttributeGroup& x = a.groups[i];
+      const AttributeGroup& y = b.groups[i];
+      const std::string at = where + " group " + std::to_string(i) + " " +
+                             y.key.language + ":" + y.key.name;
+      EXPECT_EQ(x.key, y.key) << at;
+      EXPECT_EQ(x.occurrences, y.occurrences) << at;
+      EXPECT_EQ(x.dual_docs, y.dual_docs) << at;
+      EXPECT_EQ(x.values.entries(), y.values.entries()) << at;
+      EXPECT_EQ(x.links.entries(), y.links.entries()) << at;
+    }
+    EXPECT_EQ(a.co_occur, b.co_occur) << where;
+    EXPECT_EQ(a.value_terms.size(), b.value_terms.size()) << where;
+    for (uint32_t t = 0;
+         t < std::min(a.value_terms.size(), b.value_terms.size()); ++t) {
+      EXPECT_EQ(a.value_terms.TermOf(t), b.value_terms.TermOf(t))
+          << where << " term " << t;
+    }
+    return true;
+  }
+
+  static synth::GeneratedCorpus* gc_;
+  static TranslationDictionary* dictionary_;
+};
+
+synth::GeneratedCorpus* SchemaOracleTest::gc_ = nullptr;
+TranslationDictionary* SchemaOracleTest::dictionary_ = nullptr;
+
+TEST_F(SchemaOracleTest, EveryTypePairMatchesOracle) {
+  TypeMatcher type_matcher;
+  for (const char* lang_a : {"pt", "vi"}) {
+    std::vector<TypeMatch> units =
+        type_matcher.Match(gc_->corpus, lang_a, "en");
+    ASSERT_FALSE(units.empty()) << lang_a;
+    size_t built = 0;
+    for (bool translate : {true, false}) {
+      for (size_t min_occurrences : {size_t{1}, size_t{3}}) {
+        SchemaBuilderOptions options;
+        options.translate_values = translate;
+        options.min_occurrences = min_occurrences;
+        for (const TypeMatch& tm : units) {
+          SCOPED_TRACE(std::string("translate=") + (translate ? "1" : "0") +
+                       " min_occurrences=" + std::to_string(min_occurrences));
+          if (ExpectSameData(lang_a, tm.type_a, "en", tm.type_b, options)) {
+            ++built;
+          }
+        }
+      }
+    }
+    EXPECT_GT(built, 0u) << lang_a;
+  }
+}
+
+TEST_F(SchemaOracleTest, SampledAndMissingPairsMatchOracle) {
+  TypeMatcher type_matcher;
+  std::vector<TypeMatch> units = type_matcher.Match(gc_->corpus, "pt", "en");
+  ASSERT_FALSE(units.empty());
+  const TypeMatch& tm = units.front();
+  SchemaBuilderOptions sampled;
+  sampled.max_sample_infoboxes = 7;
+  EXPECT_TRUE(ExpectSameData("pt", tm.type_a, "en", tm.type_b, sampled));
+  // No dual infoboxes: both NotFound with the same message.
+  SchemaBuilderOptions defaults;
+  EXPECT_FALSE(ExpectSameData("pt", tm.type_a, "en", "no such type", defaults));
+  EXPECT_FALSE(ExpectSameData("pt", "no such type", "en", tm.type_b, defaults));
 }
 
 }  // namespace

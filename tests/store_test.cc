@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 
 #include "match/pipeline.h"
 #include "match/serialize.h"
@@ -19,6 +20,7 @@
 #include "snapshot_bytes.h"
 #include "synth/generator.h"
 #include "util/binary_io.h"
+#include "util/rng.h"
 #include "wiki/serialize.h"
 
 namespace wikimatch {
@@ -113,6 +115,67 @@ TEST(Crc32Test, KnownVectorsAndChunking) {
   EXPECT_EQ(Crc32(""), 0u);
   uint32_t chunked = Crc32("6789", Crc32("12345"));
   EXPECT_EQ(chunked, 0xCBF43926u);
+}
+
+// Bytewise reference: one table lookup per byte, the textbook loop the
+// sliced kernel must agree with on every input.
+uint32_t ReferenceCrc32(std::string_view data, uint32_t seed = 0) {
+  uint32_t table[256];
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+    table[i] = c;
+  }
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (unsigned char byte : data) c = table[(c ^ byte) & 0xFF] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(size_t n, uint64_t seed) {
+  util::Rng rng(seed);
+  std::string out(n, '\0');
+  for (char& ch : out) ch = static_cast<char>(rng.NextBounded(256));
+  return out;
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // 8 start offsets x lengths 0-64 cover every head/tail split around the
+  // 8-byte blocks, at every alignment of the block loads.
+  std::string buffer = RandomBytes(8 + 64, 1);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 64; ++len) {
+      std::string_view slice(buffer.data() + offset, len);
+      ASSERT_EQ(Crc32(slice), ReferenceCrc32(slice))
+          << "offset " << offset << " length " << len;
+      const uint32_t seed = 0x12345678u;
+      ASSERT_EQ(Crc32(slice, seed), ReferenceCrc32(slice, seed))
+          << "seeded, offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceOnMultiMegabyteBuffer) {
+  std::string buffer = RandomBytes((3u << 20) + 5, 2);
+  EXPECT_EQ(Crc32(buffer), ReferenceCrc32(buffer));
+  // All-zero and all-one bytes exercise the table ends.
+  std::string zeros(1u << 20, '\0');
+  std::string ones(1u << 20, '\xFF');
+  EXPECT_EQ(Crc32(zeros), ReferenceCrc32(zeros));
+  EXPECT_EQ(Crc32(ones), ReferenceCrc32(ones));
+}
+
+TEST(Crc32Test, SeedChainsLikeConcatenation) {
+  std::string buffer = RandomBytes(4099, 3);
+  std::string_view all(buffer);
+  for (size_t cut : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9},
+                     size_t{1000}, size_t{4095}, buffer.size()}) {
+    std::string_view a = all.substr(0, cut);
+    std::string_view b = all.substr(cut);
+    EXPECT_EQ(Crc32(b, Crc32(a)), Crc32(all)) << "cut " << cut;
+    EXPECT_EQ(Crc32(b, Crc32(a)), ReferenceCrc32(all)) << "cut " << cut;
+  }
 }
 
 // --------------------------------------------------------------- round trips

@@ -63,6 +63,17 @@ stage_join_kernels() {
 run_stage "join kernels forced (scalar+vector equivalence)" \
   stage_join_kernels
 
+# ------------------------------------------------------------ pool sizes
+# Unit footprints are computed on the shared pool, one task per unit.
+# Re-run the ingest suite with the pool at one worker and at four so the
+# incremental-equals-rebuild and thread-count invariance tests hold at
+# either size, not just at this machine's default.
+stage_ingest_pool_sizes() {
+  WIKIMATCH_THREADS=1 "$BUILD_DIR"/tests/ingest_test &&
+  WIKIMATCH_THREADS=4 "$BUILD_DIR"/tests/ingest_test
+}
+run_stage "ingest at pool sizes 1 and 4" stage_ingest_pool_sizes
+
 # -------------------------------------------------------------------- bench
 # bench_align --smoke asserts the indexed join reproduces the naive path
 # bit-for-bit; the artifact regen makes the committed JSON track the code
