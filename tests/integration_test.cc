@@ -6,14 +6,22 @@
 #include <algorithm>
 #include <map>
 
+#include "baselines/bouma_matcher.h"
+#include "baselines/coma_matcher.h"
+#include "baselines/lsi_matcher.h"
 #include "eval/metrics.h"
 #include "match/aligner.h"
 #include "match/pipeline.h"
+#include "match/serialize.h"
 #include "match/type_matcher.h"
 #include "query/case_study.h"
 #include "query/translator.h"
+#include "store/crc32.h"
 #include "synth/generator.h"
+#include "synth/mt_oracle.h"
 #include "text/normalize.h"
+#include "util/binary_io.h"
+#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace {
@@ -193,6 +201,181 @@ TEST(CaseStudyPinTest, Figure4CumulativeGainsAtPaperScale) {
   };
   EXPECT_EQ(run("pt"), (std::vector<double>{329.0, 371.0}));
   EXPECT_EQ(run("vi"), (std::vector<double>{249.0, 400.0}));
+}
+
+// Table 2 averages as bench_table2_comparison computes them: per matched
+// type with a ground-truth type, WikiMatch aligns the translated schema
+// data with the default config, and each baseline runs in its best
+// per-pair configuration (COMA++ on a 12-dual instance sample); weighted
+// P/R/F rows are averaged over types.
+struct Table2 {
+  eval::Prf wikimatch;
+  eval::Prf coma;
+  eval::Prf bouma;
+  eval::Prf lsi;
+};
+
+Table2 RunTable2(const synth::GeneratedCorpus& gc, const std::string& lang) {
+  match::MatchPipeline pipeline(&gc.corpus);
+  const baselines::NameTranslations mt = synth::MakeMtOracle(gc);
+  struct Type {
+    std::string type_a;
+    std::string type_b;
+    std::string hub_type;
+    match::TypePairData translated;
+    match::TypePairData sampled;
+  };
+  std::vector<Type> types;
+  for (const auto& tm : match::TypeMatcher().Match(gc.corpus, lang, gc.hub)) {
+    auto hub = gc.hub_type_of.find({gc.hub, tm.type_b});
+    if (hub == gc.hub_type_of.end()) continue;
+    match::SchemaBuilderOptions options;
+    options.translate_values = true;
+    auto translated =
+        pipeline.BuildPair(lang, tm.type_a, gc.hub, tm.type_b, options);
+    options.max_sample_infoboxes = 12;
+    auto sampled =
+        pipeline.BuildPair(lang, tm.type_a, gc.hub, tm.type_b, options);
+    if (!translated.ok() || !sampled.ok()) continue;
+    types.push_back({tm.type_a, tm.type_b, hub->second,
+                     std::move(translated).ValueOrDie(),
+                     std::move(sampled).ValueOrDie()});
+  }
+  std::stable_sort(types.begin(), types.end(),
+                   [](const Type& x, const Type& y) {
+                     return x.translated.num_duals > y.translated.num_duals;
+                   });
+
+  // COMA++'s best configuration per pair (paper Appendix C): NG+ID for
+  // Pt-En, ID for Vn-En.
+  baselines::ComaConfig coma_config;
+  coma_config.use_instance = true;
+  coma_config.threshold = 0.01;
+  coma_config.use_name = lang == "pt";
+  coma_config.translate_names = lang == "pt";
+
+  match::AttributeAligner aligner{match::MatcherConfig{}};
+  std::vector<eval::Prf> wm_rows, coma_rows, bouma_rows, lsi_rows;
+  for (const Type& type : types) {
+    const eval::MatchSet& truth = gc.ground_truth.at(type.hub_type);
+    const eval::AttrFrequencies freqs = type.translated.Frequencies();
+    auto prf = [&](const eval::MatchSet& matches) {
+      return eval::WeightedPrf(matches, truth, freqs, lang, gc.hub);
+    };
+    auto wm = aligner.Align(type.translated);
+    if (!wm.ok()) continue;
+    eval::Prf coma_prf, bouma_prf, lsi_prf;
+    auto coma = baselines::RunComaMatcher(type.sampled, coma_config, mt);
+    if (coma.ok()) coma_prf = prf(coma->matches);
+    auto bouma = baselines::RunBoumaMatcher(gc.corpus, lang, type.type_a,
+                                            gc.hub, type.type_b);
+    if (bouma.ok()) bouma_prf = prf(bouma->matches);
+    auto lsi = baselines::RunLsiMatcher(type.translated);
+    if (lsi.ok()) lsi_prf = prf(lsi->matches);
+    wm_rows.push_back(prf(wm->matches));
+    coma_rows.push_back(coma_prf);
+    bouma_rows.push_back(bouma_prf);
+    lsi_rows.push_back(lsi_prf);
+  }
+  EXPECT_FALSE(wm_rows.empty()) << lang;
+  return {eval::AveragePrf(wm_rows), eval::AveragePrf(coma_rows),
+          eval::AveragePrf(bouma_rows), eval::AveragePrf(lsi_rows)};
+}
+
+// The paper's quality results pinned exactly at a ctest-cheap scale
+// (Paper(0.05)). Corpus generation, dictionary, schema building, alignment
+// and the baselines are all deterministic, so a change that moves any of
+// them fails here instead of drifting silently.
+class PaperPinTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    synth::CorpusGenerator generator(synth::GeneratorOptions::Paper(0.05));
+    auto generated = generator.Generate();
+    ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+    gc_ = new synth::GeneratedCorpus(std::move(generated).ValueOrDie());
+  }
+  static void TearDownTestSuite() {
+    delete gc_;
+    gc_ = nullptr;
+  }
+
+  static synth::GeneratedCorpus* gc_;
+};
+
+synth::GeneratedCorpus* PaperPinTest::gc_ = nullptr;
+
+constexpr double kPinTolerance = 1e-9;
+
+void ExpectPrf(const eval::Prf& got, double precision, double recall,
+               double f1) {
+  EXPECT_NEAR(got.precision, precision, kPinTolerance);
+  EXPECT_NEAR(got.recall, recall, kPinTolerance);
+  EXPECT_NEAR(got.f1, f1, kPinTolerance);
+}
+
+TEST_F(PaperPinTest, Table2GoldenWeightedPrf) {
+  const Table2 pt = RunTable2(*gc_, "pt");
+  ExpectPrf(pt.wikimatch, 0.86276546514524632, 0.7647931906001677,
+            0.8087709773623144);
+  EXPECT_NEAR(pt.coma.f1, 0.82672662805100339, kPinTolerance);
+  EXPECT_NEAR(pt.bouma.f1, 0.52607928911431701, kPinTolerance);
+  EXPECT_NEAR(pt.lsi.f1, 0.25601133977530349, kPinTolerance);
+
+  const Table2 vi = RunTable2(*gc_, "vi");
+  ExpectPrf(vi.wikimatch, 0.87797619047619047, 0.71279720315078465,
+            0.78373562967264887);
+  EXPECT_NEAR(vi.coma.f1, 0.69709637303489025, kPinTolerance);
+  EXPECT_NEAR(vi.bouma.f1, 0.55446294385422301, kPinTolerance);
+  EXPECT_NEAR(vi.lsi.f1, 0.11499388321610306, kPinTolerance);
+}
+
+// Digests (CRC-32 and byte length) of the encoded dictionary and of both
+// pairs' encoded pipeline results, the bytes a snapshot stores. They must
+// not depend on whether the shared pool has one worker or four.
+TEST_F(PaperPinTest, EncodedOutputDigestsAtPoolSizes1And4) {
+  using Digest = std::pair<uint32_t, size_t>;
+  auto digest = [](util::BinaryWriter* w) {
+    const std::string bytes = w->TakeBuffer();
+    return Digest{store::Crc32(bytes), bytes.size()};
+  };
+  for (size_t pool_size : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE("pool size " + std::to_string(pool_size));
+    util::ThreadPool pool(pool_size);
+    util::ScopedThreadPoolOverride use_pool(&pool);
+    match::MatchPipeline pipeline(&gc_->corpus);
+    util::BinaryWriter dictionary;
+    match::EncodeDictionary(pipeline.dictionary(), &dictionary);
+    EXPECT_EQ(digest(&dictionary), (Digest{1304844091u, 492702}));
+    for (const auto& [lang, want] :
+         {std::pair<std::string, Digest>{"pt", {97438507u, 30965}},
+          std::pair<std::string, Digest>{"vi", {2169134791u, 11699}}}) {
+      match::PipelineOptions options;
+      options.num_threads = 4;
+      options.matcher.num_threads = 4;
+      auto result = pipeline.Run(lang, gc_->hub, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      util::BinaryWriter encoded;
+      match::EncodePipelineResult(*result, &encoded);
+      EXPECT_EQ(digest(&encoded), want) << lang;
+    }
+  }
+}
+
+// Table 2's headline ordering, WikiMatch > COMA++ > Bouma > LSI on average
+// F for both pairs, at the paper scale EXPERIMENTS.md reports. At
+// Paper(0.05) the ordering does not hold (COMA++ edges out WikiMatch on
+// Pt-En, 0.827 against 0.809), so it is checked at Paper(1.0).
+TEST(PaperScaleTable2Test, OrderingOnF) {
+  synth::CorpusGenerator generator(synth::GeneratorOptions::Paper(1.0));
+  auto generated = generator.Generate();
+  ASSERT_TRUE(generated.ok()) << generated.status().ToString();
+  for (const std::string lang : {"pt", "vi"}) {
+    SCOPED_TRACE(lang);
+    const Table2 t = RunTable2(*generated, lang);
+    EXPECT_GT(t.wikimatch.f1, t.coma.f1);
+    EXPECT_GT(t.coma.f1, t.bouma.f1);
+    EXPECT_GT(t.bouma.f1, t.lsi.f1);
+  }
 }
 
 }  // namespace
