@@ -107,37 +107,6 @@ double AttributeAligner::InductiveGroupingScore(const TypePairData& data,
       [&](size_t k) { return matches.Contains(data.groups[k].key); }, i, j);
 }
 
-// The retained reference feature pass: scores every pair by re-walking the
-// groups' sparse vectors. Kept bit-for-bit as the equivalence baseline for
-// the indexed join (tests/align_join_test.cc, bench/bench_align.cc).
-std::vector<CandidatePair> AttributeAligner::NaiveCandidates(
-    const TypePairData& data, const LsiCorrelation& lsi_scores) const {
-  const size_t n = data.groups.size();
-  std::vector<CandidatePair> pairs;
-  pairs.reserve(n * (n - 1) / 2);
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      CandidatePair p;
-      p.i = i;
-      p.j = j;
-      p.vsim = config_.use_vsim
-                   ? ValueSimilarity(data.groups[i], data.groups[j])
-                   : 0.0;
-      bool links_supported =
-          data.groups[i].links.Sum() >=
-              config_.min_link_support * data.groups[i].occurrences &&
-          data.groups[j].links.Sum() >=
-              config_.min_link_support * data.groups[j].occurrences;
-      p.lsim = config_.use_lsim && links_supported
-                   ? LinkSimilarity(data.groups[i], data.groups[j])
-                   : 0.0;
-      p.lsi = config_.use_lsi ? lsi_scores.Score(i, j) : 0.0;
-      pairs.push_back(p);
-    }
-  }
-  return pairs;
-}
-
 // Inverted-index feature pass: one pass over posting lists per group row,
 // LSI scored row-by-row, rows sharded across worker threads and merged in
 // group order (deterministic for any thread count). Unless keep_all_pairs
@@ -145,7 +114,8 @@ std::vector<CandidatePair> AttributeAligner::NaiveCandidates(
 // is nonzero or the LSI ordering still needs it (lsi > t_lsi admits it to
 // the queue even with zero direct evidence — such pairs can shift the
 // random_order shuffle and, when t_revise_min_sim admits them, reach
-// ReviseUncertain).
+// ReviseUncertain). tests/align_oracle.h keeps the all-pairs cosine loop
+// this pass must reproduce bit for bit.
 std::vector<CandidatePair> AttributeAligner::IndexedCandidates(
     const TypePairData& data, const LsiCorrelation& lsi_scores,
     AlignStats* stats) const {
@@ -154,7 +124,6 @@ std::vector<CandidatePair> AttributeAligner::IndexedCandidates(
   jopts.use_vsim = config_.use_vsim;
   jopts.use_lsim = config_.use_lsim;
   jopts.min_link_support = config_.min_link_support;
-  jopts.quantize_weights = !config_.use_exact_cosine;
   SimilarityJoinIndex index(data, jopts);
 
   const bool need_all = config_.keep_all_pairs;
@@ -243,9 +212,7 @@ util::Result<AlignmentResult> AttributeAligner::Align(
 
   phase_start = Clock::now();
   std::vector<CandidatePair> pairs =
-      config_.use_indexed_join
-          ? IndexedCandidates(data, lsi_scores, &result.stats)
-          : NaiveCandidates(data, lsi_scores);
+      IndexedCandidates(data, lsi_scores, &result.stats);
   result.stats.pairs_generated = pairs.size();
   result.stats.pairs_pruned = result.stats.pairs_total - pairs.size();
   result.stats.feature_ms = MsSince(phase_start);

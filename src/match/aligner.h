@@ -69,21 +69,10 @@ struct MatcherConfig {
   uint64_t random_seed = 0x5EED;
 
   // --- Execution switches (docs/PERFORMANCE.md) -----------------------------
-  /// Score pair features through the inverted-index sparse similarity join
-  /// instead of the O(n²) all-pairs cosine loop. Output is bit-identical;
-  /// the naive path is retained for equivalence tests and benchmarks.
-  bool use_indexed_join = true;
-  /// Keep the join's similarity scores bit-identical to
-  /// SparseVector::Cosine (the default). When false, the join stores
-  /// posting weights and norms rounded to fp32 (half the memory traffic;
-  /// accumulation stays double) — scores move by at most fp32 rounding,
-  /// which bench_align measures against the exact path. Result-affecting,
-  /// so it is part of the snapshot OptionsFingerprint.
-  bool use_exact_cosine = true;
   /// Retain AlignmentResult::all_pairs (the full O(n²) scored list needed
   /// by MAP and threshold studies). The pipeline turns this off by default:
   /// large schemas otherwise balloon memory and snapshot size, and the
-  /// indexed join can then skip materializing zero-similarity pairs whose
+  /// similarity join can then skip materializing zero-similarity pairs whose
   /// LSI correlation is below t_lsi.
   bool keep_all_pairs = true;
   /// Worker threads for the feature join and LSI scoring *within* one
@@ -159,10 +148,6 @@ class AttributeAligner {
                                        size_t i, size_t j);
 
  private:
-  /// Reference all-pairs feature pass (use_indexed_join = false).
-  std::vector<CandidatePair> NaiveCandidates(
-      const TypePairData& data, const LsiCorrelation& lsi_scores) const;
-
   /// Inverted-index feature pass; fills join counters into `stats`.
   std::vector<CandidatePair> IndexedCandidates(
       const TypePairData& data, const LsiCorrelation& lsi_scores,

@@ -1,45 +1,21 @@
 #include "match/similarity_join.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace wikimatch {
 namespace match {
-namespace {
-
-// fp32-rounded weight, widened back to double (quantized mode).
-inline double Quantize(double w) {
-  return static_cast<double>(static_cast<float>(w));
-}
-
-// Norm recomputed from fp32-rounded weights (quantized mode): the exact
-// mode reuses SparseVector::Norm() so its bytes stay pinned to the naive
-// path.
-double QuantizedNorm(const la::SparseVector& vec) {
-  double sum = 0.0;
-  for (const auto& [id, w] : vec.entries()) {
-    const double q = Quantize(w);
-    sum += q * q;
-  }
-  return std::sqrt(sum);
-}
-
-}  // namespace
 
 void SimilarityJoinIndex::Scratch::Prepare(size_t n) {
   if (vdot_.size() < n) {
     vdot_.resize(n, 0.0);
     ldot_.resize(n, 0.0);
-    seen_.resize(n, 0);
   }
-  touched_.clear();
 }
 
 SimilarityJoinIndex::SimilarityJoinIndex(const TypePairData& data,
                                          const SimilarityJoinOptions& options)
     : data_(&data),
       options_(options),
-      kernel_(ActiveJoinKernel()),
       num_groups_(data.groups.size()) {
   value_norm_.resize(num_groups_, 0.0);
   link_norm_.resize(num_groups_, 0.0);
@@ -49,10 +25,8 @@ SimilarityJoinIndex::SimilarityJoinIndex(const TypePairData& data,
   size_t num_value_terms = options_.use_vsim ? data.value_terms.size() : 0;
   for (size_t i = 0; i < num_groups_; ++i) {
     const AttributeGroup& g = data.groups[i];
-    value_norm_[i] = options_.quantize_weights ? QuantizedNorm(g.values)
-                                               : g.values.Norm();
-    link_norm_[i] = options_.quantize_weights ? QuantizedNorm(g.links)
-                                              : g.links.Norm();
+    value_norm_[i] = g.values.Norm();
+    link_norm_[i] = g.links.Norm();
     link_supported_[i] =
         g.links.Sum() >= options_.min_link_support * g.occurrences ? 1 : 0;
     if (options_.use_vsim) {
@@ -103,19 +77,14 @@ SimilarityJoinIndex::SimilarityJoinIndex(const TypePairData& data,
 
   // Pass 2: fill the parallel group/weight arrays. Groups are visited in
   // ascending order, so ids within each term range come out sorted — the
-  // invariant the skip-to-j>i binary search and the kernels rely on.
+  // invariant the skip-to-j>i binary search relies on.
   const size_t value_total = value_index_.offsets.back();
   const size_t link_total =
       link_index_.offsets.empty() ? 0 : link_index_.offsets.back();
   value_index_.groups.resize(value_total);
+  value_index_.weights.resize(value_total);
   link_index_.groups.resize(link_total);
-  if (options_.quantize_weights) {
-    value_index_.weights_f32.resize(value_total);
-    link_index_.weights_f32.resize(link_total);
-  } else {
-    value_index_.weights.resize(value_total);
-    link_index_.weights.resize(link_total);
-  }
+  link_index_.weights.resize(link_total);
   std::vector<uint64_t> value_cursor(value_index_.offsets.begin(),
                                      value_index_.offsets.end() - 1);
   std::vector<uint64_t> link_cursor(
@@ -127,11 +96,7 @@ SimilarityJoinIndex::SimilarityJoinIndex(const TypePairData& data,
                    size_t term, uint32_t group, double w) {
     const uint64_t at = (*cursor)[term]++;
     index->groups[at] = group;
-    if (options_.quantize_weights) {
-      index->weights_f32[at] = static_cast<float>(w);
-    } else {
-      index->weights[at] = w;
-    }
+    index->weights[at] = w;
   };
   for (size_t i = 0; i < num_groups_; ++i) {
     const AttributeGroup& g = data.groups[i];
@@ -155,67 +120,30 @@ SimilarityJoinIndex::SimilarityJoinIndex(const TypePairData& data,
 
 void SimilarityJoinIndex::AccumulateRow(size_t i, Scratch* scratch) const {
   const AttributeGroup& g = data_->groups[i];
-  const bool scalar = kernel_ == JoinKernel::kScalar;
-  const bool quantized = options_.quantize_weights;
   const uint32_t row = static_cast<uint32_t>(i);
 
   // Accumulates w_i · w_j for every posting partner j > i of one term
   // range. The outer iteration follows the group's own std::map (ascending
   // term id), so for a fixed pair the additions happen in exactly the
-  // order SparseVector::Dot visits the shared terms; within a range all
-  // group ids are distinct, so the vector kernel's unroll cannot reorder
-  // additions to the same accumulator slot.
+  // order SparseVector::Dot visits the shared terms.
   auto accumulate_range = [&](const PostingIndex& index, size_t term,
                               double w, double* dot) {
-    const uint64_t begin = index.offsets[term];
-    const uint64_t end = index.offsets[term + 1];
     const uint32_t* groups = index.groups.data();
+    const double* weights = index.weights.data();
     // Postings are in ascending group order; skip to j > i.
-    const uint32_t* first =
-        std::upper_bound(groups + begin, groups + end, row);
-    const size_t at = static_cast<size_t>(first - groups);
-    const size_t len = static_cast<size_t>(end) - at;
-    if (len == 0) return;
-    scratch->postings_visited_ += len;
-    if (scalar) {
-      // Reference kernel: the original branchy loop with sparse-row
-      // bookkeeping (seen/touched), emitted later in sorted order.
-      if (quantized) {
-        const float* weights = index.weights_f32.data();
-        for (size_t k = at; k < at + len; ++k) {
-          const uint32_t j = groups[k];
-          if (!scratch->seen_[j]) {
-            scratch->seen_[j] = 1;
-            scratch->touched_.push_back(j);
-          }
-          dot[j] += w * static_cast<double>(weights[k]);
-        }
-      } else {
-        const double* weights = index.weights.data();
-        for (size_t k = at; k < at + len; ++k) {
-          const uint32_t j = groups[k];
-          if (!scratch->seen_[j]) {
-            scratch->seen_[j] = 1;
-            scratch->touched_.push_back(j);
-          }
-          dot[j] += w * weights[k];
-        }
-      }
-    } else if (quantized) {
-      kernels::AccumulateF32(groups + at, index.weights_f32.data() + at,
-                             len, w, dot);
-    } else {
-      kernels::AccumulateF64(groups + at, index.weights.data() + at, len, w,
-                             dot);
-    }
+    const uint64_t end = index.offsets[term + 1];
+    const uint64_t begin = static_cast<uint64_t>(
+        std::upper_bound(groups + index.offsets[term], groups + end, row) -
+        groups);
+    scratch->postings_visited_ += end - begin;
+    for (uint64_t k = begin; k < end; ++k) dot[groups[k]] += w * weights[k];
   };
 
   if (options_.use_vsim) {
     const size_t num_terms = value_index_.num_terms();
     for (const auto& [id, w] : g.values.entries()) {
       if (id >= num_terms) continue;
-      accumulate_range(value_index_, id,
-                       quantized ? Quantize(w) : w, scratch->vdot_.data());
+      accumulate_range(value_index_, id, w, scratch->vdot_.data());
     }
   }
   if (options_.use_lsim && link_supported_[i]) {
@@ -223,8 +151,7 @@ void SimilarityJoinIndex::AccumulateRow(size_t i, Scratch* scratch) const {
       auto it = std::lower_bound(link_ids_.begin(), link_ids_.end(), id);
       if (it == link_ids_.end() || *it != id) continue;
       const size_t dense = static_cast<size_t>(it - link_ids_.begin());
-      accumulate_range(link_index_, dense,
-                       quantized ? Quantize(w) : w, scratch->ldot_.data());
+      accumulate_range(link_index_, dense, w, scratch->ldot_.data());
     }
   }
 }

@@ -1,9 +1,9 @@
 // Sparse similarity join for the aligner feature stage (Section 3.2).
 //
-// The naive feature pass scores every cross-product pair of attribute
-// groups by re-walking both groups' map-backed sparse vectors — an
-// O(n² · k) scan that recomputes norms, sums, and link-support flags for
-// every pair. SimilarityJoinIndex builds, once per TypePairData:
+// Scoring every cross-product pair of attribute groups by re-walking both
+// groups' map-backed sparse vectors is an O(n² · k) scan that recomputes
+// norms, sums, and link-support flags for every pair. SimilarityJoinIndex
+// builds, once per TypePairData:
 //
 //   * an inverted index term-id -> postings of (group, weight) for the
 //     value vectors and for the link-structure vectors (the latter only
@@ -19,20 +19,15 @@
 // array per index, addressed through a CSR-style offset table (no
 // per-term vectors, no pointer chasing). Link targets are corpus-level
 // canonical ids and sparse, so they are remapped through a sorted dense id
-// table instead of a hash map. Row accumulation runs through a
-// runtime-dispatched kernel (match/join_kernels.h): the scalar reference
-// kernel or the default unrolled vector kernel, forced either way with
-// WIKIMATCH_JOIN_KERNEL=scalar|vector.
+// table instead of a hash map. A row accumulates with one loop per posting
+// range, dot[groups[k]] += w * weights[k], and its nonzero partners are
+// recovered by a dense sweep of the row's tail.
 //
-// Equivalence guarantee: with exact weights (quantize_weights = false, the
-// default) every emitted cosine is bit-identical to SparseVector::Cosine
-// under either kernel — contributions are added in ascending term-id order
-// (the same order Dot() visits shared terms; group ids within one term
-// range are distinct, so the kernel's unroll reorders nothing), and the
-// final division uses the same norm product. tests/align_join_test.cc
-// asserts this end to end and across kernels. With quantize_weights the
-// postings and norms are rounded to fp32 (accumulation stays double) —
-// an opt-in approximation whose precision impact bench_align measures.
+// Equivalence guarantee: every emitted cosine is bit-identical to
+// SparseVector::Cosine — contributions are added in ascending term-id
+// order (the same order Dot() visits shared terms), and the final division
+// uses the same norm product. tests/align_join_test.cc asserts this end to
+// end against the all-pairs oracle in tests/align_oracle.h.
 //
 // Thread safety: a built index is immutable; concurrent callers pass their
 // own Scratch, so row accumulation parallelizes by group row with no
@@ -41,11 +36,10 @@
 #ifndef WIKIMATCH_MATCH_SIMILARITY_JOIN_H_
 #define WIKIMATCH_MATCH_SIMILARITY_JOIN_H_
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "match/join_kernels.h"
 #include "match/schema_builder.h"
 
 namespace wikimatch {
@@ -58,11 +52,6 @@ struct SimilarityJoinOptions {
   bool use_lsim = true;
   /// Link-structure support floor (MatcherConfig::min_link_support).
   double min_link_support = 0.05;
-  /// Store posting weights and norms rounded to fp32 instead of the exact
-  /// doubles (MatcherConfig::use_exact_cosine = false). Halves the weight
-  /// array and trades bit-exactness for throughput; scores stay within
-  /// fp32 rounding of the exact values.
-  bool quantize_weights = false;
 };
 
 /// \brief One nonzero similarity entry of a group row.
@@ -87,8 +76,6 @@ class SimilarityJoinIndex {
 
     std::vector<double> vdot_;
     std::vector<double> ldot_;
-    std::vector<uint8_t> seen_;       // scalar kernel only
-    std::vector<uint32_t> touched_;   // scalar kernel only
     size_t postings_visited_ = 0;
   };
 
@@ -96,9 +83,8 @@ class SimilarityJoinIndex {
                       const SimilarityJoinOptions& options);
 
   /// \brief Emits every pair (i, j), j > i, whose vsim or lsim is nonzero,
-  /// in ascending j order. With exact weights, `emit(entry)` similarities
-  /// are bit-identical to the pairwise SparseVector::Cosine values the
-  /// naive path computes — under either kernel.
+  /// in ascending j order. `emit(entry)` similarities are bit-identical to
+  /// the pairwise SparseVector::Cosine values.
   ///
   /// `emit` is a template callback (not std::function): the call inlines
   /// into the row loop with no type-erased indirect call per emitted pair.
@@ -110,43 +96,23 @@ class SimilarityJoinIndex {
     const double lnorm_i = link_norm_[i];
     double* vdot = scratch->vdot_.data();
     double* ldot = scratch->ldot_.data();
-    if (kernel_ == JoinKernel::kScalar) {
-      // Sparse emission: only slots the accumulation marked, in sorted
-      // (ascending j) order.
-      std::sort(scratch->touched_.begin(), scratch->touched_.end());
-      for (uint32_t j : scratch->touched_) {
-        SimilarityEntry entry;
-        entry.j = j;
-        const double vd = vdot[j];
-        const double ld = ldot[j];
-        // Same expression shape as SparseVector::Cosine (dot / (na * nb)),
-        // so the result matches the naive pairwise evaluation bit for bit.
-        if (vd != 0.0) entry.vsim = vd / (vnorm_i * value_norm_[j]);
-        if (ld != 0.0) entry.lsim = ld / (lnorm_i * link_norm_[j]);
-        vdot[j] = 0.0;
-        ldot[j] = 0.0;
-        scratch->seen_[j] = 0;
-        if (entry.vsim != 0.0 || entry.lsim != 0.0) emit(entry);
-      }
-    } else {
-      // Dense sweep of the row's tail: ascending j by construction, no
-      // sort, no per-posting bookkeeping in the accumulation. Touched
-      // slots are exactly the nonzero ones plus exact-cancellation zeros,
-      // which the scalar path filters out too — the emitted sequence is
-      // identical.
-      const uint32_t n = static_cast<uint32_t>(num_groups_);
-      for (uint32_t j = static_cast<uint32_t>(i) + 1; j < n; ++j) {
-        const double vd = vdot[j];
-        const double ld = ldot[j];
-        if (vd == 0.0 && ld == 0.0) continue;
-        SimilarityEntry entry;
-        entry.j = j;
-        if (vd != 0.0) entry.vsim = vd / (vnorm_i * value_norm_[j]);
-        if (ld != 0.0) entry.lsim = ld / (lnorm_i * link_norm_[j]);
-        vdot[j] = 0.0;
-        ldot[j] = 0.0;
-        if (entry.vsim != 0.0 || entry.lsim != 0.0) emit(entry);
-      }
+    // Dense sweep of the row's tail: ascending j by construction, and the
+    // accumulation keeps no record of which slots it touched. A touched
+    // slot that cancelled to exactly zero is skipped like an untouched one.
+    const uint32_t n = static_cast<uint32_t>(num_groups_);
+    for (uint32_t j = static_cast<uint32_t>(i) + 1; j < n; ++j) {
+      const double vd = vdot[j];
+      const double ld = ldot[j];
+      if (vd == 0.0 && ld == 0.0) continue;
+      SimilarityEntry entry;
+      entry.j = j;
+      // Same expression shape as SparseVector::Cosine (dot / (na * nb)),
+      // so the result matches the pairwise evaluation bit for bit.
+      if (vd != 0.0) entry.vsim = vd / (vnorm_i * value_norm_[j]);
+      if (ld != 0.0) entry.lsim = ld / (lnorm_i * link_norm_[j]);
+      vdot[j] = 0.0;
+      ldot[j] = 0.0;
+      if (entry.vsim != 0.0 || entry.lsim != 0.0) emit(entry);
     }
   }
 
@@ -159,11 +125,6 @@ class SimilarityJoinIndex {
 
   size_t num_groups() const { return num_groups_; }
 
-  /// \brief Kernel captured at construction (ActiveJoinKernel() then).
-  JoinKernel kernel() const { return kernel_; }
-
-  bool quantized() const { return options_.quantize_weights; }
-
  private:
   /// One CSR-addressed structure-of-arrays posting index: for term t the
   /// postings occupy [offsets[t], offsets[t+1]) of the parallel group-id /
@@ -171,21 +132,18 @@ class SimilarityJoinIndex {
   struct PostingIndex {
     std::vector<uint64_t> offsets;
     std::vector<uint32_t> groups;
-    std::vector<double> weights;      // exact mode
-    std::vector<float> weights_f32;   // quantized mode
+    std::vector<double> weights;
 
     size_t num_terms() const {
       return offsets.empty() ? 0 : offsets.size() - 1;
     }
   };
 
-  /// Accumulates row `i`'s dot products into the scratch arrays via the
-  /// active kernel (defined in the .cc; kernel- and quantization-aware).
+  /// Accumulates row `i`'s dot products into the scratch arrays.
   void AccumulateRow(size_t i, Scratch* scratch) const;
 
   const TypePairData* data_;
   SimilarityJoinOptions options_;
-  JoinKernel kernel_ = JoinKernel::kVector;
   size_t num_groups_ = 0;
   size_t num_postings_ = 0;
 

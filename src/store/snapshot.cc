@@ -76,7 +76,6 @@ OptionsFingerprint OptionsFingerprint::From(
   fp.single_step = m.single_step;
   fp.random_seed = m.random_seed;
   fp.keep_all_pairs = m.keep_all_pairs;
-  fp.use_exact_cosine = m.use_exact_cosine;
   fp.translate_values = options.schema.translate_values;
   fp.schema_min_occurrences = options.schema.min_occurrences;
   fp.schema_max_sample_infoboxes = options.schema.max_sample_infoboxes;

@@ -82,9 +82,8 @@ struct DeltaRecord {
 /// results under the exact options that produced them (docs/INGEST.md).
 ///
 /// Execution-only switches are deliberately excluded: num_threads (both
-/// levels) and use_indexed_join change wall clock, never bytes — the
-/// equivalence suites assert that — so they are free to differ between the
-/// build and the apply.
+/// levels) changes wall clock, never bytes — the equivalence suites assert
+/// that — so it is free to differ between the build and the apply.
 struct OptionsFingerprint {
   // MatcherConfig thresholds.
   double t_sim = 0.0;
@@ -105,9 +104,12 @@ struct OptionsFingerprint {
   bool single_step = false;
   uint64_t random_seed = 0;
   bool keep_all_pairs = false;
-  /// Exact (bit-identical-to-Cosine) similarity join weights vs the opt-in
-  /// fp32-quantized mode — result-affecting, unlike use_indexed_join.
-  /// Trailing field: files from older writers read back as true.
+  /// Whether the similarity join scored with exact double weights. Always
+  /// true for snapshots written now (the join has no other mode); an older
+  /// snapshot built with fp32-quantized weights reads back false, still
+  /// loads and serves, and is refused by `apply-delta` because its scores
+  /// cannot be reproduced. Trailing field: files from writers older than
+  /// the field read back as true.
   bool use_exact_cosine = true;
   // SchemaBuilderOptions.
   bool translate_values = true;

@@ -1,17 +1,20 @@
-// Equivalence tests for the inverted-index similarity join: the indexed
-// aligner feature stage must produce bit-identical AlignmentResults to the
-// retained naive all-pairs path — same matches, same processed order, same
-// scores — for every ablation configuration, any thread count, and with
-// zero-pair pruning enabled.
+// Equivalence tests for the inverted-index similarity join: the aligner's
+// scored pairs must be bit-identical to the all-pairs oracle
+// (align_oracle.h) for every ablation configuration, and its matches and
+// processed order must not move with the thread count or with zero-pair
+// pruning.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "align_oracle.h"
 #include "match/aligner.h"
 #include "match/pipeline.h"
 #include "match/similarity_join.h"
 #include "synth/generator.h"
+#include "util/rng.h"
 
 namespace wikimatch {
 namespace {
@@ -38,6 +41,97 @@ void ExpectSameAlignment(const match::AlignmentResult& a,
   ExpectSamePairs(a.all_pairs, b.all_pairs, "all_pairs");
 }
 
+// Aligns `data` with all pairs retained and checks them, keyed by (i, j),
+// against the oracle's all-pairs cosines.
+void ExpectAllPairsMatchOracle(const match::TypePairData& data,
+                               match::MatcherConfig config) {
+  config.keep_all_pairs = true;
+  auto result = match::AttributeAligner(config).Align(data);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto oracle = align_oracle::AllPairs(data, config);
+  ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+  std::vector<match::CandidatePair> got = result->all_pairs;
+  std::sort(got.begin(), got.end(),
+            [](const match::CandidatePair& x, const match::CandidatePair& y) {
+              return x.i != y.i ? x.i < y.i : x.j < y.j;
+            });
+  ExpectSamePairs(got, *oracle, "all_pairs by (i, j)");
+}
+
+// A schema built directly instead of generated. Generated corpora carry
+// whole-number weights, so their dot products come out exact in any
+// addition order; fractional weights here make a reordered accumulation
+// change bits. Link counts fall on both sides of the min_link_support
+// floor, and each language ends with orphan groups (private vocabulary,
+// no links, no dual documents) whose cross-language pairs carry no
+// evidence, so the pruned configuration has pairs to drop.
+match::TypePairData SyntheticSchema() {
+  constexpr size_t kGroupsPerLang = 24;
+  constexpr size_t kOrphansPerLang = 3;
+  constexpr size_t kTermsPerGroup = 24;
+  constexpr size_t kDuals = 24;
+  util::Rng rng(0xA11C4);
+  match::TypePairData data;
+  data.lang_a = "pt";
+  data.lang_b = "en";
+  data.type_a = "localidade";
+  data.type_b = "settlement";
+  data.num_duals = kDuals;
+  const size_t vocab = kGroupsPerLang * 12;
+  for (size_t t = 0; t < vocab; ++t) {
+    data.value_terms.GetOrAdd("term_" + std::to_string(t));
+  }
+  const size_t link_space = kGroupsPerLang * 4;
+  for (const std::string language : {"pt", "en"}) {
+    for (size_t g = 0; g < kGroupsPerLang; ++g) {
+      match::AttributeGroup group;
+      group.key = {language, "attr_" + std::to_string(g)};
+      group.occurrences = 20.0 + static_cast<double>(rng.NextBounded(200));
+      for (size_t t = 0; t < kTermsPerGroup; ++t) {
+        group.values.Add(static_cast<uint32_t>(rng.NextZipf(vocab, 1.1)),
+                         0.25 + 4.0 * rng.NextDouble());
+      }
+      if (rng.NextBool(0.6)) {
+        const size_t links = 1 + rng.NextBounded(14);
+        for (size_t l = 0; l < links; ++l) {
+          group.links.Add(static_cast<uint32_t>(rng.NextZipf(link_space, 1.05)),
+                          0.5 + 2.0 * rng.NextDouble());
+        }
+      }
+      const size_t docs = 3 + rng.NextBounded(kDuals / 2 + 1);
+      for (size_t d = 0; d < docs; ++d) {
+        group.dual_docs.insert(static_cast<uint32_t>(rng.NextBounded(kDuals)));
+      }
+      data.groups.push_back(std::move(group));
+    }
+    for (size_t g = 0; g < kOrphansPerLang; ++g) {
+      match::AttributeGroup group;
+      group.key = {language, "orphan_" + std::to_string(g)};
+      group.occurrences = 2.0 + static_cast<double>(rng.NextBounded(6));
+      for (size_t t = 0; t < 8; ++t) {
+        group.values.Add(
+            data.value_terms.GetOrAdd("orphan_" + language + "_" +
+                                      std::to_string(g) + "_" +
+                                      std::to_string(t)),
+            1.0);
+      }
+      data.groups.push_back(std::move(group));
+    }
+  }
+  // Sparse mono-language co-occurrence counts for the grouping scores.
+  const size_t n = data.groups.size();
+  for (size_t e = 0; e < n * 4; ++e) {
+    const size_t i = rng.NextBounded(n);
+    const size_t j = rng.NextBounded(n);
+    if (i == j || data.groups[i].key.language != data.groups[j].key.language) {
+      continue;
+    }
+    data.co_occur[{std::min(i, j), std::max(i, j)}] +=
+        1.0 + static_cast<double>(rng.NextBounded(8));
+  }
+  return data;
+}
+
 class AlignJoinTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -49,21 +143,23 @@ class AlignJoinTest : public ::testing::Test {
     auto data = pipeline_->BuildPair("pt", "filme", "en", "film");
     ASSERT_TRUE(data.ok());
     data_ = new match::TypePairData(std::move(data).ValueOrDie());
+    synthetic_ = new match::TypePairData(SyntheticSchema());
   }
   static void TearDownTestSuite() {
+    delete synthetic_;
     delete data_;
     delete pipeline_;
     delete gc_;
+    synthetic_ = nullptr;
     data_ = nullptr;
     pipeline_ = nullptr;
     gc_ = nullptr;
   }
 
-  static match::AlignmentResult Run(match::MatcherConfig config,
-                                    bool indexed) {
-    config.use_indexed_join = indexed;
+  static match::AlignmentResult Run(const match::TypePairData& data,
+                                    const match::MatcherConfig& config) {
     match::AttributeAligner aligner(config);
-    auto result = aligner.Align(*data_);
+    auto result = aligner.Align(data);
     EXPECT_TRUE(result.ok());
     return std::move(result).ValueOrDie();
   }
@@ -71,16 +167,21 @@ class AlignJoinTest : public ::testing::Test {
   static synth::GeneratedCorpus* gc_;
   static match::MatchPipeline* pipeline_;
   static match::TypePairData* data_;
+  static match::TypePairData* synthetic_;
 };
 
 synth::GeneratedCorpus* AlignJoinTest::gc_ = nullptr;
 match::MatchPipeline* AlignJoinTest::pipeline_ = nullptr;
 match::TypePairData* AlignJoinTest::data_ = nullptr;
+match::TypePairData* AlignJoinTest::synthetic_ = nullptr;
 
+// Each check runs on the generated filme/film pair and on the synthetic
+// schema.
 TEST_F(AlignJoinTest, IndexedMatchesNaiveBitIdentical) {
-  match::MatcherConfig config;
-  config.keep_all_pairs = true;
-  ExpectSameAlignment(Run(config, false), Run(config, true));
+  for (const match::TypePairData* data : {data_, synthetic_}) {
+    SCOPED_TRACE(data->type_a);
+    ExpectAllPairsMatchOracle(*data, match::MatcherConfig{});
+  }
 }
 
 TEST_F(AlignJoinTest, EquivalentUnderEveryAblation) {
@@ -121,28 +222,33 @@ TEST_F(AlignJoinTest, EquivalentUnderEveryAblation) {
     c.t_revise_min_sim = 0.0;
     configs.push_back(c);
   }
-  for (size_t k = 0; k < configs.size(); ++k) {
-    SCOPED_TRACE("config " + std::to_string(k));
-    configs[k].keep_all_pairs = true;
-    ExpectSameAlignment(Run(configs[k], false), Run(configs[k], true));
+  for (const match::TypePairData* data : {data_, synthetic_}) {
+    for (size_t k = 0; k < configs.size(); ++k) {
+      SCOPED_TRACE(data->type_a + " config " + std::to_string(k));
+      ExpectAllPairsMatchOracle(*data, configs[k]);
+    }
   }
 }
 
 TEST_F(AlignJoinTest, PruningPreservesMatchesAndProcessedOrder) {
-  match::MatcherConfig naive_config;
-  naive_config.keep_all_pairs = true;
-  match::AlignmentResult naive = Run(naive_config, false);
+  for (const match::TypePairData* data : {data_, synthetic_}) {
+    SCOPED_TRACE(data->type_a);
+    match::MatcherConfig full_config;
+    full_config.keep_all_pairs = true;
+    match::AlignmentResult full = Run(*data, full_config);
 
-  match::MatcherConfig pruned_config;
-  pruned_config.keep_all_pairs = false;
-  match::AlignmentResult pruned = Run(pruned_config, true);
+    match::MatcherConfig pruned_config;
+    pruned_config.keep_all_pairs = false;
+    match::AlignmentResult pruned = Run(*data, pruned_config);
 
-  EXPECT_EQ(naive.matches.Clusters(), pruned.matches.Clusters());
-  ExpectSamePairs(naive.processed_order, pruned.processed_order,
-                  "processed_order");
-  EXPECT_TRUE(pruned.all_pairs.empty());
-  EXPECT_EQ(pruned.stats.pairs_generated + pruned.stats.pairs_pruned,
-            pruned.stats.pairs_total);
+    EXPECT_EQ(full.matches.Clusters(), pruned.matches.Clusters());
+    ExpectSamePairs(full.processed_order, pruned.processed_order,
+                    "processed_order");
+    EXPECT_TRUE(pruned.all_pairs.empty());
+    EXPECT_GT(pruned.stats.pairs_pruned, 0u);
+    EXPECT_EQ(pruned.stats.pairs_generated + pruned.stats.pairs_pruned,
+              pruned.stats.pairs_total);
+  }
 }
 
 TEST_F(AlignJoinTest, ThreadCountInvariant) {
@@ -150,13 +256,13 @@ TEST_F(AlignJoinTest, ThreadCountInvariant) {
   config.keep_all_pairs = true;
   match::MatcherConfig threaded = config;
   threaded.num_threads = 8;
-  ExpectSameAlignment(Run(config, true), Run(threaded, true));
+  ExpectSameAlignment(Run(*data_, config), Run(*data_, threaded));
 }
 
 TEST_F(AlignJoinTest, StatsAreCoherent) {
   match::MatcherConfig config;
   config.keep_all_pairs = true;
-  match::AlignmentResult result = Run(config, true);
+  match::AlignmentResult result = Run(*data_, config);
   const size_t n = data_->groups.size();
   EXPECT_EQ(result.stats.groups, n);
   EXPECT_EQ(result.stats.pairs_total, n * (n - 1) / 2);

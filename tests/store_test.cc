@@ -12,6 +12,7 @@
 #include <fstream>
 #include <string_view>
 
+#include "ingest/incremental_matcher.h"
 #include "match/pipeline.h"
 #include "match/serialize.h"
 #include "store/crc32.h"
@@ -496,6 +497,83 @@ TEST(StoreTest, MetaOptionsFingerprintRoundTrip) {
   EXPECT_TRUE(*loaded->meta.options == OptionsFingerprint::From(options));
   EXPECT_FALSE(*loaded->meta.options ==
                OptionsFingerprint::From(match::PipelineOptions{}));
+  std::remove(path.c_str());
+}
+
+// The similarity join once had an opt-in fp32-weight mode, recorded as a
+// trailing use_exact_cosine = 0 byte of the meta fingerprint. Such a
+// snapshot must still map and read, and apply-delta must refuse to extend
+// it: the current join cannot reproduce its quantized scores.
+TEST(StoreTest, QuantizedFingerprintReadsButCannotBeExtended) {
+  Snapshot snapshot = MakeSnapshot();
+  snapshot.meta.generation = 1;
+  OptionsFingerprint quantized =
+      OptionsFingerprint::From(match::PipelineOptions{});
+  quantized.use_exact_cosine = false;
+  snapshot.meta.options = quantized;
+  std::string path = TempPath("meta_quantized.snap");
+  ASSERT_TRUE(WriteSnapshotFile(snapshot, path).ok());
+
+  auto mapped = MappedSnapshot::Map(path);
+  ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+  auto decoded = (*mapped)->Decode();
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_TRUE(decoded->meta.options.has_value());
+  EXPECT_FALSE(decoded->meta.options->use_exact_cosine);
+  EXPECT_EQ(decoded->pipelines.size(), 1u);
+
+  auto loaded = ReadSnapshotFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded->meta.options.has_value());
+  EXPECT_TRUE(*loaded->meta.options == quantized);
+
+  auto matcher = ingest::IncrementalMatcher::FromSnapshot(
+      std::move(loaded).ValueOrDie(), match::PipelineOptions{});
+  ASSERT_FALSE(matcher.ok());
+  EXPECT_EQ(matcher.status().code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(matcher.status().ToString().find("use_exact_cosine=0"),
+            std::string::npos)
+      << matcher.status().ToString();
+  std::remove(path.c_str());
+}
+
+// Writers older than the use_exact_cosine field end the fingerprint one
+// byte earlier; the reader must take the missing byte as true.
+TEST(StoreTest, FingerprintWithoutTrailingByteReadsExact) {
+  Snapshot snapshot = MakeSnapshot();
+  snapshot.meta.generation = 1;
+  snapshot.meta.options = OptionsFingerprint::From(match::PipelineOptions{});
+  std::string path = TempPath("meta_short_fingerprint.snap");
+  ASSERT_TRUE(WriteSnapshotFile(snapshot, path).ok());
+  const std::string bytes = ReadFileBytes(path);
+
+  // Rebuild the image with the meta payload's last byte (the trailing
+  // use_exact_cosine = 1) dropped and its section CRC recomputed.
+  const auto sections = testing_snapshot::Sections(bytes);
+  std::string shortened = bytes.substr(0, testing_snapshot::kHeaderSize);
+  testing_snapshot::SetSectionCount(&shortened, 0);
+  bool found_meta = false;
+  for (const auto& span : sections) {
+    std::string payload = bytes.substr(
+        span.header_offset + testing_snapshot::kSectionHeaderSize,
+        span.payload_size);
+    if (span.kind == static_cast<uint32_t>(SectionKind::kMeta)) {
+      ASSERT_EQ(payload.back(), '\x01');
+      payload.pop_back();
+      found_meta = true;
+    }
+    testing_snapshot::AppendSection(&shortened, span.kind, payload);
+  }
+  ASSERT_TRUE(found_meta);
+  ASSERT_EQ(shortened.size() + 1, bytes.size());
+  WriteFileBytes(path, shortened);
+
+  auto loaded = ReadSnapshotFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_TRUE(loaded->meta.options.has_value());
+  EXPECT_TRUE(loaded->meta.options->use_exact_cosine);
+  EXPECT_TRUE(*loaded->meta.options ==
+              OptionsFingerprint::From(match::PipelineOptions{}));
   std::remove(path.c_str());
 }
 

@@ -9,10 +9,6 @@ compares the two and exits nonzero when a headline metric regressed by
 more than the threshold (default 15%), printing every delta either way.
 
 Headline metrics (direction = which way is better):
-    BENCH_align.json      indexed_ms down, speedup up, indexed_mt_ms down,
-                          mt_speedup up (the multi-threaded join runs on
-                          the shared thread pool — these two catch pool
-                          scheduling regressions)
     BENCH_serve.json      requests_per_sec up
     BENCH_ingest.json     delta_apply_ms down, speedup up, apply_align_ms
                           down (the dirty-unit realign rides the pool)
@@ -38,8 +34,6 @@ from pathlib import Path
 
 # metric -> True when larger is better.
 HEADLINES = {
-    "BENCH_align.json": {"indexed_ms": False, "speedup": True,
-                         "indexed_mt_ms": False, "mt_speedup": True},
     "BENCH_serve.json": {"requests_per_sec": True,
                          "snapshot_load_ms": False},
     "BENCH_ingest.json": {"delta_apply_ms": False, "speedup": True,

@@ -51,18 +51,6 @@ stage_tests() {
 run_stage "build (gcc/default)" stage_build "$@"
 run_stage "tests (ctest)" stage_tests
 
-# ------------------------------------------------------------- join kernels
-# The similarity join dispatches between a scalar reference kernel and the
-# unrolled vector kernel at runtime (WIKIMATCH_JOIN_KERNEL). Force each and
-# re-run the alignment equivalence suite so both code paths — not just the
-# one this machine auto-selects — prove bit-identical results.
-stage_join_kernels() {
-  WIKIMATCH_JOIN_KERNEL=scalar "$BUILD_DIR"/tests/align_join_test &&
-  WIKIMATCH_JOIN_KERNEL=vector "$BUILD_DIR"/tests/align_join_test
-}
-run_stage "join kernels forced (scalar+vector equivalence)" \
-  stage_join_kernels
-
 # ------------------------------------------------------------ pool sizes
 # Unit footprints are computed on the shared pool, one task per unit.
 # Re-run the ingest suite with the pool at one worker and at four so the
@@ -75,13 +63,10 @@ stage_ingest_pool_sizes() {
 run_stage "ingest at pool sizes 1 and 4" stage_ingest_pool_sizes
 
 # -------------------------------------------------------------------- bench
-# bench_align --smoke asserts the indexed join reproduces the naive path
-# bit-for-bit; the artifact regen makes the committed JSON track the code
-# (each bench self-checks equivalence and exits nonzero on divergence).
+# The artifact regen makes the committed JSON track the code (each bench
+# self-checks equivalence and exits nonzero on divergence).
 if [[ "${WIKIMATCH_SKIP_BENCH:-0}" != "1" ]]; then
-  run_stage "bench smoke" "$BUILD_DIR"/bench/bench_align --smoke
   stage_bench_artifacts() {
-    "$BUILD_DIR"/bench/bench_align > BENCH_align.json &&
     "$BUILD_DIR"/bench/bench_serve_throughput > BENCH_serve.json &&
     "$BUILD_DIR"/bench/bench_ingest > BENCH_ingest.json &&
     "$BUILD_DIR"/bench/bench_serve_net > BENCH_serve_net.json &&
@@ -97,7 +82,6 @@ if [[ "${WIKIMATCH_SKIP_BENCH:-0}" != "1" ]]; then
     record "bench trend (>15% regression warns)" WARN
   fi
 else
-  record "bench smoke" SKIP
   record "bench artifacts" SKIP
   record "bench trend (>15% regression warns)" SKIP
 fi
@@ -223,14 +207,7 @@ if [[ "${WIKIMATCH_SKIP_ASAN:-0}" != "1" ]]; then
       -DWIKIMATCH_BUILD_BENCHMARKS=OFF -DWIKIMATCH_BUILD_EXAMPLES=OFF &&
     cmake --build "$asan_dir" -j &&
     (cd "$asan_dir" &&
-     UBSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j) &&
-    # Both join kernels again, now instrumented: the vector kernel's
-    # 4-wide unrolled tails and the CSR offset arithmetic are exactly the
-    # code ASan/UBSan exist to vet.
-    UBSAN_OPTIONS=halt_on_error=1 WIKIMATCH_JOIN_KERNEL=scalar \
-      "$asan_dir"/tests/align_join_test &&
-    UBSAN_OPTIONS=halt_on_error=1 WIKIMATCH_JOIN_KERNEL=vector \
-      "$asan_dir"/tests/align_join_test
+     UBSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j)
   }
   run_stage "ASan+UBSan full suite" stage_asan
 else
