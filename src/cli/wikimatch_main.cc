@@ -44,13 +44,16 @@
 //     `reload` verb hot-swaps to a rebuilt snapshot without a restart.
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <map>
 #include <set>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -146,6 +149,22 @@ void Usage() {
                "(--listen, default 1024)\n");
 }
 
+// Parses all of `text` as a finite, non-negative number. A sign, blanks,
+// trailing characters and out-of-range values are all rejected, so
+// "-1" never wraps to SIZE_MAX and "2x" is not read as 2.
+template <typename T>
+bool ParseNonNegative(const char* text, T* out) {
+  const char* end = text + std::strlen(text);
+  T value{};
+  auto [stop, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || stop != end || text == end) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value) || value < 0) return false;
+  }
+  *out = value;
+  return true;
+}
+
 bool ParseArgs(int argc, char** argv, Args* args) {
   if (argc < 2) return false;
   args->command = argv[1];
@@ -153,6 +172,15 @@ bool ParseArgs(int argc, char** argv, Args* args) {
     std::string arg = argv[i];
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
+    };
+    // Reads the option's value into `out`; false (after saying why) when
+    // it is missing or malformed.
+    auto number = [&](auto* out) {
+      const char* v = next();
+      if (v == nullptr) return false;
+      if (ParseNonNegative(v, out)) return true;
+      std::fprintf(stderr, "invalid value for %s: '%s'\n", arg.c_str(), v);
+      return false;
     };
     if (arg == "--dump") {
       const char* v = next();
@@ -201,50 +229,35 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       if (v == nullptr) return false;
       args->snapshot_path = v;
     } else if (arg == "--synth") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->synth_scale = std::atof(v);
+      if (!number(&args->synth_scale)) return false;
     } else if (arg == "--threads") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->num_threads = static_cast<size_t>(std::atol(v));
+      if (!number(&args->num_threads)) return false;
     } else if (arg == "--align-threads") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->align_threads = static_cast<size_t>(std::atol(v));
+      if (!number(&args->align_threads)) return false;
     } else if (arg == "--stats") {
       args->print_stats = true;
     } else if (arg == "--cache-capacity") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->cache_capacity = static_cast<size_t>(std::atol(v));
+      if (!number(&args->cache_capacity)) return false;
     } else if (arg == "--listen") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      long port = std::atol(v);
-      if (port < 0 || port > 65535) return false;
+      size_t port = 0;
+      if (!number(&port) || port > 65535) return false;
       args->listen_port = static_cast<int>(port);
     } else if (arg == "--net-threads") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->net_threads = static_cast<size_t>(std::atol(v));
+      if (!number(&args->net_threads)) return false;
     } else if (arg == "--max-conns") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->max_conns = static_cast<size_t>(std::atol(v));
+      if (!number(&args->max_conns)) return false;
     } else if (arg == "--tsim") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->t_sim = std::atof(v);
+      if (!number(&args->t_sim)) return false;
     } else if (arg == "--tlsi") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->t_lsi = std::atof(v);
+      if (!number(&args->t_lsi)) return false;
     } else if (arg == "--translate") {
       args->translate = true;
     } else if (arg[0] != '-') {
       if (args->command == "demo") {
-        args->scale = std::atof(arg.c_str());
+        if (!ParseNonNegative(arg.c_str(), &args->scale)) {
+          std::fprintf(stderr, "invalid scale '%s'\n", arg.c_str());
+          return false;
+        }
       } else {
         args->query_text = arg;
       }

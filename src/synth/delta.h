@@ -3,7 +3,7 @@
 // emits a deterministic ingest::DeltaBatch exercising the edit kinds real
 // wikis produce between dumps — template-wide attribute renames, value
 // edits, new dual articles, and deletions — restricted to chosen entity
-// types so tests and bench_ingest can dirty a known subset of type pairs.
+// types so tests and benchmarks can dirty a known subset of type pairs.
 
 #ifndef WIKIMATCH_SYNTH_DELTA_H_
 #define WIKIMATCH_SYNTH_DELTA_H_

@@ -5,11 +5,15 @@
 #
 # dump_ingest writes en/pt/vi dumps; `wikimatch build-snapshot` must build
 # a snapshot from them (exit 0), and must refuse a directory given as a
-# dump with an IoError (exit 1, not an abort).
+# dump with an IoError (exit 1, not an abort). A malformed numeric option
+# (--threads -1) is a usage error: exit 2, and nothing written at or
+# beside --out.
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(dumps "${WORK_DIR}/dumps")
+set(bad_out "${WORK_DIR}/bad_threads")
+file(MAKE_DIRECTORY "${bad_out}")
 
 execute_process(COMMAND "${DUMP_INGEST}" "${dumps}"
                 RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
@@ -42,5 +46,17 @@ endif()
 if(NOT err MATCHES "IoError")
   message(FATAL_ERROR "build-snapshot on a directory printed no IoError: "
                       "${err}")
+endif()
+
+execute_process(COMMAND "${WIKIMATCH}" build-snapshot --synth 0.02
+                        --pair pt:en --out "${bad_out}/x.snap" --threads -1
+                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "build-snapshot --threads -1 exited ${rc}, "
+                      "expected 2: ${err}")
+endif()
+file(GLOB leftovers "${bad_out}/*")
+if(leftovers)
+  message(FATAL_ERROR "build-snapshot --threads -1 left ${leftovers}")
 endif()
 file(REMOVE_RECURSE "${WORK_DIR}")

@@ -91,17 +91,19 @@ void ExpectMatchesFullRebuild(const IncrementalMatcher& matcher,
   }
 }
 
-// Tiny generated corpus (film: pt+vi duals, actor: pt only) — two language
-// pairs, three units total, so a film-only delta must reuse the actor unit.
+// A generated corpus matched from scratch for two language pairs. The
+// default Tiny() corpus (film: pt+vi duals, actor: pt only) has three
+// units total, so a film-only delta must reuse the actor unit.
 struct SynthFixture {
   wiki::Corpus corpus;
   std::map<LanguagePair, match::PipelineResult> results;
   std::vector<LanguagePair> pairs{{"pt", "en"}, {"vi", "en"}};
 };
 
-SynthFixture MakeSynthFixture() {
+SynthFixture MakeSynthFixture(
+    const synth::GeneratorOptions& options = synth::GeneratorOptions::Tiny()) {
   SynthFixture f;
-  synth::CorpusGenerator generator(synth::GeneratorOptions::Tiny());
+  synth::CorpusGenerator generator(options);
   auto gc = generator.Generate();
   EXPECT_TRUE(gc.ok()) << gc.status().ToString();
   f.corpus = std::move(gc->corpus);
@@ -258,6 +260,31 @@ TEST(IncrementalMatcherTest, ViSideDeltaMatchesFullRebuild) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   // A vi-side rename cannot dirty pt:en actor (pt-only membership).
   EXPECT_GE(stats->units_reused, 1u);
+  ExpectMatchesFullRebuild(matcher, f.corpus, *batch, f.pairs);
+}
+
+// The same guarantee at Paper scale, where many more units exist: a batch
+// confined to the pt-only "writer" type (a rename, value edits, new duals
+// and a removal) recomputes its unit and reuses others across both pairs.
+TEST(IncrementalMatcherTest, PaperScaleWriterDeltaMatchesFullRebuild) {
+  SynthFixture f = MakeSynthFixture(synth::GeneratorOptions::Paper(0.02));
+  synth::DeltaSpec spec;
+  spec.lang_a = "pt";
+  spec.lang_b = "en";
+  spec.types_b = {"writer"};
+  spec.attribute_renames = 1;
+  spec.value_edits = 4;
+  spec.new_articles = 2;
+  spec.removals = 1;
+  auto batch = synth::MakeDeltaBatch(f.corpus, spec);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  ASSERT_FALSE(batch->empty());
+
+  IncrementalMatcher matcher(f.corpus, f.results);
+  auto stats = matcher.Apply(*batch);
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  EXPECT_GT(stats->units_reused, 0u);
+  EXPECT_GE(stats->units_recomputed, 1u);
   ExpectMatchesFullRebuild(matcher, f.corpus, *batch, f.pairs);
 }
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
@@ -18,6 +19,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -567,26 +569,65 @@ TEST(NetServerTest, ReloadUnderLiveTrafficDropsAndMixesNothing) {
 
 // --------------------------------------------------------------- concurrency
 
+// Raises the soft open-file limit to at least `want` where the hard limit
+// allows, and returns the soft limit in force afterwards.
+rlim_t RaiseFdLimit(rlim_t want) {
+  rlimit limit;
+  if (::getrlimit(RLIMIT_NOFILE, &limit) != 0) return 0;
+  if (limit.rlim_cur < want) {
+    limit.rlim_cur = std::min(want, limit.rlim_max);
+    if (::setrlimit(RLIMIT_NOFILE, &limit) != 0) return 0;
+  }
+  return limit.rlim_cur;
+}
+
+// Every connection pipelines a health probe, a c-query and an attribute
+// lookup; each must come back well formed with nothing shed. 1,000 clients
+// is close to the default max_connections (1,024) of `serve --listen`.
 TEST(NetServerTest, ServesManyConcurrentConnections) {
   auto service = LoadService();
-  net::ServerOptions options;
-  options.num_threads = 2;
-  options.max_connections = 128;
-  auto server = StartServer(service.get(), options);
-  constexpr int kClients = 50;
-  std::vector<std::unique_ptr<BlockingClient>> clients;
-  clients.reserve(kClients);
-  for (int i = 0; i < kClients; ++i) {
-    clients.push_back(std::make_unique<BlockingClient>(server->port()));
-    ASSERT_TRUE(clients.back()->connected()) << "client " << i;
+  const std::string query = std::string("query pt:en ") + kQuery;
+  const std::string attr = "attr pt:en film pt elenco";
+  const std::string query_response = service->Handle(query);
+  const std::string attr_response = service->Handle(attr);
+  ASSERT_EQ(query_response.compare(0, 3, "ok "), 0) << query_response;
+  ASSERT_EQ(attr_response.compare(0, 3, "ok "), 0) << attr_response;
+  for (size_t num_clients : {size_t{50}, size_t{1000}}) {
+    SCOPED_TRACE(std::to_string(num_clients) + " clients");
+    // Both ends of every connection are file descriptors of this process.
+    const rlim_t fds_needed = 2 * num_clients + 256;
+    ASSERT_GE(RaiseFdLimit(fds_needed), fds_needed);
+    net::ServerOptions options;
+    options.num_threads = 2;
+    options.max_connections = num_clients + 64;
+    auto server = StartServer(service.get(), options);
+    std::vector<std::unique_ptr<BlockingClient>> clients;
+    clients.reserve(num_clients);
+    for (size_t i = 0; i < num_clients; ++i) {
+      clients.push_back(std::make_unique<BlockingClient>(server->port()));
+      ASSERT_TRUE(clients.back()->connected()) << "client " << i;
+    }
+    const std::string requests = "health\n" + query + "\n" + attr + "\n";
+    for (auto& client : clients) ASSERT_TRUE(client->SendRaw(requests));
+    size_t malformed = 0;
+    for (auto& client : clients) {
+      std::string health = client->ReadResponse();
+      std::string queried = client->ReadResponse();
+      std::string attributed = client->ReadResponse();
+      if (health.compare(0, 13, "ok 1\nhealthy ") != 0 ||
+          queried != query_response || attributed != attr_response) {
+        if (malformed++ == 0) {
+          ADD_FAILURE() << "first malformed exchange:\n"
+                        << health << queried << attributed;
+        }
+      }
+    }
+    EXPECT_EQ(malformed, 0u);
+    net::ServerStats stats = server->Stats();
+    EXPECT_EQ(stats.active_connections, num_clients);
+    EXPECT_EQ(stats.shed, 0u);
+    EXPECT_EQ(stats.protocol_errors, 0u);
   }
-  for (auto& client : clients) ASSERT_TRUE(client->SendRaw("health\n"));
-  for (auto& client : clients) {
-    std::string response = client->ReadResponse();
-    EXPECT_EQ(response.compare(0, 13, "ok 1\nhealthy "), 0) << response;
-  }
-  EXPECT_EQ(server->Stats().active_connections,
-            static_cast<size_t>(kClients));
 }
 
 }  // namespace

@@ -266,38 +266,52 @@ std::set<std::pair<std::string, std::string>> DirtyKeys(
   return dirty;
 }
 
+// Each corpus gets a mixed rename/edit/add/remove batch; at Paper scale it
+// dirties a small slice of the article pairs.
 TEST(SyncEngineTest, ResyncByteIdenticalToFullRunAfterDelta) {
-  synth::GeneratedCorpus gc = MustGenerate(synth::GeneratorOptions::Tiny());
-  match::TranslationDictionary dict;
-  dict.Build(gc.corpus);
-  std::vector<SyncScope> scopes = synth::SyncOracle::ScopesFromGroundTruth(gc);
-  SyncEngine engine(&gc.corpus, &dict, gc.hub);
-  SyncReport before = engine.Run(scopes, 2);
+  struct Case {
+    const char* name;
+    synth::GeneratorOptions options;
+    size_t value_edits;
+  };
+  for (const Case& c : {Case{"Tiny", synth::GeneratorOptions::Tiny(), 12},
+                        Case{"Paper(0.02)",
+                             synth::GeneratorOptions::Paper(0.02), 8}}) {
+    SCOPED_TRACE(c.name);
+    synth::GeneratedCorpus gc = MustGenerate(c.options);
+    match::TranslationDictionary dict;
+    dict.Build(gc.corpus);
+    std::vector<SyncScope> scopes =
+        synth::SyncOracle::ScopesFromGroundTruth(gc);
+    SyncEngine engine(&gc.corpus, &dict, gc.hub);
+    SyncReport before = engine.Run(scopes, 2);
 
-  // No edits, nothing dirty: Resync must reproduce the previous report.
-  EXPECT_EQ(EncodeSyncReport(engine.Resync(scopes, before, {}, 2)),
-            EncodeSyncReport(before));
+    // No edits, nothing dirty: Resync must reproduce the previous report.
+    EXPECT_EQ(EncodeSyncReport(engine.Resync(scopes, before, {}, 2)),
+              EncodeSyncReport(before));
 
-  synth::DeltaSpec spec;
-  spec.lang_a = "pt";
-  spec.lang_b = gc.hub;
-  spec.attribute_renames = 1;
-  spec.value_edits = 12;
-  spec.new_articles = 3;
-  spec.removals = 2;
-  auto batch = synth::MakeDeltaBatch(gc.corpus, spec);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-  ingest::DeltaUndo undo;
-  auto applied =
-      ingest::ApplyDeltaInPlace(&gc.corpus, batch.ValueOrDie(), &undo);
-  ASSERT_TRUE(applied.ok()) << applied.ToString();
+    synth::DeltaSpec spec;
+    spec.lang_a = "pt";
+    spec.lang_b = gc.hub;
+    spec.attribute_renames = 1;
+    spec.value_edits = c.value_edits;
+    spec.new_articles = 3;
+    spec.removals = 2;
+    auto batch = synth::MakeDeltaBatch(gc.corpus, spec);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ingest::DeltaUndo undo;
+    auto applied =
+        ingest::ApplyDeltaInPlace(&gc.corpus, batch.ValueOrDie(), &undo);
+    ASSERT_TRUE(applied.ok()) << applied.ToString();
 
-  SyncReport full = engine.Run(scopes, 2);
-  SyncReport incremental =
-      engine.Resync(scopes, before, DirtyKeys(batch.ValueOrDie()), 2);
-  EXPECT_EQ(EncodeSyncReport(incremental), EncodeSyncReport(full));
-  // The delta actually changed something, so this equality is not vacuous.
-  EXPECT_NE(EncodeSyncReport(full), EncodeSyncReport(before));
+    SyncReport full = engine.Run(scopes, 2);
+    SyncReport incremental =
+        engine.Resync(scopes, before, DirtyKeys(batch.ValueOrDie()), 2);
+    EXPECT_EQ(EncodeSyncReport(incremental), EncodeSyncReport(full));
+    // The delta actually changed something, so this equality is not
+    // vacuous.
+    EXPECT_NE(EncodeSyncReport(full), EncodeSyncReport(before));
+  }
 }
 
 TEST(SyncOracleTest, PrecisionAndRecallAgainstConceptModel) {

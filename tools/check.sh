@@ -1,22 +1,23 @@
 #!/usr/bin/env bash
-# Full verification matrix (docs/ANALYSIS.md): build + tests, bench
-# artifact regeneration + trend gate, the in-tree analyzer
-# (wikimatch-lint), the static-analysis stages, negative compile checks
-# proving the contracts actually fire, and the sanitizer matrix
-# (ASan+UBSan full suite; TSan concurrency tests with the runtime
-# lock-order deadlock detector compiled in).
+# Full verification matrix (docs/ANALYSIS.md): build + tests, the ingest
+# suite at pool sizes 1 and 4, the in-tree analyzer (wikimatch-lint), the
+# static-analysis stages, negative compile checks proving the contracts
+# actually fire, and the sanitizer matrix (ASan+UBSan full suite; TSan
+# concurrency tests with the runtime lock-order deadlock detector
+# compiled in). Performance is measured by bench_e2e (python3
+# bench_e2e/run.py), not here; the only file this script writes into the
+# repo root is check_summary.json.
 #
 # Clang-only stages (thread-safety build, clang-tidy, the thread-safety
 # negative check) auto-detect the toolchain and SKIP with a note when it
 # is absent — the tier-1 gate must pass on a GCC-only box. A PASS/SKIP/
-# WARN/FAIL table prints at the end; any FAIL exits nonzero. The same
+# FAIL table prints at the end; any FAIL exits nonzero. The same
 # table is written machine-readably to check_summary.json (CI asserts on
 # it; override the path with WIKIMATCH_SUMMARY_JSON).
 #
 # Pass extra CMake flags as arguments, e.g.
 #   tools/check.sh -DWIKIMATCH_WERROR=ON
-# Toggles: WIKIMATCH_SKIP_TSAN=1, WIKIMATCH_SKIP_ASAN=1,
-#          WIKIMATCH_SKIP_BENCH=1 (skips artifact regen + trend).
+# Toggles: WIKIMATCH_SKIP_TSAN=1, WIKIMATCH_SKIP_ASAN=1.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,30 +62,6 @@ stage_ingest_pool_sizes() {
   WIKIMATCH_THREADS=4 "$BUILD_DIR"/tests/ingest_test
 }
 run_stage "ingest at pool sizes 1 and 4" stage_ingest_pool_sizes
-
-# -------------------------------------------------------------------- bench
-# The artifact regen makes the committed JSON track the code (each bench
-# self-checks equivalence and exits nonzero on divergence).
-if [[ "${WIKIMATCH_SKIP_BENCH:-0}" != "1" ]]; then
-  stage_bench_artifacts() {
-    "$BUILD_DIR"/bench/bench_serve_throughput > BENCH_serve.json &&
-    "$BUILD_DIR"/bench/bench_ingest > BENCH_ingest.json &&
-    "$BUILD_DIR"/bench/bench_serve_net > BENCH_serve_net.json &&
-    "$BUILD_DIR"/bench/bench_sync > BENCH_sync.json
-  }
-  run_stage "bench artifacts" stage_bench_artifacts
-  # Warning-only: benches on shared hardware are noisy; CI can run
-  # tools/bench_trend.py directly for a hard gate.
-  echo "check.sh: ==== bench trend ====" >&2
-  if tools/bench_trend.py; then
-    record "bench trend (>15% regression warns)" PASS
-  else
-    record "bench trend (>15% regression warns)" WARN
-  fi
-else
-  record "bench artifacts" SKIP
-  record "bench trend (>15% regression warns)" SKIP
-fi
 
 # ----------------------------------------------------------------- analyzer
 # The in-tree analyzer (src/analysis/, built above as tools/wikimatch-lint)
