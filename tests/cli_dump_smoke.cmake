@@ -3,11 +3,14 @@
 #   cmake -DDUMP_INGEST=<dump_ingest> -DWIKIMATCH=<wikimatch> \
 #         -DWORK_DIR=<scratch dir> -P cli_dump_smoke.cmake
 #
-# dump_ingest writes en/pt/vi dumps; `wikimatch build-snapshot` must build
-# a snapshot from them (exit 0), and must refuse a directory given as a
-# dump with an IoError (exit 1, not an abort). A malformed numeric option
-# (--threads -1) is a usage error: exit 2, and nothing written at or
-# beside --out.
+# dump_ingest writes en/pt/vi dumps, and every wikimatch verb runs on them:
+# build-snapshot, match, types, query (in-process and from saved
+# clusters), demo, sync, apply-delta and serve on a fixed stdin script.
+# Each must exit 0, and the SHA-256 of its stdout and of every file it
+# writes must equal the digest pinned below. stderr is not pinned: it
+# carries timings. A directory given as a dump must fail with an IoError
+# (exit 1, not an abort). A malformed numeric option (--threads -1) is a
+# usage error: exit 2, and nothing written at or beside --out.
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
@@ -21,18 +24,83 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "dump_ingest exited ${rc}: ${err}")
 endif()
 
+set(en_pt --dump "en=${dumps}/enwiki.xml" --dump "pt=${dumps}/ptwiki.xml")
 set(other_dumps --dump "pt=${dumps}/ptwiki.xml" --dump "vi=${dumps}/viwiki.xml"
                 --pair pt:en --pair vi:en)
+set(film_query "filme(receita > 1000000, elenco=?)")
 
-execute_process(COMMAND "${WIKIMATCH}" build-snapshot
-                        --dump "en=${dumps}/enwiki.xml" ${other_dumps}
-                        --out "${WORK_DIR}/m.snap"
-                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "build-snapshot exited ${rc}: ${err}")
-endif()
-if(NOT EXISTS "${WORK_DIR}/m.snap")
-  message(FATAL_ERROR "build-snapshot wrote no ${WORK_DIR}/m.snap")
+# Runs `wikimatch ARGN` as step `name` with stdout in <WORK_DIR>/<name>.out
+# (stdin from the file after INPUT, if given); the step must exit 0.
+function(wikimatch_ok name)
+  cmake_parse_arguments(PARSE_ARGV 1 step "" "INPUT" "")
+  set(input)
+  if(step_INPUT)
+    set(input INPUT_FILE "${step_INPUT}")
+  endif()
+  execute_process(COMMAND "${WIKIMATCH}" ${step_UNPARSED_ARGUMENTS} ${input}
+                  OUTPUT_FILE "${WORK_DIR}/${name}.out"
+                  RESULT_VARIABLE rc ERROR_VARIABLE err)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${name} exited ${rc}: ${err}")
+  endif()
+endfunction()
+
+wikimatch_ok(build_snapshot build-snapshot
+             --dump "en=${dumps}/enwiki.xml" ${other_dumps}
+             --out "${WORK_DIR}/m.snap")
+wikimatch_ok(match match ${en_pt} --pair pt:en
+             --tsv "${WORK_DIR}/matches.tsv"
+             --save-matches "${WORK_DIR}/clusters.tsv")
+wikimatch_ok(types types ${en_pt} --pair pt:en)
+wikimatch_ok(query query ${en_pt} --lang pt --pair pt:en --translate
+             "${film_query}")
+wikimatch_ok(query_matches query ${en_pt} --lang pt --pair pt:en --translate
+             --matches "${WORK_DIR}/clusters.tsv" "${film_query}")
+wikimatch_ok(demo demo 0.05)
+wikimatch_ok(sync sync --snapshot "${WORK_DIR}/m.snap"
+             --out "${WORK_DIR}/synced.snap")
+
+file(STRINGS "${dumps}/ptwiki.xml" first_title REGEX "<title>" LIMIT_COUNT 1)
+string(REGEX REPLACE ".*<title>(.*)</title>.*" "\\1" first_title
+       "${first_title}")
+wikimatch_ok(apply_delta apply-delta --snapshot "${WORK_DIR}/synced.snap"
+             --out "${WORK_DIR}/delta.snap" --remove "pt:${first_title}")
+
+file(WRITE "${WORK_DIR}/serve_script.txt"
+     "help\npairs\ntypes pt:en\nalignments pt:en film\n"
+     "attr pt:en film pt elenco\nquery pt:en ${film_query}\n"
+     "sync-status\nsync pt:en film\n")
+wikimatch_ok(serve serve --snapshot "${WORK_DIR}/synced.snap"
+             INPUT "${WORK_DIR}/serve_script.txt")
+
+# <file under WORK_DIR> <SHA-256>, for every stdout and written file above.
+set(pinned
+  build_snapshot.out  e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+  m.snap              7d98415ac85044449d37a11bb2dfa64255a40dc65061401641c7a17a63ee146d
+  match.out           5b8342216c8dd6e06ca3082bcd4bf7fd1d3627f8860af1e837d1fb0b0b9eae7a
+  matches.tsv         afa89a8937adf43bd1e021ac40ae767071441ec007b9e3ab1d18af08f10bfab9
+  clusters.tsv        f37fc2602fdc871f03d8a5cd768d2ec6ffae59348bf4d610e04fc8039b4a7925
+  types.out           8f63e1488fdf72d25c3f1a426d08768646c62da341804d71a6b5c60b913fdb1d
+  query.out           fc97bfe373b7c7072cf268d1242a58e65e213d8ed7a2e248fedb6a8b881f0ad9
+  query_matches.out   fc97bfe373b7c7072cf268d1242a58e65e213d8ed7a2e248fedb6a8b881f0ad9
+  demo.out            cf11d323bd29f7b23de01b98ac3cca96ad204fa7d0bafa114d461102b453925c
+  sync.out            e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+  synced.snap         45e45beed71abcf11a753914b09e0881772f237de82def22a0f581a6d0e17147
+  apply_delta.out     e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+  delta.snap          217a4b0d9d5979f09a94ca3d91fb15bdb8babb56afae85a8f945ffe8ab1b9636
+  serve.out           280cb235aa47c484d8f6b0f345d5d016c98dc3d67f6f62dd696e4e904c4f62d5
+)
+set(mismatches "")
+while(pinned)
+  list(POP_FRONT pinned name digest)
+  file(SHA256 "${WORK_DIR}/${name}" actual)
+  if(NOT actual STREQUAL digest)
+    string(APPEND mismatches "\n  ${name}  ${actual} (pinned ${digest})")
+  endif()
+endwhile()
+if(mismatches)
+  message(FATAL_ERROR "outputs differ from their pinned digests:"
+                      "${mismatches}")
 endif()
 
 execute_process(COMMAND "${WIKIMATCH}" build-snapshot
