@@ -1,54 +1,15 @@
-// wikimatch — command-line front end.
-//
-//   wikimatch match --dump en=enwiki.xml --dump pt=ptwiki.xml --pair pt:en
-//       [--tsim 0.6] [--tlsi 0.1] [--tsv matches.tsv]
-//     Ingests MediaWiki XML dumps, aligns infobox schemas for the language
-//     pair, prints match clusters per entity type (optionally as TSV).
-//
-//   wikimatch types --dump ... --pair pt:en
-//     Prints the cross-language entity-type mapping only.
-//
-//   wikimatch query --dump ... --lang pt [--translate pt:en] "<c-query>"
-//     Evaluates a c-query; with --translate, first derives attribute
-//     correspondences and rewrites the query into the target language.
-//
-//   wikimatch demo [scale]
-//     Self-contained demonstration on a generated corpus.
-//
-//   wikimatch build-snapshot --dump ... --pair pt:en [--pair vi:en]
-//       --out matches.snap [--threads n]
-//     Runs the full pipeline for every --pair and persists corpus,
-//     dictionary, and alignments as a binary snapshot (--synth <scale>
-//     substitutes a generated corpus for the dumps).
-//
-//   wikimatch apply-delta --snapshot matches.snap --out matches2.snap
-//       [--dump <lang>=<delta.xml>]... [--remove <lang>:<title>]...
-//     Applies an edit batch to a matched snapshot incrementally: dump pages
-//     upsert articles (existing titles update, new titles add), --remove
-//     deletes, and only the type pairs the delta can influence are
-//     re-aligned (docs/INGEST.md). The output snapshot carries a bumped
-//     generation number; a running `serve` picks it up via `reload`.
-//
-//   wikimatch sync --snapshot matches.snap [--out matches2.snap]
-//       [--threads n]
-//     Runs the cross-language value synchronization engine (docs/SYNC.md)
-//     over every aligned type in the snapshot and persists the resulting
-//     SyncReport into the snapshot (section kind 5), so `serve` answers
-//     `sync`/`sync-status` without recomputation. Without --out the
-//     snapshot is rewritten in place. apply-delta keeps an existing report
-//     current incrementally (SyncEngine::Resync over the dirty articles).
-//
-//   wikimatch serve --snapshot matches.snap [--cache-capacity n]
-//     Answers lookup/query requests over stdin/stdout from a snapshot,
-//     without re-running the matcher (protocol: docs/SERVING.md). The
-//     `reload` verb hot-swaps to a rebuilt snapshot without a restart.
+// wikimatch — command-line front end. The verbs and options are the
+// kVerbs and kOptions tables below; usage text is rendered from them.
 
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <initializer_list>
 #include <iostream>
+#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -83,25 +44,26 @@ using namespace wikimatch;
 
 namespace {
 
+using StringPairs = std::vector<std::pair<std::string, std::string>>;
+struct VerbSpec;
+
+// Every option's value after parsing. A verb reads only the fields of the
+// options its row in kVerbs accepts; the others keep these defaults.
 struct Args {
-  std::string command;
-  std::vector<std::pair<std::string, std::string>> dumps;  // lang, path
-  std::vector<std::pair<std::string, std::string>> removes;  // lang, title
-  std::string pair_a;
-  std::string pair_b;
-  std::vector<std::pair<std::string, std::string>> pairs;  // every --pair
+  StringPairs dumps;    // lang, path
+  StringPairs removes;  // lang, title
+  StringPairs pairs;    // src, tgt
+  std::string positional;
   std::string lang;
-  std::string query_text;
   std::string tsv_path;
   std::string save_path;
   std::string matches_path;
   std::string out_path;
   std::string snapshot_path;
-  double t_sim = 0.6;
-  double t_lsi = 0.1;
-  double scale = 0.1;
-  double synth_scale = 0.0;  // build-snapshot: > 0 uses a generated corpus
-  size_t num_threads = 0;    // 0 = command-specific default
+  double t_sim = match::MatcherConfig{}.t_sim;
+  double t_lsi = match::MatcherConfig{}.t_lsi;
+  double synth_scale = 0.0;  // > 0: build-snapshot generates its corpus
+  size_t num_threads = 0;    // 0 = every core
   size_t align_threads = 0;  // 0 = sequential intra-pair alignment
   size_t cache_capacity = 4096;
   int listen_port = -1;       // serve: < 0 = stdin mode, else TCP port
@@ -109,45 +71,8 @@ struct Args {
   size_t max_conns = 1024;    // serve --listen: shed accepts past this
   bool translate = false;
   bool print_stats = false;
+  const VerbSpec* verb = nullptr;
 };
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: wikimatch <match|types|query|demo|build-snapshot|"
-               "apply-delta|sync|serve> [options]\n"
-               "  --dump <lang>=<path>   add a MediaWiki XML dump (repeat; "
-               "for apply-delta, an edit batch to upsert)\n"
-               "  --remove <lang>:<title> delete an article "
-               "(apply-delta, repeat)\n"
-               "  --pair <a>:<b>         language pair, e.g. pt:en "
-               "(repeatable for build-snapshot)\n"
-               "  --lang <code>          query language\n"
-               "  --translate            translate the query across --pair\n"
-               "  --tsim / --tlsi <v>    WikiMatch thresholds\n"
-               "  --threads <n>          pool workers cooperating on "
-               "per-type alignment\n"
-               "  --align-threads <n>    pool workers cooperating inside "
-               "one type pair's similarity join (both knobs share one "
-               "pool sized to the larger of the two — nested loops "
-               "borrow workers, never spawn)\n"
-               "  --stats                print pipeline phase timings and "
-               "join counters to stderr\n"
-               "  --tsv <path>           write matches as TSV\n"
-               "  --save-matches <path>  persist match clusters (match)\n"
-               "  --matches <path>       reuse persisted clusters (query)\n"
-               "  --out <path>           snapshot output (build-snapshot)\n"
-               "  --synth <scale>        build-snapshot from a generated "
-               "corpus instead of dumps\n"
-               "  --snapshot <path>      snapshot to serve / apply a delta "
-               "to\n"
-               "  --cache-capacity <n>   LRU result-cache entries (serve)\n"
-               "  --listen <port>        serve over TCP instead of stdin "
-               "(0 picks an ephemeral port)\n"
-               "  --net-threads <n>      event-loop threads for --listen "
-               "(default: one per core)\n"
-               "  --max-conns <n>        shed connections past this cap "
-               "(--listen, default 1024)\n");
-}
 
 // Parses all of `text` as a finite, non-negative number. A sign, blanks,
 // trailing characters and out-of-range values are all rejected, so
@@ -165,108 +90,256 @@ bool ParseNonNegative(const char* text, T* out) {
   return true;
 }
 
-bool ParseArgs(int argc, char** argv, Args* args) {
-  if (argc < 2) return false;
-  args->command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
-    };
-    // Reads the option's value into `out`; false (after saying why) when
-    // it is missing or malformed.
-    auto number = [&](auto* out) {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (ParseNonNegative(v, out)) return true;
-      std::fprintf(stderr, "invalid value for %s: '%s'\n", arg.c_str(), v);
-      return false;
-    };
-    if (arg == "--dump") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      const char* eq = std::strchr(v, '=');
-      if (eq == nullptr) return false;
-      args->dumps.emplace_back(std::string(v, eq), std::string(eq + 1));
-    } else if (arg == "--pair") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      const char* colon = std::strchr(v, ':');
-      if (colon == nullptr) return false;
-      args->pairs.emplace_back(std::string(v, colon), colon + 1);
-      if (args->pair_a.empty()) {
-        args->pair_a = args->pairs.back().first;
-        args->pair_b = args->pairs.back().second;
-      }
-    } else if (arg == "--remove") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      const char* colon = std::strchr(v, ':');
-      if (colon == nullptr) return false;
-      args->removes.emplace_back(std::string(v, colon), colon + 1);
-    } else if (arg == "--lang") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->lang = v;
-    } else if (arg == "--tsv") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->tsv_path = v;
-    } else if (arg == "--save-matches") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->save_path = v;
-    } else if (arg == "--matches") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->matches_path = v;
-    } else if (arg == "--out") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->out_path = v;
-    } else if (arg == "--snapshot") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->snapshot_path = v;
-    } else if (arg == "--synth") {
-      if (!number(&args->synth_scale)) return false;
-    } else if (arg == "--threads") {
-      if (!number(&args->num_threads)) return false;
-    } else if (arg == "--align-threads") {
-      if (!number(&args->align_threads)) return false;
-    } else if (arg == "--stats") {
-      args->print_stats = true;
-    } else if (arg == "--cache-capacity") {
-      if (!number(&args->cache_capacity)) return false;
-    } else if (arg == "--listen") {
-      size_t port = 0;
-      if (!number(&port) || port > 65535) return false;
-      args->listen_port = static_cast<int>(port);
-    } else if (arg == "--net-threads") {
-      if (!number(&args->net_threads)) return false;
-    } else if (arg == "--max-conns") {
-      if (!number(&args->max_conns)) return false;
-    } else if (arg == "--tsim") {
-      if (!number(&args->t_sim)) return false;
-    } else if (arg == "--tlsi") {
-      if (!number(&args->t_lsi)) return false;
-    } else if (arg == "--translate") {
-      args->translate = true;
-    } else if (arg[0] != '-') {
-      if (args->command == "demo") {
-        if (!ParseNonNegative(arg.c_str(), &args->scale)) {
-          std::fprintf(stderr, "invalid scale '%s'\n", arg.c_str());
-          return false;
-        }
-      } else {
-        args->query_text = arg;
-      }
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", arg.c_str());
-      return false;
+// Option parsers, one per kind of value, each storing into `Field`.
+template <auto Field>
+bool Text(const char* value, Args* args) {
+  args->*Field = value;
+  return true;
+}
+template <auto Field>
+bool Number(const char* value, Args* args) {
+  return ParseNonNegative(value, &(args->*Field));
+}
+template <auto Field>
+bool Switch(const char*, Args* args) {
+  args->*Field = true;
+  return true;
+}
+// Appends the value split at its first `Sep`; false when there is none.
+template <auto Field, char Sep>
+bool Split(const char* value, Args* args) {
+  const char* at = std::strchr(value, Sep);
+  if (at == nullptr) return false;
+  (args->*Field).emplace_back(std::string(value, at), std::string(at + 1));
+  return true;
+}
+
+// Command-line options, one row each in kOptions.
+enum Opt {
+  kDump, kRemove, kSynth, kSnapshot, kPair, kLang, kTranslate, kMatches,
+  kTsim, kTlsi, kThreads, kAlignThreads, kStats, kTsv, kSaveMatches, kOut,
+  kCacheCapacity, kListen, kNetThreads, kMaxConns, kNumOpts
+};
+using OptSet = uint32_t;
+
+constexpr OptSet Set(std::initializer_list<Opt> opts) {
+  OptSet set = 0;
+  for (Opt opt : opts) set |= OptSet{1} << opt;
+  return set;
+}
+
+// One option: its flag, the name of its value ("" for a switch, which is
+// stored with a null value), its help line, and how a value is stored
+// (false when the value is malformed).
+struct OptionSpec {
+  Opt id;
+  const char* flag;
+  const char* value;
+  const char* help;
+  bool (*store)(const char* value, Args* args);
+};
+
+constexpr OptionSpec kOptions[] = {
+    {kDump, "--dump", "<lang>=<path>",
+     "add a MediaWiki XML dump (for apply-delta, an edit batch to upsert)",
+     Split<&Args::dumps, '='>},
+    {kRemove, "--remove", "<lang>:<title>", "delete an article",
+     Split<&Args::removes, ':'>},
+    {kSynth, "--synth", "<scale>",
+     "generate the corpus at this scale (> 0) instead of reading dumps",
+     [](const char* v, Args* a) {
+       return ParseNonNegative(v, &a->synth_scale) && a->synth_scale > 0.0;
+     }},
+    {kSnapshot, "--snapshot", "<path>", "snapshot to read",
+     Text<&Args::snapshot_path>},
+    {kPair, "--pair", "<src>:<tgt>", "language pair, e.g. pt:en",
+     Split<&Args::pairs, ':'>},
+    {kLang, "--lang", "<code>", "query language", Text<&Args::lang>},
+    {kTranslate, "--translate", "",
+     "translate the query into the pair's target language first",
+     Switch<&Args::translate>},
+    {kMatches, "--matches", "<path>",
+     "translate with saved match clusters instead of running the matcher",
+     Text<&Args::matches_path>},
+    {kTsim, "--tsim", "<v>", "WikiMatch similarity threshold Tsim",
+     Number<&Args::t_sim>},
+    {kTlsi, "--tlsi", "<v>", "WikiMatch LSI threshold TLSI",
+     Number<&Args::t_lsi>},
+    {kThreads, "--threads", "<n>",
+     "pool workers aligning type pairs, or syncing (default: every core)",
+     Number<&Args::num_threads>},
+    {kAlignThreads, "--align-threads", "<n>",
+     "pool workers inside one type pair's similarity join (both thread "
+     "knobs share one pool sized to the larger)",
+     Number<&Args::align_threads>},
+    {kStats, "--stats", "",
+     "print pipeline phase timings and join counters to stderr",
+     Switch<&Args::print_stats>},
+    {kTsv, "--tsv", "<path>", "write the cross-language matches as TSV",
+     Text<&Args::tsv_path>},
+    {kSaveMatches, "--save-matches", "<path>", "persist the match clusters",
+     Text<&Args::save_path>},
+    {kOut, "--out", "<path>", "snapshot to write", Text<&Args::out_path>},
+    {kCacheCapacity, "--cache-capacity", "<n>", "LRU result-cache entries",
+     Number<&Args::cache_capacity>},
+    {kListen, "--listen", "<port>",
+     "serve over TCP instead of stdin (0 picks an ephemeral port)",
+     [](const char* v, Args* a) {
+       size_t port = 0;
+       if (!ParseNonNegative(v, &port) || port > 65535) return false;
+       a->listen_port = static_cast<int>(port);
+       return true;
+     }},
+    {kNetThreads, "--net-threads", "<n>",
+     "event-loop threads for TCP serving (default: one per core)",
+     Number<&Args::net_threads>},
+    {kMaxConns, "--max-conns", "<n>", "shed TCP connections past this cap",
+     Number<&Args::max_conns>},
+};
+static_assert(std::size(kOptions) == kNumOpts);
+
+// One verb: its positional argument ("" for none, "[...]" when optional),
+// a one-line help, the options it reads, those of them that may repeat,
+// groups of options of which at least one must be given, and its body.
+struct VerbSpec {
+  const char* verb;
+  const char* positional;
+  const char* help;
+  OptSet options;
+  OptSet repeatable;
+  OptSet required[3];
+  int (*run)(const Args& args);
+};
+
+// The flags of `set`, in table order, joined by `sep`.
+std::string Flags(OptSet set, const char* sep) {
+  std::string out;
+  for (const OptionSpec& opt : kOptions) {
+    if ((set & Set({opt.id})) == 0) continue;
+    if (!out.empty()) out += sep;
+    out += opt.flag;
+  }
+  return out;
+}
+
+void PrintOption(const OptionSpec& opt, bool repeatable) {
+  std::string synopsis = std::string(opt.flag) + " " + opt.value;
+  std::fprintf(stderr, "  %-26s %s%s\n", synopsis.c_str(), opt.help,
+               repeatable ? " (repeatable)" : "");
+}
+
+void PrintVerbUsage(const VerbSpec& verb) {
+  std::fprintf(stderr, "usage: wikimatch %s%s%s%s\n  %s\n", verb.verb,
+               verb.options != 0 ? " [options]" : "",
+               verb.positional[0] != '\0' ? " " : "", verb.positional,
+               verb.help);
+  std::string needs;
+  for (OptSet group : verb.required) {
+    if (group == 0) continue;
+    if (!needs.empty()) needs += "; ";
+    needs += Flags(group, " or ");
+  }
+  if (!needs.empty()) std::fprintf(stderr, "  needs %s\n", needs.c_str());
+  for (const OptionSpec& opt : kOptions) {
+    if ((verb.options & Set({opt.id})) != 0) {
+      PrintOption(opt, (verb.repeatable & Set({opt.id})) != 0);
     }
   }
+}
+
+// Prints `problem` and `verb`'s usage; returns the usage exit code.
+int UsageError(const VerbSpec& verb, const std::string& problem) {
+  std::fprintf(stderr, "wikimatch %s: %s\n", verb.verb, problem.c_str());
+  PrintVerbUsage(verb);
+  return 2;
+}
+
+// Parses argv[2..] against `verb`, storing each option as it is read. An
+// option the verb does not read, a second copy of a single-valued option
+// or positional, a stray positional, a bad value and a missing required
+// argument are usage errors: false after saying which.
+bool ParseArgs(const VerbSpec& verb, int argc, char** argv, Args* args) {
+  auto fail = [&](const std::string& problem) {
+    UsageError(verb, problem);
+    return false;
+  };
+  OptSet given = 0;
+  bool has_positional = false;
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg[0] != '-') {
+      if (verb.positional[0] == '\0' || has_positional) {
+        return fail("unexpected argument '" + arg + "'");
+      }
+      args->positional = arg;
+      has_positional = true;
+      continue;
+    }
+    const OptionSpec* opt = nullptr;
+    for (const OptionSpec& candidate : kOptions) {
+      if (arg == candidate.flag) opt = &candidate;
+    }
+    if (opt == nullptr) return fail("unknown option " + arg);
+    const OptSet bit = Set({opt->id});
+    if ((verb.options & bit) == 0) return fail("unexpected option " + arg);
+    if ((given & bit) != 0 && (verb.repeatable & bit) == 0) {
+      return fail(arg + " given twice");
+    }
+    given |= bit;
+    const char* value = nullptr;
+    if (opt->value[0] != '\0') {
+      if (i + 1 == argc) return fail(arg + " needs a value " + opt->value);
+      value = argv[++i];
+    }
+    if (!opt->store(value, args)) {
+      return fail("invalid value for " + arg + ": '" + value + "'");
+    }
+  }
+  for (OptSet group : verb.required) {
+    if (group != 0 && (given & group) == 0) {
+      return fail("missing " + Flags(group, " or "));
+    }
+  }
+  if (verb.positional[0] != '\0' && verb.positional[0] != '[' &&
+      !has_positional) {
+    return fail(std::string("missing ") + verb.positional);
+  }
   return true;
+}
+
+// Prints `status` to stderr if it is an error; true then.
+bool Failed(const util::Status& status) {
+  if (status.ok()) return false;
+  std::fprintf(stderr, "%s\n", status.ToString().c_str());
+  return true;
+}
+
+// The worker count of every parallel step: --threads, else every core.
+size_t Threads(const Args& args) {
+  return args.num_threads > 0 ? args.num_threads : util::DefaultThreads();
+}
+
+// The pipeline configuration of every verb that aligns: the thresholds
+// and both thread knobs. Output does not depend on the thread counts.
+match::PipelineOptions MakePipelineOptions(const Args& args) {
+  match::PipelineOptions options;
+  options.matcher.t_sim = args.t_sim;
+  options.matcher.t_lsi = args.t_lsi;
+  options.num_threads = Threads(args);
+  if (args.align_threads > 0) {
+    options.matcher.num_threads = args.align_threads;
+  }
+  return options;
+}
+
+// Prints one match cluster as "en:starring ~ pt:elenco".
+void PrintCluster(const std::set<eval::AttrKey>& cluster) {
+  std::string line;
+  for (const auto& attr : cluster) {
+    if (!line.empty()) line += " ~ ";
+    line += attr.language + ":" + attr.name;
+  }
+  std::printf("%s\n", line.c_str());
 }
 
 // Loads all --dump files into a finalized corpus.
@@ -286,35 +359,19 @@ util::Result<wiki::Corpus> LoadCorpus(const Args& args) {
 }
 
 int RunMatch(const Args& args, bool types_only) {
-  if (args.dumps.empty() || args.pair_a.empty()) {
-    Usage();
-    return 2;
-  }
+  const auto& [lang_a, lang_b] = args.pairs.front();
   auto corpus = LoadCorpus(args);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(corpus.status())) return 1;
   match::MatchPipeline pipeline(&*corpus);
-  match::PipelineOptions options;
-  options.matcher.t_sim = args.t_sim;
-  options.matcher.t_lsi = args.t_lsi;
-  if (args.num_threads > 0) options.num_threads = args.num_threads;
-  if (args.align_threads > 0) {
-    options.matcher.num_threads = args.align_threads;
-  }
-  auto result = pipeline.Run(args.pair_a, args.pair_b, options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  auto result = pipeline.Run(lang_a, lang_b, MakePipelineOptions(args));
+  if (Failed(result.status())) return 1;
   if (args.print_stats) {
-    std::fprintf(stderr, "pipeline %s:%s %s\n", args.pair_a.c_str(),
-                 args.pair_b.c_str(), result->stats.ToString().c_str());
+    std::fprintf(stderr, "pipeline %s:%s %s\n", lang_a.c_str(),
+                 lang_b.c_str(), result->stats.ToString().c_str());
   }
 
-  std::printf("# entity-type mapping (%s -> %s)\n", args.pair_a.c_str(),
-              args.pair_b.c_str());
+  std::printf("# entity-type mapping (%s -> %s)\n", lang_a.c_str(),
+              lang_b.c_str());
   for (const auto& tm : result->type_matches) {
     std::printf("%s\t%s\t%zu votes\t%.2f\n", tm.type_a.c_str(),
                 tm.type_b.c_str(), tm.votes, tm.confidence);
@@ -334,16 +391,11 @@ int RunMatch(const Args& args, bool types_only) {
     std::printf("\n# %s / %s (%zu dual infoboxes)\n", tr.type_a.c_str(),
                 tr.type_b.c_str(), tr.num_duals);
     for (const auto& cluster : tr.alignment.matches.Clusters()) {
-      std::string line;
-      for (const auto& attr : cluster) {
-        if (!line.empty()) line += " ~ ";
-        line += attr.language + ":" + attr.name;
-      }
-      std::printf("%s\n", line.c_str());
+      PrintCluster(cluster);
     }
     if (tsv != nullptr) {
-      for (const auto& [a, b] : tr.alignment.matches.CrossLanguagePairs(
-               args.pair_a, args.pair_b)) {
+      for (const auto& [a, b] :
+           tr.alignment.matches.CrossLanguagePairs(lang_a, lang_b)) {
         std::fprintf(tsv, "%s\t%s\t%s\t%s\t%s\t%s\n", tr.type_a.c_str(),
                      tr.type_b.c_str(), a.language.c_str(), a.name.c_str(),
                      b.language.c_str(), b.name.c_str());
@@ -357,26 +409,20 @@ int RunMatch(const Args& args, bool types_only) {
       sets.emplace(tr.type_b, tr.alignment.matches);
     }
     auto saved = match::SaveMatchSets(sets, args.save_path);
-    if (!saved.ok()) {
-      std::fprintf(stderr, "%s\n", saved.ToString().c_str());
-      return 1;
-    }
+    if (Failed(saved)) return 1;
     std::fprintf(stderr, "saved matches to %s\n", args.save_path.c_str());
   }
   return 0;
 }
 
 int RunQuery(const Args& args) {
-  if (args.dumps.empty() || args.lang.empty() || args.query_text.empty()) {
-    Usage();
-    return 2;
+  if (args.translate && args.pairs.empty()) {
+    return UsageError(*args.verb, Flags(Set({kTranslate}), "") + " needs " +
+                                      Flags(Set({kPair}), ""));
   }
   auto corpus = LoadCorpus(args);
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-    return 1;
-  }
-  auto parsed = query::ParseCQuery(args.query_text);
+  if (Failed(corpus.status())) return 1;
+  auto parsed = query::ParseCQuery(args.positional);
   if (!parsed.ok()) {
     std::fprintf(stderr, "query: %s\n", parsed.status().ToString().c_str());
     return 1;
@@ -386,29 +432,18 @@ int RunQuery(const Args& args) {
 
   std::map<std::string, eval::MatchSet> per_type_storage;
   if (args.translate) {
-    if (args.pair_a.empty()) {
-      Usage();
-      return 2;
-    }
+    const auto& [lang_a, lang_b] = args.pairs.front();
     match::MatchPipeline pipeline(&*corpus);
     std::vector<match::TypeMatch> type_matches;
     if (!args.matches_path.empty()) {
       auto loaded = match::LoadMatchSets(args.matches_path);
-      if (!loaded.ok()) {
-        std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-        return 1;
-      }
+      if (Failed(loaded.status())) return 1;
       per_type_storage = std::move(loaded).ValueOrDie();
       match::TypeMatcher type_matcher;
-      type_matches = type_matcher.Match(*corpus, args.pair_a, args.pair_b);
+      type_matches = type_matcher.Match(*corpus, lang_a, lang_b);
     } else {
-      match::PipelineOptions options;
-      if (args.num_threads > 0) options.num_threads = args.num_threads;
-      auto result = pipeline.Run(args.pair_a, args.pair_b, options);
-      if (!result.ok()) {
-        std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-        return 1;
-      }
+      auto result = pipeline.Run(lang_a, lang_b, MakePipelineOptions(args));
+      if (Failed(result.status())) return 1;
       type_matches = result->type_matches;
       for (const auto& tr : result->per_type) {
         per_type_storage.emplace(tr.type_b, tr.alignment.matches);
@@ -418,8 +453,7 @@ int RunQuery(const Args& args) {
     for (const auto& [type_b, matches] : per_type_storage) {
       per_type.emplace(type_b, &matches);
     }
-    query::QueryTranslator translator(args.pair_a, args.pair_b,
-                                      type_matches, per_type,
+    query::QueryTranslator translator(lang_a, lang_b, type_matches, per_type,
                                       &pipeline.dictionary());
     query::TranslationReport report;
     auto translated = translator.Translate(q, &report);
@@ -429,7 +463,7 @@ int RunQuery(const Args& args) {
       return 1;
     }
     q = std::move(translated).ValueOrDie();
-    eval_lang = args.pair_b;
+    eval_lang = lang_b;
     std::printf("# translated query: %s (%zu translated, %zu relaxed)\n",
                 q.ToString().c_str(), report.constraints_translated,
                 report.constraints_relaxed);
@@ -437,10 +471,7 @@ int RunQuery(const Args& args) {
 
   query::QueryEvaluator evaluator(&*corpus, eval_lang);
   auto answers = evaluator.Run(q);
-  if (!answers.ok()) {
-    std::fprintf(stderr, "%s\n", answers.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(answers.status())) return 1;
   for (size_t i = 0; i < answers->size(); ++i) {
     const auto& answer = (*answers)[i];
     std::printf("%2zu. %s", i + 1,
@@ -454,11 +485,6 @@ int RunQuery(const Args& args) {
 }
 
 int RunBuildSnapshot(const Args& args) {
-  if (args.out_path.empty() || args.pairs.empty() ||
-      (args.dumps.empty() && args.synth_scale <= 0.0)) {
-    Usage();
-    return 2;
-  }
   wiki::Corpus corpus;
   if (args.synth_scale > 0.0) {
     std::fprintf(stderr, "generating synthetic corpus (scale %.2f)...\n",
@@ -466,43 +492,21 @@ int RunBuildSnapshot(const Args& args) {
     synth::CorpusGenerator generator(
         synth::GeneratorOptions::Paper(args.synth_scale));
     auto gc = generator.Generate();
-    if (!gc.ok()) {
-      std::fprintf(stderr, "%s\n", gc.status().ToString().c_str());
-      return 1;
-    }
+    if (Failed(gc.status())) return 1;
     corpus = std::move(gc->corpus);
   } else {
     auto loaded = LoadCorpus(args);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
+    if (Failed(loaded.status())) return 1;
     corpus = std::move(loaded).ValueOrDie();
   }
 
   match::MatchPipeline pipeline(&corpus);
-  match::PipelineOptions options;
-  options.matcher.t_sim = args.t_sim;
-  options.matcher.t_lsi = args.t_lsi;
-  // Offline builds default to every core; alignment output order stays
-  // deterministic regardless (see PipelineOptions::num_threads).
-  options.num_threads =
-      args.num_threads > 0 ? args.num_threads : util::DefaultThreads();
-  if (args.align_threads > 0) {
-    options.matcher.num_threads = args.align_threads;
-  }
-
+  const match::PipelineOptions options = MakePipelineOptions(args);
   auto writer = store::SnapshotWriter::Open(args.out_path);
-  if (!writer.ok()) {
-    std::fprintf(stderr, "%s\n", writer.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(writer.status())) return 1;
   auto status = writer->WriteCorpus(corpus);
   if (status.ok()) status = writer->WriteDictionary(pipeline.dictionary());
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (Failed(status)) return 1;
   for (const auto& [lang_a, lang_b] : args.pairs) {
     auto result = pipeline.Run(lang_a, lang_b, options);
     if (!result.ok()) {
@@ -518,10 +522,7 @@ int RunBuildSnapshot(const Args& args) {
                    lang_b.c_str(), result->stats.ToString().c_str());
     }
     status = writer->WritePipeline(lang_a, lang_b, *result);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
+    if (Failed(status)) return 1;
   }
   // Stamp the options fingerprint so a later apply-delta can refuse to
   // reuse unit results computed under different thresholds.
@@ -529,10 +530,7 @@ int RunBuildSnapshot(const Args& args) {
   meta.options = store::OptionsFingerprint::From(options);
   status = writer->WriteMeta(meta);
   if (status.ok()) status = writer->Finish();
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (Failed(status)) return 1;
   std::fprintf(stderr, "wrote snapshot %s (%zu articles, %zu dictionary "
                "entries, %zu pairs)\n",
                args.out_path.c_str(), static_cast<size_t>(corpus.size()),
@@ -595,15 +593,8 @@ std::string HubLanguage(
 }
 
 int RunSync(const Args& args) {
-  if (args.snapshot_path.empty()) {
-    Usage();
-    return 2;
-  }
   auto snapshot = store::ReadSnapshotFile(args.snapshot_path);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(snapshot.status())) return 1;
   std::string hub = HubLanguage(snapshot->pipelines);
   if (hub.empty()) {
     std::fprintf(stderr, "sync needs at least one pipeline pair and a "
@@ -612,18 +603,13 @@ int RunSync(const Args& args) {
   }
   sync::SyncEngine engine(&snapshot->corpus, &snapshot->dictionary, hub);
   auto scopes = sync::SyncEngine::ScopesFromPipelines(snapshot->pipelines);
-  size_t threads =
-      args.num_threads > 0 ? args.num_threads : util::DefaultThreads();
-  sync::SyncReport report = engine.Run(scopes, threads);
+  sync::SyncReport report = engine.Run(scopes, Threads(args));
   report.generation = snapshot->meta.generation;
   snapshot->sync_report = std::move(report);
   const std::string& out =
       args.out_path.empty() ? args.snapshot_path : args.out_path;
   auto status = store::WriteSnapshotFile(*snapshot, out);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (Failed(status)) return 1;
   const sync::SyncReport& written = snapshot->sync_report;
   std::fprintf(stderr, "wrote snapshot %s (generation %llu, %zu cells, "
                "%zu updates)\n",
@@ -645,46 +631,22 @@ int RunSync(const Args& args) {
 }
 
 int RunApplyDelta(const Args& args) {
-  if (args.snapshot_path.empty() || args.out_path.empty() ||
-      (args.dumps.empty() && args.removes.empty())) {
-    Usage();
-    return 2;
-  }
   auto snapshot = store::ReadSnapshotFile(args.snapshot_path);
-  if (!snapshot.ok()) {
-    std::fprintf(stderr, "%s\n", snapshot.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(snapshot.status())) return 1;
   // The matcher options must reproduce the run that built the snapshot for
   // clean units to be reusable; pass the same flags as build-snapshot.
-  match::PipelineOptions options;
-  options.matcher.t_sim = args.t_sim;
-  options.matcher.t_lsi = args.t_lsi;
-  options.num_threads =
-      args.num_threads > 0 ? args.num_threads : util::DefaultThreads();
-  if (args.align_threads > 0) {
-    options.matcher.num_threads = args.align_threads;
-  }
+  const match::PipelineOptions options = MakePipelineOptions(args);
   // The matcher does not carry the sync report through ToSnapshot(); keep
   // the previous report so it can be refreshed incrementally below.
   sync::SyncReport previous_sync = std::move(snapshot->sync_report);
   auto matcher_or = ingest::IncrementalMatcher::FromSnapshot(
       std::move(snapshot).ValueOrDie(), options);
-  if (!matcher_or.ok()) {
-    std::fprintf(stderr, "%s\n", matcher_or.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(matcher_or.status())) return 1;
   ingest::IncrementalMatcher matcher = std::move(matcher_or).ValueOrDie();
   auto batch = BuildDeltaBatch(args, matcher.corpus());
-  if (!batch.ok()) {
-    std::fprintf(stderr, "%s\n", batch.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(batch.status())) return 1;
   auto stats = matcher.Apply(*batch);
-  if (!stats.ok()) {
-    std::fprintf(stderr, "%s\n", stats.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(stats.status())) return 1;
   std::fprintf(stderr, "%s\n", stats->ToString().c_str());
   store::Snapshot out = matcher.ToSnapshot();
   if (!previous_sync.empty()) {
@@ -716,10 +678,7 @@ int RunApplyDelta(const Args& args) {
                  dirty.size());
   }
   auto status = store::WriteSnapshotFile(out, args.out_path);
-  if (!status.ok()) {
-    std::fprintf(stderr, "%s\n", status.ToString().c_str());
-    return 1;
-  }
+  if (Failed(status)) return 1;
   std::fprintf(stderr, "wrote snapshot %s (generation %llu)\n",
                args.out_path.c_str(),
                static_cast<unsigned long long>(matcher.generation()));
@@ -727,17 +686,10 @@ int RunApplyDelta(const Args& args) {
 }
 
 int RunServe(const Args& args) {
-  if (args.snapshot_path.empty()) {
-    Usage();
-    return 2;
-  }
   serve::ServiceOptions options;
   options.cache_capacity = args.cache_capacity;
   auto service = serve::MatchService::Load(args.snapshot_path, options);
-  if (!service.ok()) {
-    std::fprintf(stderr, "%s\n", service.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(service.status())) return 1;
   // Load() maps the snapshot and defers the decode to the first data
   // request, so the banner reports only what the meta section holds.
   std::fprintf(stderr, "serving %s (mmapped, decode deferred to first "
@@ -751,10 +703,7 @@ int RunServe(const Args& args) {
   // off, its blocking read returns early instead of eating the signal).
   net::ShutdownFlag shutdown;
   auto installed = net::InstallShutdownHandlers(&shutdown);
-  if (!installed.ok()) {
-    std::fprintf(stderr, "%s\n", installed.ToString().c_str());
-    return 1;
-  }
+  if (Failed(installed)) return 1;
   if (args.listen_port >= 0) {
     net::ServerOptions options;
     options.bind_address = "0.0.0.0";
@@ -762,10 +711,7 @@ int RunServe(const Args& args) {
     options.num_threads = args.net_threads;
     options.max_connections = args.max_conns;
     auto server = net::Server::Create(service->get(), options, &shutdown);
-    if (!server.ok()) {
-      std::fprintf(stderr, "%s\n", server.status().ToString().c_str());
-      return 1;
-    }
+    if (Failed(server.status())) return 1;
     std::fprintf(stderr, "listening on %s:%u (%zu event-loop threads, "
                  "max %zu connections)\n", options.bind_address.c_str(),
                  static_cast<unsigned>((*server)->port()),
@@ -773,10 +719,7 @@ int RunServe(const Args& args) {
                                           : options.num_threads,
                  options.max_connections);
     auto run = (*server)->Run();
-    if (!run.ok()) {
-      std::fprintf(stderr, "%s\n", run.ToString().c_str());
-      return 1;
-    }
+    if (Failed(run)) return 1;
     net::ServerStats stats = (*server)->Stats();
     std::fprintf(stderr, "drained: served %llu requests over %llu "
                  "connections (%llu shed)\n",
@@ -792,44 +735,92 @@ int RunServe(const Args& args) {
 }
 
 int RunDemo(const Args& args) {
-  std::printf("Generating demo corpus (scale %.2f)...\n", args.scale);
-  synth::CorpusGenerator generator(
-      synth::GeneratorOptions::Paper(args.scale));
+  double scale = 0.1;
+  if (!args.positional.empty() &&
+      !ParseNonNegative(args.positional.c_str(), &scale)) {
+    return UsageError(*args.verb, "invalid scale '" + args.positional + "'");
+  }
+  std::printf("Generating demo corpus (scale %.2f)...\n", scale);
+  synth::CorpusGenerator generator(synth::GeneratorOptions::Paper(scale));
   auto gc = generator.Generate();
-  if (!gc.ok()) {
-    std::fprintf(stderr, "%s\n", gc.status().ToString().c_str());
-    return 1;
-  }
+  if (Failed(gc.status())) return 1;
   match::MatchPipeline pipeline(&gc->corpus);
-  auto result = pipeline.Run("pt", "en");
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  auto result = pipeline.Run("pt", "en", MakePipelineOptions(args));
+  if (Failed(result.status())) return 1;
   for (const auto& tr : result->per_type) {
     std::printf("\n# %s / %s\n", tr.type_a.c_str(), tr.type_b.c_str());
     size_t shown = 0;
     for (const auto& cluster : tr.alignment.matches.Clusters()) {
       if (shown++ >= 6) break;
-      std::string line;
-      for (const auto& attr : cluster) {
-        if (!line.empty()) line += " ~ ";
-        line += attr.language + ":" + attr.name;
-      }
-      std::printf("%s\n", line.c_str());
+      PrintCluster(cluster);
     }
   }
   return 0;
 }
 
+constexpr OptSet kAlignOpts = Set({kTsim, kTlsi, kThreads, kAlignThreads});
+
+constexpr VerbSpec kVerbs[] = {
+    {"match", "", "align one pair's infobox schemas, print match clusters",
+     Set({kDump, kPair, kStats, kTsv, kSaveMatches}) | kAlignOpts,
+     Set({kDump}), {Set({kDump}), Set({kPair})},
+     [](const Args& args) { return RunMatch(args, false); }},
+    {"types", "", "print one pair's cross-language entity-type mapping",
+     Set({kDump, kPair, kStats}) | kAlignOpts, Set({kDump}),
+     {Set({kDump}), Set({kPair})},
+     [](const Args& args) { return RunMatch(args, true); }},
+    {"query", "<c-query>", "evaluate a c-query, optionally translated",
+     Set({kDump, kPair, kLang, kTranslate, kMatches}) | kAlignOpts,
+     Set({kDump}), {Set({kDump}), Set({kLang})}, RunQuery},
+    {"demo", "[scale]", "align a generated corpus (scale 0.1 by default)",
+     0, 0, {}, RunDemo},
+    {"build-snapshot", "", "align every pair, write a binary snapshot",
+     Set({kDump, kSynth, kPair, kOut, kStats}) | kAlignOpts,
+     Set({kDump, kPair}), {Set({kOut}), Set({kPair}), Set({kDump, kSynth})},
+     RunBuildSnapshot},
+    {"apply-delta", "", "apply an edit batch to a snapshot (docs/INGEST.md)",
+     Set({kDump, kRemove, kSnapshot, kOut}) | kAlignOpts,
+     Set({kDump, kRemove}),
+     {Set({kSnapshot}), Set({kOut}), Set({kDump, kRemove})}, RunApplyDelta},
+    {"sync", "", "store the value-sync report in a snapshot (docs/SYNC.md)",
+     Set({kSnapshot, kOut, kThreads}), 0, {Set({kSnapshot})}, RunSync},
+    {"serve", "", "answer the line protocol (docs/SERVING.md)",
+     Set({kSnapshot, kCacheCapacity, kListen, kNetThreads, kMaxConns}), 0,
+     {Set({kSnapshot})}, RunServe},
+};
+
+void PrintUsage() {
+  std::fprintf(stderr, "usage: wikimatch <verb> [options]\n");
+  for (const VerbSpec& verb : kVerbs) {
+    std::string synopsis = std::string(verb.verb) + " " + verb.positional;
+    std::fprintf(stderr, "  %-26s %s\n", synopsis.c_str(), verb.help);
+    if (verb.options != 0) {
+      std::fprintf(stderr, "  %-26s %s\n", "",
+                   Flags(verb.options, " ").c_str());
+    }
+  }
+  std::fprintf(stderr, "options (a verb rejects any it does not list):\n");
+  for (const OptionSpec& opt : kOptions) PrintOption(opt, false);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  if (!ParseArgs(argc, argv, &args)) {
-    Usage();
+  const VerbSpec* verb = nullptr;
+  for (const VerbSpec& candidate : kVerbs) {
+    if (argc >= 2 && std::strcmp(argv[1], candidate.verb) == 0) {
+      verb = &candidate;
+    }
+  }
+  if (verb == nullptr) {
+    if (argc >= 2) std::fprintf(stderr, "wikimatch: unknown verb '%s'\n",
+                                argv[1]);
+    PrintUsage();
     return 2;
   }
+  Args args;
+  args.verb = verb;
+  if (!ParseArgs(*verb, argc, argv, &args)) return 2;
   util::SetLogLevel(util::LogLevel::kWarning);
   // The thread knobs name shares of ONE pool, not independent budgets:
   // size the shared pool to the larger knob before any parallel work
@@ -841,14 +832,5 @@ int main(int argc, char** argv) {
       hint > 0) {
     util::ThreadPool::SetDefaultPoolSize(hint);
   }
-  if (args.command == "match") return RunMatch(args, false);
-  if (args.command == "types") return RunMatch(args, true);
-  if (args.command == "query") return RunQuery(args);
-  if (args.command == "demo") return RunDemo(args);
-  if (args.command == "build-snapshot") return RunBuildSnapshot(args);
-  if (args.command == "apply-delta") return RunApplyDelta(args);
-  if (args.command == "sync") return RunSync(args);
-  if (args.command == "serve") return RunServe(args);
-  Usage();
-  return 2;
+  return verb->run(args);
 }

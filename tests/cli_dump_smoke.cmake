@@ -8,14 +8,18 @@
 # clusters), demo, sync, apply-delta and serve on a fixed stdin script.
 # Each must exit 0, and the SHA-256 of its stdout and of every file it
 # writes must equal the digest pinned below. stderr is not pinned: it
-# carries timings. A directory given as a dump must fail with an IoError
-# (exit 1, not an abort). A malformed numeric option (--threads -1) is a
-# usage error: exit 2, and nothing written at or beside --out.
+# carries timings. match's outputs must not change with the thread
+# counts, and query --translate must honour --tlsi. A directory given as a
+# dump must fail with an IoError (exit 1, not an abort). An option the
+# verb does not read, a stray or second positional, a repeated
+# single-valued option and a malformed value are usage errors: exit 2, a
+# message naming the verb and the offending argument, and nothing written
+# at or beside --out.
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 file(MAKE_DIRECTORY "${WORK_DIR}")
 set(dumps "${WORK_DIR}/dumps")
-set(bad_out "${WORK_DIR}/bad_threads")
+set(bad_out "${WORK_DIR}/usage_errors")
 file(MAKE_DIRECTORY "${bad_out}")
 
 execute_process(COMMAND "${DUMP_INGEST}" "${dumps}"
@@ -28,6 +32,7 @@ set(en_pt --dump "en=${dumps}/enwiki.xml" --dump "pt=${dumps}/ptwiki.xml")
 set(other_dumps --dump "pt=${dumps}/ptwiki.xml" --dump "vi=${dumps}/viwiki.xml"
                 --pair pt:en --pair vi:en)
 set(film_query "filme(receita > 1000000, elenco=?)")
+set(drama_query "filme(direção=?, gênero=\"drama\")")
 
 # Runs `wikimatch ARGN` as step `name` with stdout in <WORK_DIR>/<name>.out
 # (stdin from the file after INPUT, if given); the step must exit 0.
@@ -51,6 +56,11 @@ wikimatch_ok(build_snapshot build-snapshot
 wikimatch_ok(match match ${en_pt} --pair pt:en
              --tsv "${WORK_DIR}/matches.tsv"
              --save-matches "${WORK_DIR}/clusters.tsv")
+foreach(threads 1 4)
+  wikimatch_ok(match_threads${threads} match ${en_pt} --pair pt:en
+               --threads ${threads} --align-threads ${threads}
+               --tsv "${WORK_DIR}/matches_threads${threads}.tsv")
+endforeach()
 wikimatch_ok(types types ${en_pt} --pair pt:en)
 wikimatch_ok(query query ${en_pt} --lang pt --pair pt:en --translate
              "${film_query}")
@@ -79,6 +89,10 @@ set(pinned
   m.snap              7d98415ac85044449d37a11bb2dfa64255a40dc65061401641c7a17a63ee146d
   match.out           5b8342216c8dd6e06ca3082bcd4bf7fd1d3627f8860af1e837d1fb0b0b9eae7a
   matches.tsv         afa89a8937adf43bd1e021ac40ae767071441ec007b9e3ab1d18af08f10bfab9
+  match_threads1.out  5b8342216c8dd6e06ca3082bcd4bf7fd1d3627f8860af1e837d1fb0b0b9eae7a
+  matches_threads1.tsv afa89a8937adf43bd1e021ac40ae767071441ec007b9e3ab1d18af08f10bfab9
+  match_threads4.out  5b8342216c8dd6e06ca3082bcd4bf7fd1d3627f8860af1e837d1fb0b0b9eae7a
+  matches_threads4.tsv afa89a8937adf43bd1e021ac40ae767071441ec007b9e3ab1d18af08f10bfab9
   clusters.tsv        f37fc2602fdc871f03d8a5cd768d2ec6ffae59348bf4d610e04fc8039b4a7925
   types.out           8f63e1488fdf72d25c3f1a426d08768646c62da341804d71a6b5c60b913fdb1d
   query.out           fc97bfe373b7c7072cf268d1242a58e65e213d8ed7a2e248fedb6a8b881f0ad9
@@ -116,15 +130,86 @@ if(NOT err MATCHES "IoError")
                       "${err}")
 endif()
 
-execute_process(COMMAND "${WIKIMATCH}" build-snapshot --synth 0.02
-                        --pair pt:en --out "${bad_out}/x.snap" --threads -1
-                RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "build-snapshot --threads -1 exited ${rc}, "
-                      "expected 2: ${err}")
+# query --translate runs the matcher under --tlsi: at an LSI threshold no
+# pair reaches, its translation equals the one from clusters that match
+# saved under the same threshold.
+wikimatch_ok(match_tlsi5 match ${en_pt} --pair pt:en --tlsi 5
+             --save-matches "${WORK_DIR}/clusters_tlsi5.tsv")
+wikimatch_ok(query_saved_tlsi5 query ${en_pt} --lang pt --pair pt:en
+             --translate --matches "${WORK_DIR}/clusters_tlsi5.tsv"
+             "${drama_query}")
+wikimatch_ok(query_tlsi5 query ${en_pt} --lang pt --pair pt:en --translate
+             --tlsi 5 "${drama_query}")
+file(STRINGS "${WORK_DIR}/query_saved_tlsi5.out" saved LIMIT_COUNT 1)
+file(STRINGS "${WORK_DIR}/query_tlsi5.out" in_process LIMIT_COUNT 1)
+if(NOT saved MATCHES "^# translated query: " OR
+   NOT saved STREQUAL in_process)
+  message(FATAL_ERROR "query --translate --tlsi 5 printed '${in_process}', "
+                      "from clusters saved under --tlsi 5: '${saved}'")
 endif()
-file(GLOB leftovers "${bad_out}/*")
-if(leftovers)
-  message(FATAL_ERROR "build-snapshot --threads -1 left ${leftovers}")
-endif()
+
+# Every file in ${bad_out} with its SHA-256, one per line.
+function(bad_out_listing out_var)
+  file(GLOB files "${bad_out}/*")
+  set(listing "")
+  foreach(f IN LISTS files)
+    file(SHA256 "${f}" digest)
+    string(APPEND listing "${f} ${digest}\n")
+  endforeach()
+  set(${out_var} "${listing}" PARENT_SCOPE)
+endfunction()
+
+# Runs `wikimatch` with the ARGS; it must exit 2 with every string after
+# NAMES on stderr, and leave ${bad_out} as it was.
+function(expect_usage_error)
+  cmake_parse_arguments(PARSE_ARGV 0 case "" "" "NAMES;ARGS")
+  list(JOIN case_ARGS " " command)
+  bad_out_listing(before)
+  execute_process(COMMAND "${WIKIMATCH}" ${case_ARGS}
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "wikimatch ${command} exited ${rc}, expected 2: "
+                        "${err}")
+  endif()
+  foreach(name IN LISTS case_NAMES)
+    string(FIND "${err}" "${name}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "wikimatch ${command} did not name '${name}': "
+                          "${err}")
+    endif()
+  endforeach()
+  bad_out_listing(after)
+  if(NOT before STREQUAL after)
+    message(FATAL_ERROR "wikimatch ${command} changed ${bad_out}:\n"
+                        "${before}->\n${after}")
+  endif()
+endfunction()
+
+file(COPY "${WORK_DIR}/synced.snap" DESTINATION "${bad_out}")
+set(synth_build build-snapshot --synth 0.02 --pair pt:en
+                --out "${bad_out}/x.snap")
+expect_usage_error(NAMES build-snapshot --threads -1
+                   ARGS ${synth_build} --threads -1)
+expect_usage_error(NAMES build-snapshot --translate
+                   ARGS ${synth_build} --translate)
+expect_usage_error(NAMES build-snapshot --listen
+                   ARGS ${synth_build} --listen 5)
+expect_usage_error(NAMES build-snapshot stray ARGS ${synth_build} stray)
+expect_usage_error(NAMES sync --tsim
+                   ARGS sync --snapshot "${bad_out}/synced.snap" --tsim 0.9)
+expect_usage_error(NAMES sync --remove
+                   ARGS sync --snapshot "${bad_out}/synced.snap"
+                        --out "${bad_out}/y.snap" --remove pt:x)
+expect_usage_error(NAMES serve --listen 70000
+                   ARGS serve --snapshot "${bad_out}/synced.snap"
+                        --listen 70000)
+expect_usage_error(NAMES build-snapshot --dump "${dumps}/enwiki.xml"
+                   ARGS ${synth_build} --dump "${dumps}/enwiki.xml")
+expect_usage_error(NAMES match --pair
+                   ARGS match ${en_pt} --pair pt:en --pair vi:en
+                        --tsv "${bad_out}/t.tsv")
+expect_usage_error(NAMES demo 0.02 ARGS demo 0.01 0.02)
+expect_usage_error(NAMES query "${drama_query}"
+                   ARGS query ${en_pt} --lang pt "${film_query}"
+                        "${drama_query}")
 file(REMOVE_RECURSE "${WORK_DIR}")

@@ -178,10 +178,12 @@ fi
 
 # --------------------------------------------------------------- ASan+UBSan
 if [[ "${WIKIMATCH_SKIP_ASAN:-0}" != "1" ]]; then
+  # Examples stay on: dump_ingest feeds cli_dump_ingest_smoke, which
+  # drives the CLI's argv parsing and every verb under the sanitizers.
   stage_asan() {
     local asan_dir="${ASAN_DIR:-build-asan}"
     cmake -B "$asan_dir" -S . -DWIKIMATCH_SANITIZE=address,undefined \
-      -DWIKIMATCH_BUILD_BENCHMARKS=OFF -DWIKIMATCH_BUILD_EXAMPLES=OFF &&
+      -DWIKIMATCH_BUILD_BENCHMARKS=OFF -DWIKIMATCH_BUILD_EXAMPLES=ON &&
     cmake --build "$asan_dir" -j &&
     (cd "$asan_dir" &&
      UBSAN_OPTIONS=halt_on_error=1 ctest --output-on-failure -j)
