@@ -2,6 +2,7 @@
 // kVerbs and kOptions tables below; usage text is rendered from them.
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
@@ -200,7 +201,9 @@ static_assert(std::size(kOptions) == kNumOpts);
 
 // One verb: its positional argument ("" for none, "[...]" when optional),
 // a one-line help, the options it reads, those of them that may repeat,
-// groups of options of which at least one must be given, and its body.
+// groups of options of which at least one must be given, options it reads
+// only beside a prerequisite option, options of which at most one may be
+// given, and its body.
 struct VerbSpec {
   const char* verb;
   const char* positional;
@@ -208,6 +211,9 @@ struct VerbSpec {
   OptSet options;
   OptSet repeatable;
   OptSet required[3];
+  OptSet dependent;
+  OptSet prerequisite;
+  OptSet exclusive;
   int (*run)(const Args& args);
 };
 
@@ -240,6 +246,15 @@ void PrintVerbUsage(const VerbSpec& verb) {
     needs += Flags(group, " or ");
   }
   if (!needs.empty()) std::fprintf(stderr, "  needs %s\n", needs.c_str());
+  if (verb.dependent != 0) {
+    std::fprintf(stderr, "  %s only with %s\n",
+                 Flags(verb.dependent, ", ").c_str(),
+                 Flags(verb.prerequisite, " or ").c_str());
+  }
+  if (verb.exclusive != 0) {
+    std::fprintf(stderr, "  at most one of %s\n",
+                 Flags(verb.exclusive, ", ").c_str());
+  }
   for (const OptionSpec& opt : kOptions) {
     if ((verb.options & Set({opt.id})) != 0) {
       PrintOption(opt, (verb.repeatable & Set({opt.id})) != 0);
@@ -256,8 +271,9 @@ int UsageError(const VerbSpec& verb, const std::string& problem) {
 
 // Parses argv[2..] against `verb`, storing each option as it is read. An
 // option the verb does not read, a second copy of a single-valued option
-// or positional, a stray positional, a bad value and a missing required
-// argument are usage errors: false after saying which.
+// or positional, a stray positional, a bad value, a missing required
+// argument, an option without its prerequisite and two exclusive options
+// are usage errors: false after saying which.
 bool ParseArgs(const VerbSpec& verb, int argc, char** argv, Args* args) {
   auto fail = [&](const std::string& problem) {
     UsageError(verb, problem);
@@ -299,6 +315,14 @@ bool ParseArgs(const VerbSpec& verb, int argc, char** argv, Args* args) {
     if (group != 0 && (given & group) == 0) {
       return fail("missing " + Flags(group, " or "));
     }
+  }
+  if ((given & verb.dependent) != 0 && (given & verb.prerequisite) == 0) {
+    return fail(Flags(given & verb.dependent, ", ") + " given without " +
+                Flags(verb.prerequisite, " or "));
+  }
+  if (std::popcount(given & verb.exclusive) > 1) {
+    return fail(Flags(given & verb.exclusive, " and ") +
+                " exclude each other");
   }
   if (verb.positional[0] != '\0' && verb.positional[0] != '[' &&
       !has_positional) {
@@ -763,30 +787,34 @@ constexpr OptSet kAlignOpts = Set({kTsim, kTlsi, kThreads, kAlignThreads});
 constexpr VerbSpec kVerbs[] = {
     {"match", "", "align one pair's infobox schemas, print match clusters",
      Set({kDump, kPair, kStats, kTsv, kSaveMatches}) | kAlignOpts,
-     Set({kDump}), {Set({kDump}), Set({kPair})},
+     Set({kDump}), {Set({kDump}), Set({kPair})}, 0, 0, 0,
      [](const Args& args) { return RunMatch(args, false); }},
     {"types", "", "print one pair's cross-language entity-type mapping",
      Set({kDump, kPair, kStats}) | kAlignOpts, Set({kDump}),
-     {Set({kDump}), Set({kPair})},
+     {Set({kDump}), Set({kPair})}, 0, 0, 0,
      [](const Args& args) { return RunMatch(args, true); }},
     {"query", "<c-query>", "evaluate a c-query, optionally translated",
      Set({kDump, kPair, kLang, kTranslate, kMatches}) | kAlignOpts,
-     Set({kDump}), {Set({kDump}), Set({kLang})}, RunQuery},
+     Set({kDump}), {Set({kDump}), Set({kLang})},
+     Set({kPair, kMatches, kTsim, kTlsi}), Set({kTranslate}), 0, RunQuery},
     {"demo", "[scale]", "align a generated corpus (scale 0.1 by default)",
-     0, 0, {}, RunDemo},
+     0, 0, {}, 0, 0, 0, RunDemo},
     {"build-snapshot", "", "align every pair, write a binary snapshot",
      Set({kDump, kSynth, kPair, kOut, kStats}) | kAlignOpts,
      Set({kDump, kPair}), {Set({kOut}), Set({kPair}), Set({kDump, kSynth})},
-     RunBuildSnapshot},
+     0, 0, Set({kDump, kSynth}), RunBuildSnapshot},
     {"apply-delta", "", "apply an edit batch to a snapshot (docs/INGEST.md)",
      Set({kDump, kRemove, kSnapshot, kOut}) | kAlignOpts,
      Set({kDump, kRemove}),
-     {Set({kSnapshot}), Set({kOut}), Set({kDump, kRemove})}, RunApplyDelta},
+     {Set({kSnapshot}), Set({kOut}), Set({kDump, kRemove})}, 0, 0, 0,
+     RunApplyDelta},
     {"sync", "", "store the value-sync report in a snapshot (docs/SYNC.md)",
-     Set({kSnapshot, kOut, kThreads}), 0, {Set({kSnapshot})}, RunSync},
+     Set({kSnapshot, kOut, kThreads}), 0, {Set({kSnapshot})}, 0, 0, 0,
+     RunSync},
     {"serve", "", "answer the line protocol (docs/SERVING.md)",
      Set({kSnapshot, kCacheCapacity, kListen, kNetThreads, kMaxConns}), 0,
-     {Set({kSnapshot})}, RunServe},
+     {Set({kSnapshot})}, Set({kNetThreads, kMaxConns}), Set({kListen}), 0,
+     RunServe},
 };
 
 void PrintUsage() {

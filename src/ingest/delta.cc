@@ -89,8 +89,7 @@ util::Status ValidateDeltaBatch(const wiki::Corpus& base,
 }
 
 util::Result<wiki::Corpus> ApplyDeltaToCorpus(const wiki::Corpus& base,
-                                              const DeltaBatch& batch,
-                                              size_t num_threads) {
+                                              const DeltaBatch& batch) {
   WIKIMATCH_RETURN_NOT_OK(ValidateDeltaBatch(base, batch));
   // Copy-and-patch: far cheaper than re-adding every article, because the
   // title and language indexes are copied structurally instead of being
@@ -99,7 +98,7 @@ util::Result<wiki::Corpus> ApplyDeltaToCorpus(const wiki::Corpus& base,
   // space, additions append, and Finalize() re-derives everything derived
   // (entity types for the patched records, induced symmetric links, type
   // indexes) — the exact corpus a from-scratch rebuild would consume.
-  wiki::Corpus out = wiki::Corpus::ParallelCopy(base, num_threads);
+  wiki::Corpus out = base;
   for (const auto& article : batch.updated) {
     wiki::ArticleId id = out.FindExactTitle(article.language, article.title);
     WIKIMATCH_RETURN_NOT_OK(out.ReplaceArticle(id, article));

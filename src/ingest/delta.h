@@ -44,11 +44,8 @@ util::Status ValidateDeltaBatch(const wiki::Corpus& base,
                                 const DeltaBatch& batch);
 
 /// \brief Builds the finalized post-delta corpus (see file comment).
-/// `num_threads` only parallelizes the base-corpus copy; the result is
-/// identical at any thread count.
 util::Result<wiki::Corpus> ApplyDeltaToCorpus(const wiki::Corpus& base,
-                                              const DeltaBatch& batch,
-                                              size_t num_threads = 1);
+                                              const DeltaBatch& batch);
 
 /// \brief Undo record filled by ApplyDeltaInPlace: the pre-images and
 /// Finalize mutations needed to restore the corpus byte-identically, and

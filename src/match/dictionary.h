@@ -11,6 +11,8 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <tuple>
 
 #include "wiki/corpus.h"
 
@@ -20,6 +22,12 @@ namespace match {
 /// \brief Title-level translation dictionary built from cross-language links.
 class TranslationDictionary {
  public:
+  /// (from_lang, to_lang, term) -> translation, sorted by key. Lookups go
+  /// through string_view tuples, so none copies its arguments.
+  using Entries =
+      std::map<std::tuple<std::string, std::string, std::string>, std::string,
+               std::less<>>;
+
   TranslationDictionary() = default;
 
   /// \brief Scans the corpus and records every (L title -> L' title) pair
@@ -38,6 +46,12 @@ class TranslationDictionary {
   /// synthetic-MT configuration).
   void Add(const std::string& from_lang, const std::string& term,
            const std::string& to_lang, const std::string& translation);
+
+  /// \brief Add for entries that arrive in ascending key order, such as a
+  /// decoded EncodeDictionary stream: each insert is then constant time.
+  /// Any order gives the same result as Add, only slower.
+  void AddInOrder(std::string from_lang, std::string term, std::string to_lang,
+                  std::string translation);
 
   /// \brief Inserts or overwrites one entry (incremental maintenance).
   /// Unlike Add, an existing entry for the key is replaced.
@@ -64,16 +78,10 @@ class TranslationDictionary {
   size_t size() const { return entries_.size(); }
 
   /// \brief All entries: (from_lang, to_lang, term) -> translation.
-  const std::map<std::tuple<std::string, std::string, std::string>,
-                 std::string>&
-  entries() const {
-    return entries_;
-  }
+  const Entries& entries() const { return entries_; }
 
  private:
-  // (from_lang, to_lang, term) -> translation
-  std::map<std::tuple<std::string, std::string, std::string>, std::string>
-      entries_;
+  Entries entries_;
 };
 
 }  // namespace match

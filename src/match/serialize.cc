@@ -141,7 +141,8 @@ util::Result<TranslationDictionary> DecodeDictionary(
     WIKIMATCH_ASSIGN_OR_RETURN(std::string to_lang, r->ReadString());
     WIKIMATCH_ASSIGN_OR_RETURN(std::string term, r->ReadString());
     WIKIMATCH_ASSIGN_OR_RETURN(std::string translation, r->ReadString());
-    dictionary.Add(from_lang, term, to_lang, translation);
+    dictionary.AddInOrder(std::move(from_lang), std::move(term),
+                          std::move(to_lang), std::move(translation));
   }
   return dictionary;
 }

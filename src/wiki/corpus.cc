@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/logging.h"
-#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace wiki {
@@ -11,36 +10,14 @@ namespace wiki {
 const std::vector<ArticleId> Corpus::kEmpty;
 
 util::Result<ArticleId> Corpus::AddArticle(Article article) {
-  auto key = std::make_pair(article.language, article.title);
-  if (title_index_.count(key) > 0) {
+  const ArticleId id = static_cast<ArticleId>(articles_.size());
+  if (!title_index_[article.language].try_emplace(article.title, id).second) {
     return util::Status::AlreadyExists(article.language + ":" + article.title);
   }
-  ArticleId id = static_cast<ArticleId>(articles_.size());
-  title_index_.emplace(std::move(key), id);
   language_index_[article.language].push_back(id);
   articles_.push_back(std::move(article));
   finalized_ = false;
   return id;
-}
-
-Corpus Corpus::ParallelCopy(const Corpus& base, size_t num_threads) {
-  Corpus out;
-  const size_t n = base.articles_.size();
-  out.articles_.resize(n);
-  const size_t chunks = num_threads <= 1 ? 1 : num_threads * 4;
-  const size_t step = (n + chunks - 1) / chunks;
-  util::thread_pool_for(chunks, num_threads, [&](size_t c) {
-    const size_t begin = c * step;
-    const size_t end = std::min(n, begin + step);
-    for (size_t i = begin; i < end; ++i) {
-      out.articles_[i] = base.articles_[i];
-    }
-  });
-  out.title_index_ = base.title_index_;
-  out.language_index_ = base.language_index_;
-  out.type_index_ = base.type_index_;
-  out.finalized_ = base.finalized_;
-  return out;
 }
 
 util::Status Corpus::ReplaceArticle(ArticleId id, Article article) {
@@ -65,7 +42,7 @@ void Corpus::EraseArticles(std::vector<ArticleId> ids) {
   ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   for (ArticleId id : ids) {
     const Article& a = articles_[id];
-    title_index_.erase({a.language, a.title});
+    title_index_.at(a.language).erase(a.title);
   }
   // Compact the article vector, preserving relative order.
   size_t write = 0;
@@ -85,7 +62,11 @@ void Corpus::EraseArticles(std::vector<ArticleId> ids) {
                     std::upper_bound(ids.begin(), ids.end(), id) -
                     ids.begin());
   };
-  for (auto& [key, id] : title_index_) id = shifted(id);
+  // Re-point the titles of the articles that moved, in id order.
+  for (size_t i = ids.front(); i < articles_.size(); ++i) {
+    const Article& a = articles_[i];
+    title_index_.at(a.language).at(a.title) = static_cast<ArticleId>(i);
+  }
   for (auto& [language, list] : language_index_) {
     size_t w = 0;
     for (ArticleId id : list) {
@@ -104,7 +85,7 @@ void Corpus::PopArticles(size_t n) {
   for (size_t k = 0; k < n; ++k) {
     const ArticleId id = static_cast<ArticleId>(articles_.size() - 1 - k);
     const Article& a = articles_[id];
-    title_index_.erase({a.language, a.title});
+    title_index_.at(a.language).erase(a.title);
     // Language lists are ascending by id, so the popped article is the
     // last entry of its language's list.
     auto it = language_index_.find(a.language);
@@ -148,15 +129,26 @@ void Corpus::RestoreArticles(
     }
     return o;
   };
-  for (auto& [key, id] : title_index_) id = shifted(id);
   for (auto& [language, list] : language_index_) {
     for (ArticleId& id : list) id = shifted(id);
   }
-  // Index the restored records; language lists stay ascending by id.
+  // Re-point the titles of the survivors that moved and index the restored
+  // records, in id order. A restored key already present keeps its entry.
+  size_t next = 0;
+  for (size_t i = originals.front().first; i < articles_.size(); ++i) {
+    const Article& a = articles_[i];
+    const ArticleId id = static_cast<ArticleId>(i);
+    if (next < originals.size() && originals[next].first == id) {
+      ++next;
+      title_index_[a.language].try_emplace(a.title, id);
+    } else {
+      title_index_.at(a.language).at(a.title) = id;
+    }
+  }
+  // Language lists stay ascending by id.
   for (const auto& original : originals) {
     const ArticleId id = original.first;
     const Article& a = articles_[id];
-    title_index_.emplace(std::make_pair(a.language, a.title), id);
     auto& list = language_index_[a.language];
     list.insert(std::lower_bound(list.begin(), list.end(), id), id);
   }
@@ -233,8 +225,10 @@ void Corpus::Finalize(FinalizeReport* report) {
 
 ArticleId Corpus::FindExactTitle(const std::string& language,
                                  const std::string& title) const {
-  auto it = title_index_.find({language, title});
-  return it == title_index_.end() ? kInvalidArticle : it->second;
+  auto titles = title_index_.find(language);
+  if (titles == title_index_.end()) return kInvalidArticle;
+  auto it = titles->second.find(title);
+  return it == titles->second.end() ? kInvalidArticle : it->second;
 }
 
 ArticleId Corpus::FindByTitle(const std::string& language,

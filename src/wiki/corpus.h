@@ -49,12 +49,6 @@ class Corpus {
   /// (language, title).
   util::Result<ArticleId> AddArticle(Article article);
 
-  /// \brief Deep copy of `base`, with the article payload copied by up to
-  /// `num_threads` workers. Equivalent to the copy constructor; the
-  /// parallelism only splits the per-article string copies, so the result
-  /// is identical at any thread count.
-  static Corpus ParallelCopy(const Corpus& base, size_t num_threads);
-
   /// \brief Replaces the article at `id` in place. The replacement must
   /// carry the same (language, title) key, so the title and language
   /// indexes stay valid; everything else may change. Un-finalizes the
@@ -133,8 +127,9 @@ class Corpus {
 
  private:
   std::vector<Article> articles_;
-  // (language, normalized title) -> id
-  std::map<std::pair<std::string, std::string>, ArticleId> title_index_;
+  // language -> normalized title -> id
+  std::map<std::string, std::unordered_map<std::string, ArticleId>>
+      title_index_;
   std::map<std::string, std::vector<ArticleId>> language_index_;
   // (language, type) -> ids with infobox
   std::map<std::pair<std::string, std::string>, std::vector<ArticleId>>

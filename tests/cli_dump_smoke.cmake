@@ -212,4 +212,22 @@ expect_usage_error(NAMES demo 0.02 ARGS demo 0.01 0.02)
 expect_usage_error(NAMES query "${drama_query}"
                    ARGS query ${en_pt} --lang pt "${film_query}"
                         "${drama_query}")
+# Options that only act beside another option need it.
+set(plain_query query ${en_pt} --lang pt "${film_query}")
+expect_usage_error(NAMES query --pair --translate
+                   ARGS ${plain_query} --pair pt:en)
+expect_usage_error(NAMES query --matches --translate
+                   ARGS ${plain_query} --matches "${bad_out}/c.tsv")
+expect_usage_error(NAMES query --tsim --translate
+                   ARGS ${plain_query} --tsim 0.9)
+expect_usage_error(NAMES query --tlsi --translate
+                   ARGS ${plain_query} --tlsi 5)
+expect_usage_error(NAMES serve --net-threads --listen
+                   ARGS serve --snapshot "${bad_out}/synced.snap"
+                        --net-threads 2)
+expect_usage_error(NAMES serve --max-conns --listen
+                   ARGS serve --snapshot "${bad_out}/synced.snap"
+                        --max-conns 5)
+expect_usage_error(NAMES build-snapshot --dump --synth
+                   ARGS ${synth_build} --dump "en=${dumps}/enwiki.xml")
 file(REMOVE_RECURSE "${WORK_DIR}")

@@ -4,14 +4,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <tuple>
+#include <vector>
+
 #include "match/aligner.h"
 #include "match/dictionary.h"
 #include "match/lsi.h"
 #include "match/pipeline.h"
 #include "match/schema_builder.h"
+#include "match/serialize.h"
 #include "match/type_matcher.h"
 #include "schema_oracle.h"
 #include "synth/generator.h"
+#include "util/binary_io.h"
 #include "wiki/wikitext_parser.h"
 
 namespace wikimatch {
@@ -77,6 +84,125 @@ TEST(DictionaryTest, ManualEntries) {
   dict.Add("vi", "diễn viên", "en", "starring");
   EXPECT_EQ(dict.TranslateOrKeep("vi", "diễn viên", "en"), "starring");
   EXPECT_EQ(dict.size(), 1u);
+}
+
+// An encoded dictionary stream: (from_lang, to_lang, term, translation)
+// entries in the given order, in EncodeDictionary's format.
+using DictEntry =
+    std::tuple<std::string, std::string, std::string, std::string>;
+
+std::string DictionaryStream(const std::vector<DictEntry>& entries) {
+  util::BinaryWriter w;
+  w.PutU64(entries.size());
+  for (const auto& [from_lang, to_lang, term, translation] : entries) {
+    w.PutString(from_lang);
+    w.PutString(to_lang);
+    w.PutString(term);
+    w.PutString(translation);
+  }
+  return w.TakeBuffer();
+}
+
+std::string EncodedDictionary(const TranslationDictionary& dict) {
+  util::BinaryWriter w;
+  EncodeDictionary(dict, &w);
+  return w.TakeBuffer();
+}
+
+TEST(DictionaryTest, DecodeEqualsSequentialAddOnAnyStreamOrder) {
+  const std::vector<std::string> langs = {"en", "pt", "pt-br", "vi"};
+  const std::vector<std::string> terms = {
+      "", "a", "ab", "b", "são paulo", "hà nội", "東京",
+      std::string("a\0b", 3)};
+  std::mt19937 rng(7);
+  std::vector<DictEntry> entries;
+  for (int i = 0; i < 300; ++i) {
+    entries.emplace_back(langs[rng() % langs.size()],
+                         langs[rng() % langs.size()],
+                         terms[rng() % terms.size()],
+                         std::to_string(i));
+  }
+  // First-insert-wins reference, and its entries in key order.
+  TranslationDictionary reference;
+  for (const auto& [from_lang, to_lang, term, translation] : entries) {
+    reference.Add(from_lang, term, to_lang, translation);
+  }
+  ASSERT_LT(reference.size(), entries.size());  // the stream has duplicates
+  std::vector<DictEntry> sorted;
+  for (const auto& [key, translation] : reference.entries()) {
+    const auto& [from_lang, to_lang, term] = key;
+    sorted.emplace_back(from_lang, to_lang, term, translation);
+  }
+  ASSERT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
+  const std::string sorted_bytes = DictionaryStream(sorted);
+  EXPECT_EQ(EncodedDictionary(reference), sorted_bytes);
+
+  std::vector<DictEntry> shuffled = sorted;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  struct Case {
+    const char* name;
+    const std::vector<DictEntry>* stream;
+  };
+  for (const Case& c : {Case{"sorted", &sorted}, Case{"shuffled", &shuffled},
+                        Case{"duplicates", &entries}}) {
+    TranslationDictionary sequential;
+    for (const auto& [from_lang, to_lang, term, translation] : *c.stream) {
+      sequential.Add(from_lang, term, to_lang, translation);
+    }
+    const std::string bytes = DictionaryStream(*c.stream);
+    util::BinaryReader r(bytes);
+    auto decoded = DecodeDictionary(&r);
+    ASSERT_TRUE(decoded.ok()) << c.name << decoded.status().ToString();
+    EXPECT_EQ(decoded->entries(), sequential.entries()) << c.name;
+    EXPECT_EQ(decoded->entries(), reference.entries()) << c.name;
+    EXPECT_EQ(EncodedDictionary(*decoded), sorted_bytes) << c.name;
+  }
+}
+
+TEST(DictionaryTest, LookupsOnMissingLanguagesEmptyAndNonAsciiTerms) {
+  const std::string nul_term("a\0b", 3);
+  const std::string a_nul("a\0", 2);
+  TranslationDictionary dict;
+  dict.Add("pt", "", "en", "empty");
+  dict.Add("pt", "são paulo", "en", "sao paulo");
+  dict.Add("vi", "hà nội", "en", "hanoi");
+  dict.Add("pt", nul_term, "en", "nul");
+  dict.Add("pt", "a", "en", "prefix");
+  EXPECT_EQ(dict.Translate("pt", "", "en"), "empty");
+  EXPECT_EQ(dict.Translate("pt", "são paulo", "en"), "sao paulo");
+  EXPECT_EQ(dict.Translate("vi", "hà nội", "en"), "hanoi");
+  EXPECT_EQ(dict.Translate("pt", nul_term, "en"), "nul");
+  EXPECT_EQ(dict.Translate("pt", "a", "en"), "prefix");
+  EXPECT_FALSE(dict.Translate("vi", "", "en").has_value());
+  EXPECT_FALSE(dict.Translate("pt", "são paulo", "vi").has_value());
+  EXPECT_FALSE(dict.Translate("xx", "são paulo", "en").has_value());
+  EXPECT_FALSE(dict.Translate("pt", "são", "en").has_value());
+  EXPECT_FALSE(dict.Translate("pt", a_nul, "en").has_value());
+  EXPECT_FALSE(dict.Translate("", "", "").has_value());
+  EXPECT_EQ(dict.TranslateOrKeep("xx", "東京", "en"), "東京");
+
+  // Add keeps the first translation, Put overwrites or inserts.
+  dict.Add("pt", "", "en", "second");
+  EXPECT_EQ(dict.Translate("pt", "", "en"), "empty");
+  dict.Put("pt", "", "en", "put");
+  EXPECT_EQ(dict.Translate("pt", "", "en"), "put");
+  dict.Put("en", "東京", "pt", "tóquio");
+  EXPECT_EQ(dict.Translate("en", "東京", "pt"), "tóquio");
+  EXPECT_EQ(dict.size(), 6u);
+
+  // Erasing a missing key changes nothing; a present one goes alone.
+  dict.Erase("xx", "", "en");
+  dict.Erase("pt", "", "xx");
+  dict.Erase("pt", "são", "en");
+  dict.Erase("pt", a_nul, "en");
+  EXPECT_EQ(dict.size(), 6u);
+  dict.Erase("pt", nul_term, "en");
+  EXPECT_FALSE(dict.Translate("pt", nul_term, "en").has_value());
+  EXPECT_EQ(dict.Translate("pt", "a", "en"), "prefix");
+  dict.Erase("pt", "", "en");
+  EXPECT_FALSE(dict.Translate("pt", "", "en").has_value());
+  EXPECT_EQ(dict.Translate("pt", "são paulo", "en"), "sao paulo");
+  EXPECT_EQ(dict.size(), 4u);
 }
 
 // ------------------------------------------------------------- TypeMatcher

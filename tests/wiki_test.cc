@@ -5,12 +5,19 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <map>
+#include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "util/binary_io.h"
 #include "wiki/corpus.h"
 #include "wiki/dump_reader.h"
+#include "wiki/serialize.h"
 #include "wiki/wikitext_parser.h"
 
 namespace wikimatch {
@@ -459,6 +466,207 @@ TEST(ParserRedirectTest, ParsesRedirectTarget) {
   EXPECT_EQ(article->redirect_to, "united states");
   EXPECT_FALSE(article->infobox.has_value());
 }
+
+// ------------------------------------------------ Corpus index property
+
+// Seeded random sequences of every corpus mutation, checked after each step
+// against a model article list and a (language, title) -> id map rebuilt
+// from it. Titles come from a small pool, so duplicate additions, redirect
+// chains, redirect cycles and re-added keys are common.
+class CorpusIndexPropertyTest : public ::testing::TestWithParam<uint32_t> {
+ protected:
+  static constexpr int kTitles = 12;
+  const std::vector<std::string> kLanguages = {"en", "pt", "vi"};
+
+  std::string PoolTitle(int k) const {
+    // Non-ASCII, empty and embedded-NUL titles are keys like any other.
+    switch (k) {
+      case 0: return "";
+      case 1: return "são paulo";
+      case 2: return std::string("a\0b", 3);
+      default: return "t" + std::to_string(k);
+    }
+  }
+
+  Article RandomArticle() {
+    Article a;
+    a.language = kLanguages[rng_() % kLanguages.size()];
+    a.title = PoolTitle(static_cast<int>(rng_() % kTitles));
+    if (rng_() % 3 == 0) {
+      a.redirect_to = PoolTitle(static_cast<int>(rng_() % kTitles));
+    } else if (rng_() % 2 == 0) {
+      Infobox box;
+      box.template_type = "film";
+      box.template_name = "Infobox film";
+      AttributeValue value;
+      value.raw = value.text = "v" + std::to_string(rng_() % 5);
+      box.attributes.emplace_back("name", value);
+      a.infobox = std::move(box);
+    }
+    if (rng_() % 2 == 0) {
+      const std::string& other = kLanguages[rng_() % kLanguages.size()];
+      if (other != a.language) {
+        a.cross_language_links[other] =
+            PoolTitle(static_cast<int>(rng_() % kTitles));
+      }
+    }
+    return a;
+  }
+
+  void RebuildOracle() {
+    oracle_.clear();
+    for (size_t i = 0; i < model_.size(); ++i) {
+      const auto key = std::make_pair(model_[i].language, model_[i].title);
+      ASSERT_TRUE(oracle_.emplace(key, static_cast<ArticleId>(i)).second)
+          << "model holds a duplicate key";
+    }
+  }
+
+  ArticleId OracleExact(const std::string& language,
+                        const std::string& title) const {
+    auto it = oracle_.find({language, title});
+    return it == oracle_.end() ? kInvalidArticle : it->second;
+  }
+
+  // FindByTitle's contract: follow up to four redirects, and never answer
+  // with a redirect page.
+  ArticleId OracleByTitle(const std::string& language,
+                          const std::string& title) const {
+    ArticleId id = OracleExact(language, title);
+    for (int hop = 0; hop < 4 && id != kInvalidArticle; ++hop) {
+      if (model_[id].redirect_to.empty()) return id;
+      id = OracleExact(language, model_[id].redirect_to);
+    }
+    return id != kInvalidArticle && model_[id].redirect_to.empty()
+               ? id
+               : kInvalidArticle;
+  }
+
+  void CheckLookups(const Corpus& corpus, const std::string& where) {
+    ASSERT_EQ(corpus.size(), model_.size()) << where;
+    for (size_t i = 0; i < model_.size(); ++i) {
+      ASSERT_EQ(corpus.Get(static_cast<ArticleId>(i)).title, model_[i].title)
+          << where << " id " << i;
+      ASSERT_EQ(corpus.Get(static_cast<ArticleId>(i)).language,
+                model_[i].language)
+          << where << " id " << i;
+    }
+    std::vector<std::string> languages = kLanguages;
+    languages.push_back("xx");  // never present
+    for (const std::string& language : languages) {
+      for (int k = 0; k <= kTitles; ++k) {
+        const std::string title = k < kTitles ? PoolTitle(k) : "missing";
+        ASSERT_EQ(corpus.FindExactTitle(language, title),
+                  OracleExact(language, title))
+            << where << " exact " << language << ":" << title;
+        ASSERT_EQ(corpus.FindByTitle(language, title),
+                  OracleByTitle(language, title))
+            << where << " by title " << language << ":" << title;
+      }
+    }
+  }
+
+  std::mt19937 rng_{GetParam()};
+  std::vector<Article> model_;
+  std::map<std::pair<std::string, std::string>, ArticleId> oracle_;
+};
+
+TEST_P(CorpusIndexPropertyTest, LookupsMatchOracleAfterEveryMutation) {
+  Corpus corpus;
+  // The last EraseArticles' removed records, while nothing but replacements
+  // has happened since: RestoreArticles is their exact inverse.
+  std::vector<std::pair<ArticleId, Article>> erased;
+  for (int step = 0; step < 400; ++step) {
+    const std::string where =
+        "seed " + std::to_string(GetParam()) + " step " + std::to_string(step);
+    switch (rng_() % 6) {
+      case 0:
+      case 1: {  // AddArticle, duplicates included
+        Article a = RandomArticle();
+        const bool present =
+            OracleExact(a.language, a.title) != kInvalidArticle;
+        auto id = corpus.AddArticle(a);
+        if (present) {
+          ASSERT_EQ(id.status().code(), util::StatusCode::kAlreadyExists)
+              << where;
+        } else {
+          ASSERT_TRUE(id.ok()) << where;
+          ASSERT_EQ(*id, model_.size()) << where;
+          model_.push_back(std::move(a));
+          erased.clear();
+        }
+        break;
+      }
+      case 2: {  // ReplaceArticle, same key and a foreign key
+        if (model_.empty()) break;
+        const ArticleId id = static_cast<ArticleId>(rng_() % model_.size());
+        Article a = RandomArticle();
+        if (rng_() % 2 == 0) {
+          a.language = model_[id].language;
+          a.title = model_[id].title;
+        }
+        const bool same_key = a.language == model_[id].language &&
+                              a.title == model_[id].title;
+        EXPECT_EQ(corpus.ReplaceArticle(id, a).ok(), same_key) << where;
+        if (same_key) model_[id] = std::move(a);
+        break;
+      }
+      case 3: {  // EraseArticles, with repeated ids
+        if (model_.empty()) break;
+        std::vector<ArticleId> ids;
+        for (size_t n = rng_() % 4; n > 0; --n) {
+          ids.push_back(static_cast<ArticleId>(rng_() % model_.size()));
+        }
+        std::vector<ArticleId> unique = ids;
+        std::sort(unique.begin(), unique.end());
+        unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+        erased.clear();
+        for (ArticleId id : unique) erased.emplace_back(id, corpus.Get(id));
+        for (auto it = unique.rbegin(); it != unique.rend(); ++it) {
+          model_.erase(model_.begin() + *it);
+        }
+        corpus.EraseArticles(ids);
+        break;
+      }
+      case 4: {  // PopArticles, sometimes more than there are
+        const size_t n = rng_() % 4;
+        corpus.PopArticles(n);
+        model_.resize(model_.size() - std::min(n, model_.size()));
+        erased.clear();
+        break;
+      }
+      case 5: {  // RestoreArticles, as the inverse of the last erase
+        if (erased.empty()) break;
+        for (const auto& [id, article] : erased) {
+          model_.insert(model_.begin() + id, article);
+        }
+        std::shuffle(erased.begin(), erased.end(), rng_);
+        corpus.RestoreArticles(std::move(erased));
+        erased.clear();
+        break;
+      }
+    }
+    RebuildOracle();
+    CheckLookups(corpus, where);
+    if (step % 40 == 39) {
+      // Finalize only adds links and entity types; keys stay put.
+      corpus.Finalize();
+      util::BinaryWriter w;
+      EncodeCorpus(corpus, &w);
+      util::BinaryReader r(w.buffer());
+      auto decoded = DecodeCorpus(&r);
+      ASSERT_TRUE(decoded.ok()) << where << decoded.status().ToString();
+      CheckLookups(*decoded, where + " decoded");
+      util::BinaryWriter again;
+      EncodeCorpus(*decoded, &again);
+      ASSERT_EQ(again.buffer(), w.buffer()) << where;
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CorpusIndexPropertyTest,
+                         ::testing::Range<uint32_t>(1, 21));
 
 }  // namespace
 }  // namespace wiki
