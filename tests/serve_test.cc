@@ -9,6 +9,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <regex>
 #include <sstream>
 #include <thread>
 
@@ -771,6 +773,119 @@ TEST(ServeTest, ServeLoopSpeaksTheLineProtocol) {
   std::string text = out.str();
   EXPECT_EQ(text.compare(0, 10, "ok 1\npt:en"), 0) << text;
   EXPECT_NE(text.find("err unknown request 'nonsense'"), std::string::npos);
+}
+
+// ---------------------------------------------------------- pinned answers
+
+// Request lines covering every verb: bare, with arguments missing, with an
+// unknown pair, type or language, quoted and padded with blanks, and
+// garbage. Both orders of a pair token are asked where the answer
+// depends on it.
+const std::vector<std::string>& PinnedRequests() {
+  static const std::vector<std::string> kRequests = {
+      "help",
+      "pairs",
+      "pairs extra",
+      "version",
+      "health",
+      "generation",
+      "types",
+      "types pten",
+      "types zz:yy",
+      "types pt:en",
+      "types   pt:en  ",
+      "alignments",
+      "alignments pt:en",
+      "alignments zz:yy film",
+      "alignments pt:en nope",
+      "alignments pt:en film",
+      "alignments pt:en \"comics character\"",
+      "alignments pt:en \"film\"",
+      "alignments  pt:en   film  ",
+      "alignments pt:en film",  // a cache hit answers the same bytes
+      "attr",
+      "attr pt:en",
+      "attr pt:en film",
+      "attr pt:en film pt",
+      "attr zz:yy film pt elenco",
+      "attr pt:en nope pt elenco",
+      "attr pt:en film vi elenco",
+      "attr pt:en film pt direção",
+      "attr pt:en film en directed by",
+      "attr pt:en film en gross revenue",
+      "attr pt:en film pt elenco",
+      "attr pt:en \"comics character\" pt nome",
+      "attr  pt:en  film  pt  nome  ",
+      "query",
+      "query pt:en",
+      "query zz:yy filme(elenco=?)",
+      "query pt:en filme(",
+      "query pt:en livro(autor=?)",
+      std::string("query pt:en ") + kQuery,
+      "query  pt:en   filme(elenco=?)  ",
+      "sync",
+      "sync pt:en",
+      "sync zz:yy film",
+      "sync pt:en nope",
+      "sync pt:en actor",
+      "sync en:pt actor",
+      "sync pt:en \"comics character\"",
+      "sync-status",
+      "sync-status extra",
+      "reload /nonexistent/next.snap",
+      "reload",
+      "generation",
+      "health",
+      "exit",
+      "quit",
+      "frobnicate",
+      "ATTR pt:en film pt elenco",
+      "   ",
+      "\xff\xfe garbage",
+      "stats",
+  };
+  return kRequests;
+}
+
+// `response` with the value of every time field replaced by "*": the
+// clocks of health, stats and generation, and the build-time pipeline
+// timings that stats reports.
+std::string MaskTimes(const std::string& response) {
+  static const std::regex kTimeField(
+      "(uptime_s|loaded_unix|age_s|_ms)=[^ \n]*");
+  return std::regex_replace(response, kTimeField, "$1=*");
+}
+
+// "> <request>" and then the masked response, for each pinned request
+// served in order by one service loaded from `snapshot_path`.
+std::string PinnedTranscript(const std::string& snapshot_path) {
+  auto service = MatchService::Load(snapshot_path);
+  EXPECT_TRUE(service.ok()) << service.status().ToString();
+  if (!service.ok()) return "";
+  std::string out;
+  for (const std::string& request : PinnedRequests()) {
+    out += "> " + request + "\n" + MaskTimes((*service)->Handle(request));
+  }
+  return out;
+}
+
+// Every response to the pinned requests, byte for byte, as recorded in
+// tests/serve_pinned_responses.txt: once on the fixture snapshot and once
+// on the same snapshot with a sync report.
+TEST(ServeTest, PinnedResponsesToEveryVerb) {
+  std::ifstream in(std::string(WIKIMATCH_REPO_ROOT) +
+                       "/tests/serve_pinned_responses.txt",
+                   std::ios::binary);
+  const std::string expected((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  ASSERT_FALSE(expected.empty()) << "tests/serve_pinned_responses.txt";
+  std::string synced = WriteSyncSnapshot(0, "serve_pinned_sync.snap");
+  const std::string actual =
+      "# without a sync report\n" +
+      PinnedTranscript(GetFixture().snapshot_path) +
+      "# with a sync report\n" + PinnedTranscript(synced);
+  std::remove(synced.c_str());
+  EXPECT_EQ(actual, expected);
 }
 
 }  // namespace
