@@ -35,6 +35,7 @@
 #include "sync/sync_engine.h"
 #include "synth/generator.h"
 #include "text/normalize.h"
+#include "util/file_io.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 #include "wiki/corpus.h"
@@ -402,31 +403,23 @@ int RunMatch(const Args& args, bool types_only) {
   }
   if (types_only) return 0;
 
-  std::FILE* tsv = nullptr;
-  if (!args.tsv_path.empty()) {
-    tsv = std::fopen(args.tsv_path.c_str(), "w");
-    if (tsv == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", args.tsv_path.c_str());
-      return 1;
-    }
-    std::fprintf(tsv, "type_a\ttype_b\tlang_a\tattr_a\tlang_b\tattr_b\n");
-  }
+  std::string tsv = "type_a\ttype_b\tlang_a\tattr_a\tlang_b\tattr_b\n";
   for (const auto& tr : result->per_type) {
     std::printf("\n# %s / %s (%zu dual infoboxes)\n", tr.type_a.c_str(),
                 tr.type_b.c_str(), tr.num_duals);
     for (const auto& cluster : tr.alignment.matches.Clusters()) {
       PrintCluster(cluster);
     }
-    if (tsv != nullptr) {
-      for (const auto& [a, b] :
-           tr.alignment.matches.CrossLanguagePairs(lang_a, lang_b)) {
-        std::fprintf(tsv, "%s\t%s\t%s\t%s\t%s\t%s\n", tr.type_a.c_str(),
-                     tr.type_b.c_str(), a.language.c_str(), a.name.c_str(),
-                     b.language.c_str(), b.name.c_str());
-      }
+    if (args.tsv_path.empty()) continue;
+    for (const auto& [a, b] :
+         tr.alignment.matches.CrossLanguagePairs(lang_a, lang_b)) {
+      tsv += tr.type_a + "\t" + tr.type_b + "\t" + a.language + "\t" +
+             a.name + "\t" + b.language + "\t" + b.name + "\n";
     }
   }
-  if (tsv != nullptr) std::fclose(tsv);
+  if (!args.tsv_path.empty() && Failed(util::WriteFile(args.tsv_path, tsv))) {
+    return 1;
+  }
   if (!args.save_path.empty()) {
     match::TypeMatchSets sets;
     for (const auto& tr : result->per_type) {

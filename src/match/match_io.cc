@@ -1,6 +1,5 @@
 #include "match/match_io.h"
 
-#include <cstdio>
 #include <map>
 
 #include "util/file_io.h"
@@ -49,24 +48,9 @@ util::Result<TypeMatchSets> ReadMatchSets(const std::string& tsv) {
   return out;
 }
 
-namespace {
-
-util::Status WriteFile(const std::string& path, const std::string& content) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return util::Status::IoError("cannot open " + path);
-  size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  if (written != content.size()) {
-    return util::Status::IoError("short write to " + path);
-  }
-  return util::Status::OK();
-}
-
-}  // namespace
-
 util::Status SaveMatchSets(const TypeMatchSets& matches,
                            const std::string& path) {
-  return WriteFile(path, WriteMatchSets(matches));
+  return util::WriteFile(path, WriteMatchSets(matches));
 }
 
 util::Result<TypeMatchSets> LoadMatchSets(const std::string& path) {

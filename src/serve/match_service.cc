@@ -2,6 +2,7 @@
 
 #include <ctime>
 #include <sstream>
+#include <string_view>
 
 #include "serve/protocol.h"
 #include "store/snapshot.h"
@@ -26,20 +27,21 @@ bool SplitPairToken(const std::string& token, std::string* a,
 
 // Reads the next whitespace-delimited token starting at `*pos`; a leading
 // double quote makes the token run to the closing quote, so localized type
-// names with spaces stay one field.
-bool NextToken(const std::string& line, size_t* pos, std::string* token) {
+// names with spaces stay one field. The view points into `line`.
+bool NextToken(const std::string& line, size_t* pos,
+               std::string_view* token) {
   while (*pos < line.size() && line[*pos] == ' ') ++*pos;
   if (*pos >= line.size()) return false;
   if (line[*pos] == '"') {
     size_t close = line.find('"', *pos + 1);
     if (close == std::string::npos) return false;
-    *token = line.substr(*pos + 1, close - *pos - 1);
+    *token = std::string_view(line).substr(*pos + 1, close - *pos - 1);
     *pos = close + 1;
     return true;
   }
   size_t end = line.find(' ', *pos);
   if (end == std::string::npos) end = line.size();
-  *token = line.substr(*pos, end - *pos);
+  *token = std::string_view(line).substr(*pos, end - *pos);
   *pos = end;
   return true;
 }
@@ -64,6 +66,10 @@ std::string RenderOk(const std::vector<std::string>& lines) {
 
 std::string RenderErr(const std::string& message) {
   return "err " + message + "\n";
+}
+
+std::string RenderStatus(const util::Status& status) {
+  return RenderErr(status.ToString());
 }
 
 std::string ClusterLine(const std::set<eval::AttrKey>& cluster) {
@@ -258,373 +264,329 @@ const MatchService::PairServing* MatchService::CoreState::FindPair(
   return it == pairs.end() ? nullptr : &it->second;
 }
 
-util::Result<std::vector<std::string>> MatchService::TranslateAttribute(
-    const std::string& lang_a, const std::string& lang_b,
-    const std::string& type_b, const std::string& lang,
-    const std::string& name) const {
-  auto gen = Current();
-  auto core = gen->Core();
-  if (!core.ok()) return core.status();
-  return TranslateAttribute(**core, lang_a, lang_b, type_b, lang, name);
+// One request as a verb's handler sees it: the pinned generation, a cursor
+// just past the tokens read so far, and what the verb's scope resolved.
+struct MatchService::Request {
+  MatchService& service;
+  const VerbSpec& spec;
+  const GenerationState& gen;
+  const std::string& line;
+  size_t pos;
+  const CoreState* core = nullptr;    // core and pair verbs
+  const PairServing* pair = nullptr;  // pair verbs, with its token's halves
+  std::string pair_token{}, lang_a{}, lang_b{};
+
+  bool Next(std::string* token) {
+    std::string_view view;
+    if (!NextToken(line, &pos, &view)) return false;
+    token->assign(view);
+    return true;
+  }
+  std::string Rest() const { return RestOfLine(line, pos); }
+  std::string Usage() const {
+    return RenderErr(std::string("usage: ") + spec.verb + " " + spec.args);
+  }
+  // The pair's alignment of `type_b`, or null.
+  const eval::MatchSet* Alignment(const std::string& type_b) const {
+    auto it = pair->per_type.find(type_b);
+    return it == pair->per_type.end() ? nullptr : it->second;
+  }
+  std::string NoAlignment(const std::string& type_b) const {
+    return RenderStatus(util::Status::NotFound(
+        "no alignment for type " + type_b + " in pair " + pair_token));
+  }
+};
+
+const std::vector<VerbSpec>& ProtocolVerbs() {
+  using Request = MatchService::Request;
+  static const std::vector<VerbSpec> kVerbs = {
+      {"attr", "<src>:<tgt> <type_b> <lang> <attribute>",
+       "correspondents of the attribute in the pair's other language",
+       VerbScope::kPair, true,
+       [](Request& r) {
+         std::string type_b, lang;
+         if (!r.Next(&type_b) || !r.Next(&lang)) return r.Usage();
+         std::string name = r.Rest();
+         if (name.empty()) return r.Usage();
+         if (lang != r.lang_a && lang != r.lang_b) {
+           return RenderStatus(util::Status::InvalidArgument(
+               "language " + lang + " is not part of pair " + r.pair_token));
+         }
+         const eval::MatchSet* matches = r.Alignment(type_b);
+         if (matches == nullptr) return r.NoAlignment(type_b);
+         const std::string& other = lang == r.lang_a ? r.lang_b : r.lang_a;
+         eval::AttrKey key{lang, text::NormalizeAttributeName(name)};
+         std::vector<std::string> lines;
+         for (const auto& target : matches->CorrespondentsOf(key, other)) {
+           lines.push_back(target.language + ":" + target.name);
+         }
+         return RenderOk(lines);
+       }},
+      {"alignments", "<src>:<tgt> <type_b>",
+       "all alignment clusters of the type", VerbScope::kPair, true,
+       [](Request& r) {
+         std::string type_b;
+         if (!r.Next(&type_b) || type_b.empty()) return r.Usage();
+         const eval::MatchSet* matches = r.Alignment(type_b);
+         if (matches == nullptr) return r.NoAlignment(type_b);
+         std::vector<std::string> lines;
+         for (const auto& cluster : matches->Clusters()) {
+           lines.push_back(ClusterLine(cluster));
+         }
+         return RenderOk(lines);
+       }},
+      {"query", "<src>:<tgt> <c-query>",
+       "translate the c-query from <src> and evaluate it in <tgt>",
+       VerbScope::kPair, true,
+       [](Request& r) {
+         std::string query_text = r.Rest();
+         if (query_text.empty()) return r.Usage();
+         auto parsed = query::ParseCQuery(query_text);
+         if (!parsed.ok()) {
+           return RenderStatus(parsed.status().WithContext("parsing c-query"));
+         }
+         query::TranslationReport report;
+         auto translated = r.pair->translator->Translate(*parsed, &report);
+         if (!translated.ok()) {
+           return RenderStatus(
+               translated.status().WithContext("translating c-query"));
+         }
+         query::EvaluatorOptions options;
+         options.top_k = r.service.options_.query_top_k;
+         auto answers = r.pair->evaluator->Run(*translated, options);
+         if (!answers.ok()) {
+           return RenderStatus(answers.status().WithContext(
+               "evaluating translated c-query"));
+         }
+         std::vector<std::string> lines = {
+             "translated " + std::to_string(report.constraints_translated) +
+             " " + std::to_string(report.constraints_relaxed) + " " +
+             translated->ToString()};
+         for (const auto& answer : *answers) {
+           std::string line = r.core->snapshot.corpus.Get(answer.article).title;
+           for (const auto& projection : answer.projections) {
+             line += '\t';
+             line += projection;
+           }
+           lines.push_back(std::move(line));
+         }
+         return RenderOk(lines);
+       }},
+      {"sync", "<src>:<tgt> <type_b>",
+       "cell verdicts and propagation updates of the type (docs/SYNC.md)",
+       VerbScope::kPair, true,
+       [](Request& r) {
+         std::string type_b;
+         if (!r.Next(&type_b) || type_b.empty()) return r.Usage();
+         const auto& core = *r.core;
+         const sync::SyncReport& report = core.snapshot.sync_report;
+         if (report.empty()) {
+           return RenderErr(
+               "no sync report in snapshot (run `wikimatch sync` and reload)");
+         }
+         // The report keys its rows by the pair's non-hub language, and
+         // either language of the pair may be the hub: look up both.
+         std::vector<std::string> lines = {"sync_generation=" +
+                                           std::to_string(report.generation)};
+         auto emit = [&](const std::string& pair_lang) {
+           auto cit = core.sync_cells.find({pair_lang, type_b});
+           if (cit != core.sync_cells.end()) {
+             for (size_t idx : cit->second) {
+               const sync::CellVerdict& v = report.cells[idx];
+               std::ostringstream os;
+               os << "cell\t" << v.pair_title << "\t" << v.hub_title << "\t"
+                  << v.pair_attr << "\t" << v.hub_attr << "\t"
+                  << sync::CellClassName(v.cls) << "\t" << v.score;
+               lines.push_back(os.str());
+             }
+           }
+           auto uit = core.sync_updates.find({pair_lang, type_b});
+           if (uit != core.sync_updates.end()) {
+             for (size_t idx : uit->second) {
+               const sync::PropagationUpdate& u = report.updates[idx];
+               std::ostringstream os;
+               os << "update\t" << u.source_lang << "\t" << u.source_title
+                  << "\t" << u.source_attr << "\t" << u.target_lang << "\t"
+                  << u.target_title << "\t" << u.target_attr << "\t"
+                  << u.evidence_score << "\t" << u.proposed_value;
+               lines.push_back(os.str());
+             }
+           }
+         };
+         emit(r.lang_a);
+         if (r.lang_b != r.lang_a) emit(r.lang_b);
+         return RenderOk(lines);
+       }},
+      {"sync-status", "",
+       "sync-report generation and per-language verdict counts",
+       VerbScope::kCore, true,
+       [](Request& r) {
+         const sync::SyncReport& report = r.core->snapshot.sync_report;
+         std::ostringstream os;
+         os << "sync_generation=" << report.generation
+            << " cells=" << report.cells.size()
+            << " updates=" << report.updates.size();
+         std::vector<std::string> lines = {os.str()};
+         for (const auto& [key, counts] : report.Summaries()) {
+           std::ostringstream row;
+           row << key.first << "\t" << key.second
+               << "\tin_sync=" << counts.in_sync << " stale=" << counts.stale
+               << " missing=" << counts.missing
+               << " conflict=" << counts.conflict
+               << " unverifiable=" << counts.unverifiable;
+           lines.push_back(row.str());
+         }
+         return RenderOk(lines);
+       }},
+      {"types", "<src>:<tgt>", "entity-type mapping of the pair",
+       VerbScope::kPair, true,
+       [](Request& r) {
+         std::vector<std::string> lines;
+         for (const auto& tm : r.pair->result->type_matches) {
+           std::ostringstream os;
+           os << tm.type_a << "\t" << tm.type_b << "\t" << tm.votes << "\t"
+              << tm.confidence;
+           lines.push_back(os.str());
+         }
+         return RenderOk(lines);
+       }},
+      {"pairs", "", "language pairs in the snapshot", VerbScope::kCore, false,
+       [](Request& r) {
+         std::vector<std::string> lines;
+         for (const auto& [pair, serving] : r.core->pairs) {
+           lines.push_back(pair.first + ":" + pair.second);
+         }
+         return RenderOk(lines);
+       }},
+      {"stats", "", "service and cache counters", VerbScope::kCore, false,
+       [](Request& r) {
+         ServiceStats stats = r.service.Stats();
+         std::ostringstream os;
+         os << "requests=" << stats.requests << " errors=" << stats.errors
+            << " generation=" << r.gen.meta.generation
+            << " loads=" << stats.loads << " loaded_unix=" << r.gen.loaded_unix
+            << " uptime_s=" << stats.uptime_s
+            << " generation_age_s=" << SecondsSince(r.gen.loaded_at)
+            << " cache_hits=" << stats.cache.hits
+            << " cache_misses=" << stats.cache.misses
+            << " cache_evictions=" << stats.cache.evictions
+            << " cache_entries=" << stats.cache.entries
+            << " cache_capacity=" << stats.cache.capacity;
+         std::vector<std::string> lines = {os.str()};
+         // Build-time pipeline stats travel inside the snapshot; absent (all
+         // zero) for snapshots written before they were recorded.
+         for (const auto& [pair, serving] : r.core->pairs) {
+           lines.push_back("pipeline " + pair.first + ":" + pair.second + " " +
+                           serving.result->stats.ToString());
+         }
+         return RenderOk(lines);
+       }},
+      {"health", "", "one-line liveness probe (load balancers, drain checks)",
+       VerbScope::kMeta, false,
+       [](Request& r) {
+         // Deliberately cheap (no cache probe, no core): load balancers
+         // poll this at high frequency, and the net server's drain logic
+         // uses it as the liveness signal that the process still answers.
+         std::ostringstream os;
+         os << "healthy generation=" << r.gen.meta.generation
+            << " load_seq=" << r.gen.load_seq
+            << " uptime_s=" << SecondsSince(r.service.started_);
+         return RenderOk({os.str()});
+       }},
+      {"version", "", "server, protocol, and snapshot-format versions",
+       VerbScope::kMeta, false,
+       [](Request&) {
+         std::ostringstream os;
+         os << "wikimatch " << kServerVersion
+            << " protocol=" << kProtocolVersion
+            << " snapshot_format=" << store::kSnapshotVersion;
+         return RenderOk({os.str()});
+       }},
+      {"generation", "", "generation of the snapshot being served",
+       VerbScope::kMeta, false,
+       [](Request& r) {
+         std::ostringstream os;
+         os << "generation=" << r.gen.meta.generation
+            << " load_seq=" << r.gen.load_seq
+            << " loaded_unix=" << r.gen.loaded_unix
+            << " age_s=" << SecondsSince(r.gen.loaded_at)
+            << " deltas_applied=" << r.gen.meta.history.size();
+         return RenderOk({os.str()});
+       }},
+      {"reload", "[<path>]",
+       "hot-swap to the snapshot at <path> (default: the loaded one)",
+       VerbScope::kMeta, false,
+       [](Request& r) {
+         util::Status status = r.service.Reload(r.Rest());
+         if (!status.ok()) return RenderStatus(status);
+         auto fresh = r.service.Current();
+         std::ostringstream os;
+         os << "reloaded generation=" << fresh->meta.generation
+            << " load_seq=" << fresh->load_seq;
+         return RenderOk({os.str()});
+       }},
+      {"help", "", "this verb table", VerbScope::kMeta, false,
+       [](Request&) { return RenderOk(HelpLines()); }},
+      // Transports intercept quit before Handle (HandleRequestLine);
+      // answering here keeps direct Handle() callers working.
+      {"quit", "", "end the session", VerbScope::kMeta, false,
+       [](Request&) { return RenderOk({"bye"}); }},
+  };
+  return kVerbs;
 }
 
-util::Result<std::vector<std::string>> MatchService::ListAlignments(
-    const std::string& lang_a, const std::string& lang_b,
-    const std::string& type_b) const {
-  auto gen = Current();
-  auto core = gen->Core();
-  if (!core.ok()) return core.status();
-  return ListAlignments(**core, lang_a, lang_b, type_b);
-}
-
-util::Result<ServedQueryResult> MatchService::EvaluateTranslatedQuery(
-    const std::string& lang_a, const std::string& lang_b,
-    const std::string& query_text) const {
-  auto gen = Current();
-  auto core = gen->Core();
-  if (!core.ok()) return core.status();
-  return EvaluateTranslatedQuery(**core, lang_a, lang_b, query_text);
-}
-
-util::Result<std::vector<std::string>> MatchService::TranslateAttribute(
-    const CoreState& core, const std::string& lang_a,
-    const std::string& lang_b, const std::string& type_b,
-    const std::string& lang, const std::string& name) const {
-  const PairServing* pair = core.FindPair(lang_a, lang_b);
-  if (pair == nullptr) {
-    return util::Status::NotFound("no pipeline for pair " + lang_a + ":" +
-                                  lang_b + " in snapshot");
+std::string MatchService::Answer(const VerbSpec& spec,
+                                 const GenerationState& gen,
+                                 const std::string& line, size_t pos) {
+  Request request{*this, spec, gen, line, pos};
+  if (spec.scope != VerbScope::kMeta) {
+    auto core = gen.Core();
+    if (!core.ok()) return RenderStatus(core.status());
+    request.core = *core;
   }
-  if (lang != lang_a && lang != lang_b) {
-    return util::Status::InvalidArgument("language " + lang +
-                                         " is not part of pair " + lang_a +
-                                         ":" + lang_b);
-  }
-  auto it = pair->per_type.find(type_b);
-  if (it == pair->per_type.end()) {
-    return util::Status::NotFound("no alignment for type " + type_b +
-                                  " in pair " + lang_a + ":" + lang_b);
-  }
-  const std::string& other = lang == lang_a ? lang_b : lang_a;
-  eval::AttrKey key{lang, text::NormalizeAttributeName(name)};
-  std::vector<std::string> out;
-  for (const auto& target : it->second->CorrespondentsOf(key, other)) {
-    out.push_back(target.language + ":" + target.name);
-  }
-  return out;
-}
-
-util::Result<std::vector<std::string>> MatchService::ListAlignments(
-    const CoreState& core, const std::string& lang_a,
-    const std::string& lang_b, const std::string& type_b) const {
-  const PairServing* pair = core.FindPair(lang_a, lang_b);
-  if (pair == nullptr) {
-    return util::Status::NotFound("no pipeline for pair " + lang_a + ":" +
-                                  lang_b + " in snapshot");
-  }
-  auto it = pair->per_type.find(type_b);
-  if (it == pair->per_type.end()) {
-    return util::Status::NotFound("no alignment for type " + type_b +
-                                  " in pair " + lang_a + ":" + lang_b);
-  }
-  std::vector<std::string> out;
-  for (const auto& cluster : it->second->Clusters()) {
-    out.push_back(ClusterLine(cluster));
-  }
-  return out;
-}
-
-util::Result<ServedQueryResult> MatchService::EvaluateTranslatedQuery(
-    const CoreState& core, const std::string& lang_a,
-    const std::string& lang_b, const std::string& query_text) const {
-  const PairServing* pair = core.FindPair(lang_a, lang_b);
-  if (pair == nullptr) {
-    return util::Status::NotFound("no pipeline for pair " + lang_a + ":" +
-                                  lang_b + " in snapshot");
-  }
-  auto parsed = query::ParseCQuery(query_text);
-  if (!parsed.ok()) return parsed.status().WithContext("parsing c-query");
-  query::TranslationReport report;
-  auto translated = pair->translator->Translate(*parsed, &report);
-  if (!translated.ok()) {
-    return translated.status().WithContext("translating c-query");
-  }
-  query::EvaluatorOptions eval_options;
-  eval_options.top_k = options_.query_top_k;
-  auto answers = pair->evaluator->Run(*translated, eval_options);
-  if (!answers.ok()) {
-    return answers.status().WithContext("evaluating translated c-query");
-  }
-  ServedQueryResult out;
-  out.translated_query = translated->ToString();
-  out.constraints_translated = report.constraints_translated;
-  out.constraints_relaxed = report.constraints_relaxed;
-  out.answers.reserve(answers->size());
-  for (const auto& answer : *answers) {
-    ServedAnswer served;
-    served.title = core.snapshot.corpus.Get(answer.article).title;
-    served.score = answer.score;
-    served.projections = answer.projections;
-    out.answers.push_back(std::move(served));
-  }
-  return out;
-}
-
-std::string MatchService::Dispatch(const GenerationState& gen,
-                                   const std::string& line,
-                                   bool* cacheable) {
-  *cacheable = false;
-  size_t pos = 0;
-  std::string command;
-  if (!NextToken(line, &pos, &command)) return RenderErr("empty request");
-
-  // One gate for the whole verb set: anything outside the ProtocolVerbs()
-  // table is rejected here, so the table, `help`, and the dispatch chain
-  // below cannot disagree about what the protocol accepts.
-  if (!IsProtocolVerb(command)) {
-    return RenderErr("unknown request '" + command +
-                     "' (try 'help' for the protocol)");
-  }
-
-  if (command == "help") return RenderOk(HelpLines());
-  if (command == "quit" || command == "exit") {
-    // Transports intercept quit before Dispatch (protocol.cc); answering
-    // here keeps direct Handle() callers (tests, embedders) working.
-    return RenderOk({"bye"});
-  }
-  if (command == "health") {
-    // Deliberately cheap (no cache probe, no pair lookup): load balancers
-    // poll this at high frequency, and the net server's drain logic uses
-    // it as the liveness signal that the process still answers.
-    std::ostringstream os;
-    os << "healthy generation=" << gen.meta.generation
-       << " load_seq=" << gen.load_seq
-       << " uptime_s=" << SecondsSince(started_);
-    return RenderOk({os.str()});
-  }
-  if (command == "version") {
-    std::ostringstream os;
-    os << "wikimatch " << kServerVersion << " protocol=" << kProtocolVersion
-       << " snapshot_format=" << store::kSnapshotVersion;
-    return RenderOk({os.str()});
-  }
-  if (command == "generation") {
-    std::ostringstream os;
-    os << "generation=" << gen.meta.generation
-       << " load_seq=" << gen.load_seq
-       << " loaded_unix=" << gen.loaded_unix
-       << " age_s=" << SecondsSince(gen.loaded_at)
-       << " deltas_applied=" << gen.meta.history.size();
-    return RenderOk({os.str()});
-  }
-  if (command == "reload") {
-    std::string target = RestOfLine(line, pos);
-    util::Status status = Reload(target);
-    if (!status.ok()) return RenderErr(status.ToString());
-    auto fresh = Current();
-    std::ostringstream os;
-    os << "reloaded generation=" << fresh->meta.generation
-       << " load_seq=" << fresh->load_seq;
-    return RenderOk({os.str()});
-  }
-  // Every verb below reads data: build (or fetch) the generation's core.
-  auto built = gen.Core();
-  if (!built.ok()) return RenderErr(built.status().ToString());
-  const CoreState& core = **built;
-
-  if (command == "stats") {
-    ServiceStats stats = Stats();
-    std::ostringstream os;
-    os << "requests=" << stats.requests << " errors=" << stats.errors
-       << " generation=" << gen.meta.generation
-       << " loads=" << stats.loads << " loaded_unix=" << gen.loaded_unix
-       << " uptime_s=" << stats.uptime_s
-       << " generation_age_s=" << SecondsSince(gen.loaded_at)
-       << " cache_hits=" << stats.cache.hits
-       << " cache_misses=" << stats.cache.misses
-       << " cache_evictions=" << stats.cache.evictions
-       << " cache_entries=" << stats.cache.entries
-       << " cache_capacity=" << stats.cache.capacity;
-    std::vector<std::string> lines = {os.str()};
-    // Build-time pipeline stats travel inside the snapshot; absent (all
-    // zero) for snapshots written before they were recorded.
-    for (const auto& [pair, serving] : core.pairs) {
-      lines.push_back("pipeline " + pair.first + ":" + pair.second + " " +
-                      serving.result->stats.ToString());
+  if (spec.scope == VerbScope::kPair) {
+    if (!request.Next(&request.pair_token) ||
+        !SplitPairToken(request.pair_token, &request.lang_a,
+                        &request.lang_b)) {
+      return RenderErr(std::string("expected a language pair like pt:en "
+                                   "after '") +
+                       spec.verb + "'");
     }
-    return RenderOk(lines);
-  }
-  if (command == "pairs") {
-    std::vector<std::string> lines;
-    for (const auto& [pair, serving] : core.pairs) {
-      lines.push_back(pair.first + ":" + pair.second);
-    }
-    return RenderOk(lines);
-  }
-  if (command == "sync-status") {
-    const sync::SyncReport& report = core.snapshot.sync_report;
-    std::ostringstream os;
-    os << "sync_generation=" << report.generation
-       << " cells=" << report.cells.size()
-       << " updates=" << report.updates.size();
-    std::vector<std::string> lines = {os.str()};
-    for (const auto& [key, counts] : report.Summaries()) {
-      std::ostringstream row;
-      row << key.first << "\t" << key.second << "\tin_sync=" << counts.in_sync
-          << " stale=" << counts.stale << " missing=" << counts.missing
-          << " conflict=" << counts.conflict
-          << " unverifiable=" << counts.unverifiable;
-      lines.push_back(row.str());
-    }
-    *cacheable = true;
-    return RenderOk(lines);
-  }
-
-  // Remaining commands address a language pair.
-  std::string pair_token, lang_a, lang_b;
-  if (!NextToken(line, &pos, &pair_token) ||
-      !SplitPairToken(pair_token, &lang_a, &lang_b)) {
-    return RenderErr("expected a language pair like pt:en after '" +
-                     command + "'");
-  }
-
-  if (command == "types") {
-    const PairServing* pair = core.FindPair(lang_a, lang_b);
-    if (pair == nullptr) {
-      return RenderErr("no pipeline for pair " + lang_a + ":" + lang_b +
+    request.pair = request.core->FindPair(request.lang_a, request.lang_b);
+    if (request.pair == nullptr) {
+      return RenderErr("no pipeline for pair " + request.pair_token +
                        " in snapshot");
     }
-    std::vector<std::string> lines;
-    for (const auto& tm : pair->result->type_matches) {
-      std::ostringstream os;
-      os << tm.type_a << "\t" << tm.type_b << "\t" << tm.votes << "\t"
-         << tm.confidence;
-      lines.push_back(os.str());
-    }
-    *cacheable = true;
-    return RenderOk(lines);
   }
-
-  if (command == "attr") {
-    std::string type_b, lang;
-    if (!NextToken(line, &pos, &type_b) || !NextToken(line, &pos, &lang)) {
-      return RenderErr("usage: attr <src>:<tgt> <type_b> <lang> <attr>");
-    }
-    std::string name = RestOfLine(line, pos);
-    if (name.empty()) {
-      return RenderErr("usage: attr <src>:<tgt> <type_b> <lang> <attr>");
-    }
-    auto result = TranslateAttribute(core, lang_a, lang_b, type_b, lang, name);
-    if (!result.ok()) return RenderErr(result.status().ToString());
-    *cacheable = true;
-    return RenderOk(*result);
-  }
-
-  if (command == "alignments") {
-    std::string type_b;
-    if (!NextToken(line, &pos, &type_b) || type_b.empty()) {
-      return RenderErr("usage: alignments <src>:<tgt> <type_b>");
-    }
-    auto result = ListAlignments(core, lang_a, lang_b, type_b);
-    if (!result.ok()) return RenderErr(result.status().ToString());
-    *cacheable = true;
-    return RenderOk(*result);
-  }
-
-  if (command == "query") {
-    std::string query_text = RestOfLine(line, pos);
-    if (query_text.empty()) {
-      return RenderErr("usage: query <src>:<tgt> <c-query>");
-    }
-    auto result = EvaluateTranslatedQuery(core, lang_a, lang_b, query_text);
-    if (!result.ok()) return RenderErr(result.status().ToString());
-    std::vector<std::string> lines;
-    lines.push_back("translated " +
-                    std::to_string(result->constraints_translated) + " " +
-                    std::to_string(result->constraints_relaxed) + " " +
-                    result->translated_query);
-    for (const auto& answer : result->answers) {
-      std::string l = answer.title;
-      for (const auto& projection : answer.projections) {
-        l += '\t';
-        l += projection;
-      }
-      lines.push_back(std::move(l));
-    }
-    *cacheable = true;
-    return RenderOk(lines);
-  }
-
-  if (command == "sync") {
-    std::string type_b;
-    if (!NextToken(line, &pos, &type_b) || type_b.empty()) {
-      return RenderErr("usage: sync <src>:<tgt> <type_b>");
-    }
-    if (core.FindPair(lang_a, lang_b) == nullptr) {
-      return RenderErr("no pipeline for pair " + lang_a + ":" + lang_b +
-                       " in snapshot");
-    }
-    const sync::SyncReport& report = core.snapshot.sync_report;
-    if (report.empty()) {
-      return RenderErr(
-          "no sync report in snapshot (run `wikimatch sync` and reload)");
-    }
-    // The non-hub edition is the pair language of the report's rows; the
-    // index was built per (pair_lang, type_b) so both orderings of the
-    // pair token find the same rows.
-    std::vector<std::string> lines;
-    lines.push_back("sync_generation=" + std::to_string(report.generation));
-    auto emit = [&](const std::string& pair_lang) {
-      auto cit = core.sync_cells.find({pair_lang, type_b});
-      if (cit != core.sync_cells.end()) {
-        for (size_t idx : cit->second) {
-          const sync::CellVerdict& v = report.cells[idx];
-          std::ostringstream os;
-          os << "cell\t" << v.pair_title << "\t" << v.hub_title << "\t"
-             << v.pair_attr << "\t" << v.hub_attr << "\t"
-             << sync::CellClassName(v.cls) << "\t" << v.score;
-          lines.push_back(os.str());
-        }
-      }
-      auto uit = core.sync_updates.find({pair_lang, type_b});
-      if (uit != core.sync_updates.end()) {
-        for (size_t idx : uit->second) {
-          const sync::PropagationUpdate& u = report.updates[idx];
-          std::ostringstream os;
-          os << "update\t" << u.source_lang << "\t" << u.source_title << "\t"
-             << u.source_attr << "\t" << u.target_lang << "\t"
-             << u.target_title << "\t" << u.target_attr << "\t"
-             << u.evidence_score << "\t" << u.proposed_value;
-          lines.push_back(os.str());
-        }
-      }
-    };
-    // One of the two languages is the hub; the other keys the report.
-    emit(lang_a);
-    if (lang_b != lang_a) emit(lang_b);
-    *cacheable = true;
-    return RenderOk(lines);
-  }
-
-  // Every table verb is handled above; reaching here means the table and
-  // the dispatch chain drifted apart (a bug the help-coverage test catches).
-  return RenderErr("verb '" + command + "' is not implemented");
+  return spec.handler(request);
 }
 
 std::string MatchService::Handle(const std::string& line) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  // Pin one generation for the whole request. The cache key carries its
-  // load sequence so a swap instantly invalidates every older entry
-  // (they become unaddressable and age out of the LRU).
-  auto gen = Current();
-  std::string key = std::to_string(gen->load_seq) + '\x1f' + line;
-  std::string cached;
-  if (cache_.Get(key, &cached)) return cached;
-  bool cacheable = false;
-  std::string response = Dispatch(*gen, line, &cacheable);
-  if (cacheable) {
-    cache_.Put(key, response);
-  } else if (response.compare(0, 3, "err") == 0) {
+  size_t pos = 0;
+  std::string_view verb;
+  const VerbSpec* spec = nullptr;
+  std::string response;
+  if (!NextToken(line, &pos, &verb)) {
+    response = RenderErr("empty request");
+  } else if ((spec = FindVerb(verb)) == nullptr) {
+    response = RenderErr("unknown request '" + std::string(verb) +
+                         "' (try 'help' for the protocol)");
+  } else {
+    // Pin one generation for the whole request. A cache key carries its
+    // load sequence so a swap instantly invalidates every older entry
+    // (they become unaddressable and age out of the LRU).
+    auto gen = Current();
+    if (!spec->cacheable) {
+      response = Answer(*spec, *gen, line, pos);
+    } else {
+      std::string key = std::to_string(gen->load_seq) + '\x1f' + line;
+      if (cache_.Get(key, &response)) return response;
+      response = Answer(*spec, *gen, line, pos);
+      if (response.compare(0, 3, "ok ") == 0) cache_.Put(key, response);
+    }
+  }
+  if (response.compare(0, 3, "err") == 0) {
     errors_.fetch_add(1, std::memory_order_relaxed);
   }
   return response;

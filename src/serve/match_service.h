@@ -1,8 +1,10 @@
 // MatchService: the in-process serving layer. Loads a snapshot (the
 // expensive offline matching already done by `wikimatch build-snapshot`)
-// and answers three request types — attribute-translation lookup, per-type
-// alignment listing, and translated c-query evaluation — from immutable
-// in-memory state behind a sharded LRU result cache.
+// and answers the line protocol's verbs — attribute translation, alignment
+// listing, translated c-queries, sync rows, and the meta and stats verbs —
+// from immutable in-memory state behind a sharded LRU result cache. The
+// verbs, with what each needs and whether it is cached, are the VerbSpec
+// rows of ProtocolVerbs() (serve/protocol.h).
 //
 // Generations: the snapshot and every index derived from it live in one
 // immutable GenerationState held by shared_ptr. OpenGeneration() maps the
@@ -79,20 +81,7 @@ struct ServiceStats {
   CacheStats cache;
 };
 
-/// \brief One answer of a translated query.
-struct ServedAnswer {
-  std::string title;
-  double score = 0.0;
-  std::vector<std::string> projections;
-};
-
-/// \brief Result of a translated c-query evaluation.
-struct ServedQueryResult {
-  std::string translated_query;
-  size_t constraints_translated = 0;
-  size_t constraints_relaxed = 0;
-  std::vector<ServedAnswer> answers;
-};
+struct VerbSpec;
 
 /// \brief Thread-safe snapshot-backed match server with hot reload.
 class MatchService {
@@ -114,32 +103,10 @@ class MatchService {
   /// keeps serving untouched. Concurrent Reload() calls are serialized.
   util::Status Reload(const std::string& path = "");
 
-  // ---- Typed API (uncached) ----------------------------------------------
-
-  /// \brief Correspondents of attribute (`lang`, `name`) of the pair's
-  /// type `type_b` in the pair's *other* language, as "lang:name" strings.
-  util::Result<std::vector<std::string>> TranslateAttribute(
-      const std::string& lang_a, const std::string& lang_b,
-      const std::string& type_b, const std::string& lang,
-      const std::string& name) const;
-
-  /// \brief All alignment clusters of `type_b`, one "l:a ~ l:b" line each.
-  util::Result<std::vector<std::string>> ListAlignments(
-      const std::string& lang_a, const std::string& lang_b,
-      const std::string& type_b) const;
-
-  /// \brief Translates `query_text` (written in `lang_a`) across the pair
-  /// and evaluates it against the snapshot corpus in `lang_b`.
-  util::Result<ServedQueryResult> EvaluateTranslatedQuery(
-      const std::string& lang_a, const std::string& lang_b,
-      const std::string& query_text) const;
-
-  // ---- Line protocol (cached) --------------------------------------------
-
   /// \brief Handles one request line (see docs/SERVING.md) and returns the
   /// full response text ("ok <n>\n..." or "err <message>\n"). Successful
-  /// responses are served from / inserted into the LRU cache, keyed under
-  /// the generation that produced them.
+  /// answers of cacheable verbs are served from / inserted into the LRU
+  /// cache, keyed under the generation that produced them.
   std::string Handle(const std::string& line);
 
   ServiceStats Stats() const;
@@ -155,7 +122,15 @@ class MatchService {
   /// indexes) is built. False between Load() and the first data request.
   bool CoreLoaded() const;
 
+  /// One request as a VerbSpec handler sees it (defined in the .cc).
+  struct Request;
+  /// A verb's handler: the full response text for the request.
+  using VerbHandler = std::string (*)(Request&);
+
  private:
+  // The verb table's handlers read the service's private state.
+  friend const std::vector<VerbSpec>& ProtocolVerbs();
+
   using Clock = std::chrono::steady_clock;
 
   struct PairServing {
@@ -228,21 +203,11 @@ class MatchService {
   /// Pins the current generation (shared_ptr copy under a short lock).
   std::shared_ptr<const GenerationState> Current() const;
 
-  // Typed API against one core.
-  util::Result<std::vector<std::string>> TranslateAttribute(
-      const CoreState& core, const std::string& lang_a,
-      const std::string& lang_b, const std::string& type_b,
-      const std::string& lang, const std::string& name) const;
-  util::Result<std::vector<std::string>> ListAlignments(
-      const CoreState& core, const std::string& lang_a,
-      const std::string& lang_b, const std::string& type_b) const;
-  util::Result<ServedQueryResult> EvaluateTranslatedQuery(
-      const CoreState& core, const std::string& lang_a,
-      const std::string& lang_b, const std::string& query_text) const;
-
-  /// Uncached dispatch against one pinned generation.
-  std::string Dispatch(const GenerationState& gen, const std::string& line,
-                       bool* cacheable);
+  /// Answers `spec`'s request against one pinned generation, uncached:
+  /// builds the core for core and pair verbs, resolves the pair token for
+  /// pair verbs, then runs the handler. `pos` is just past the verb.
+  std::string Answer(const VerbSpec& spec, const GenerationState& gen,
+                     const std::string& line, size_t pos);
 
   ServiceOptions options_;
   ShardedLruCache cache_;

@@ -7,38 +7,12 @@
 namespace wikimatch {
 namespace serve {
 
-const std::vector<VerbSpec>& ProtocolVerbs() {
-  static const std::vector<VerbSpec> kVerbs = {
-      {"attr", "<src>:<tgt> <type_b> <lang> <attribute>",
-       "correspondents of the attribute in the pair's other language"},
-      {"alignments", "<src>:<tgt> <type_b>",
-       "all alignment clusters of the type"},
-      {"query", "<src>:<tgt> <c-query>",
-       "translate the c-query from <src> and evaluate it in <tgt>"},
-      {"sync", "<src>:<tgt> <type_b>",
-       "cell verdicts and propagation updates of the type (docs/SYNC.md)"},
-      {"sync-status", "",
-       "sync-report generation and per-language verdict counts"},
-      {"types", "<src>:<tgt>", "entity-type mapping of the pair"},
-      {"pairs", "", "language pairs in the snapshot"},
-      {"stats", "", "service and cache counters"},
-      {"health", "", "one-line liveness probe (load balancers, drain checks)"},
-      {"version", "", "server, protocol, and snapshot-format versions"},
-      {"generation", "", "generation of the snapshot being served"},
-      {"reload", "[<path>]",
-       "hot-swap to the snapshot at <path> (default: the loaded one)"},
-      {"help", "", "this verb table"},
-      {"quit", "", "end the session"},
-  };
-  return kVerbs;
-}
-
-bool IsProtocolVerb(const std::string& command) {
-  if (command == "exit") return true;  // undocumented alias for quit
+const VerbSpec* FindVerb(std::string_view verb) {
+  if (verb == "exit") verb = "quit";
   for (const VerbSpec& spec : ProtocolVerbs()) {
-    if (command == spec.verb) return true;
+    if (verb == spec.verb) return &spec;
   }
-  return false;
+  return nullptr;
 }
 
 const std::vector<std::string>& HelpLines() {

@@ -14,6 +14,7 @@
 #include <istream>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "serve/match_service.h"
@@ -29,21 +30,40 @@ inline constexpr int kProtocolVersion = 3;
 /// Human-readable server release, also reported by `version`.
 inline constexpr char kServerVersion[] = "0.7.0";
 
-/// \brief One protocol verb, as documented by `help`. This table is the
-/// single source of truth for the verb set: `help` renders it, Dispatch
-/// rejects commands absent from it, and the docs/SERVING.md verb table is
-/// asserted against it by serve_test — the three cannot drift apart.
+/// \brief What a verb needs from the generation serving its request.
+enum class VerbScope {
+  kMeta,  ///< answers from the meta section; never builds the core
+  kCore,  ///< needs the generation's core (built on first use)
+  kPair,  ///< needs the core and a `<src>:<tgt>` pair the snapshot holds
+};
+
+/// \brief One protocol verb. This table is the single description of the
+/// verb set: `help` renders it, MatchService::Handle() routes every
+/// request through it, and serve_test checks the docs/SERVING.md verb
+/// table against it. Handle() reads the verb, looks up its row, probes
+/// the result cache only for a cacheable row, builds the core only for a
+/// core or pair row, and for a pair row reads the `<src>:<tgt>` token and
+/// resolves it (an unknown pair is answered there, once for every verb)
+/// before it calls the handler. A handler that finds its arguments
+/// missing answers "usage: <verb> <args>", rendered from its row.
 struct VerbSpec {
   const char* verb;
   const char* args;         ///< usage suffix, "" for argument-less verbs
   const char* description;  ///< one-line summary shown by `help`
+  VerbScope scope;
+  /// True: successful answers are cached under the serving generation.
+  /// False: the verb never touches the cache.
+  bool cacheable;
+  MatchService::VerbHandler handler;
 };
 
-/// \brief Every verb of protocol version kProtocolVersion.
+/// \brief Every verb of protocol version kProtocolVersion (defined with
+/// the handlers, in match_service.cc).
 const std::vector<VerbSpec>& ProtocolVerbs();
 
-/// \brief True iff `command` is a verb in ProtocolVerbs().
-bool IsProtocolVerb(const std::string& command);
+/// \brief The row of `verb` in ProtocolVerbs(), or null; `exit` is the
+/// undocumented alias of `quit`.
+const VerbSpec* FindVerb(std::string_view verb);
 
 /// \brief The `help` response body, rendered from ProtocolVerbs().
 const std::vector<std::string>& HelpLines();

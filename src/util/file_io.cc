@@ -32,5 +32,18 @@ Result<std::string> ReadFile(const std::string& path) {
   return buf;
 }
 
+Status WriteFile(const std::string& path, const std::string& content) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  if (f == nullptr) return Status::IoError("cannot open " + path);
+  bool written = std::fwrite(content.data(), 1, content.size(), f) ==
+                 content.size();
+  bool closed = std::fclose(f) == 0;
+  if (!written || !closed) {
+    return Status::IoError("cannot write " + path + ": " +
+                           std::strerror(errno));
+  }
+  return Status::OK();
+}
+
 }  // namespace util
 }  // namespace wikimatch

@@ -1,5 +1,5 @@
-// Whole-file reads for the inputs the CLI takes by path (MediaWiki dumps
-// and match-set TSVs).
+// Whole-file reads and writes for the files the CLI takes by path
+// (MediaWiki dumps and match-set TSVs).
 
 #ifndef WIKIMATCH_UTIL_FILE_IO_H_
 #define WIKIMATCH_UTIL_FILE_IO_H_
@@ -15,6 +15,11 @@ namespace util {
 /// a pipe or a /proc file reads its real content. IoError naming the path
 /// when it cannot be opened or read (a directory opens but fails to read).
 Result<std::string> ReadFile(const std::string& path);
+
+/// \brief Writes `content` to `path`, replacing it. IoError naming the path
+/// when it cannot be opened, or when the write or the close fails (a full
+/// device reports only at the close's flush).
+Status WriteFile(const std::string& path, const std::string& content);
 
 }  // namespace util
 }  // namespace wikimatch

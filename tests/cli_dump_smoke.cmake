@@ -10,7 +10,8 @@
 # writes must equal the digest pinned below. stderr is not pinned: it
 # carries timings. match's outputs must not change with the thread
 # counts, and query --translate must honour --tlsi. A directory given as a
-# dump must fail with an IoError (exit 1, not an abort). An option the
+# dump, and match --tsv or --save-matches to a full device, must fail with
+# an IoError (exit 1, not an abort or a success). An option the
 # verb does not read, a stray or second positional, a repeated
 # single-valued option and a malformed value are usage errors: exit 2, a
 # message naming the verb and the offending argument, and nothing written
@@ -128,6 +129,24 @@ endif()
 if(NOT err MATCHES "IoError")
   message(FATAL_ERROR "build-snapshot on a directory printed no IoError: "
                       "${err}")
+endif()
+
+# A write that fails late (a full device fails the flush at close) is an
+# IoError naming the path, not a success.
+if(EXISTS /dev/full)
+  foreach(flag --tsv --save-matches)
+    execute_process(COMMAND "${WIKIMATCH}" match ${en_pt} --pair pt:en
+                            ${flag} /dev/full
+                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 1)
+      message(FATAL_ERROR "match ${flag} /dev/full exited ${rc}, "
+                          "expected 1: ${err}")
+    endif()
+    if(NOT err MATCHES "IoError: cannot write /dev/full")
+      message(FATAL_ERROR "match ${flag} /dev/full printed no IoError "
+                          "naming the path: ${err}")
+    endif()
+  endforeach()
 endif()
 
 # query --translate runs the matcher under --tlsi: at an LSI threshold no

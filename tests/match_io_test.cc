@@ -73,6 +73,19 @@ TEST(MatchIoTest, DirectoryIsIoError) {
       << loaded.status().ToString();
 }
 
+// /dev/full accepts the open and the buffered write; the flush at close
+// fails. That is an IoError naming the path, not a silent success.
+TEST(MatchIoTest, SaveToFullDeviceIsIoError) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  TypeMatchSets original;
+  original["film"].AddPair(A("en", "genre"), A("vi", "thể loại"));
+  util::Status saved = SaveMatchSets(original, "/dev/full");
+  ASSERT_FALSE(saved.ok());
+  EXPECT_EQ(saved.code(), util::StatusCode::kIoError);
+  EXPECT_NE(saved.message().find("/dev/full"), std::string::npos)
+      << saved.ToString();
+}
+
 // A pipe reports no size; it must be read to EOF.
 TEST(MatchIoTest, PipeLoads) {
   TypeMatchSets original;

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iterator>
 #include <regex>
+#include <set>
 #include <sstream>
 #include <thread>
 
@@ -144,14 +145,39 @@ TEST(ServeTest, LoadRejectsMissingSnapshot) {
   EXPECT_EQ(service.status().code(), util::StatusCode::kIoError);
 }
 
+// The payload lines of an "ok <n>" response; a failure for anything else.
+std::vector<std::string> OkLines(const std::string& response) {
+  EXPECT_EQ(response.compare(0, 3, "ok "), 0) << response;
+  std::vector<std::string> lines;
+  std::istringstream in(response);
+  std::string line;
+  std::getline(in, line);  // "ok <n>"
+  while (std::getline(in, line)) lines.push_back(line);
+  EXPECT_EQ(response.substr(0, response.find('\n')),
+            "ok " + std::to_string(lines.size()))
+      << response;
+  return lines;
+}
+
+// `text` cut at every tab, keeping empty fields.
+std::vector<std::string> TabFields(const std::string& text) {
+  std::vector<std::string> fields;
+  size_t start = 0;
+  for (size_t tab = text.find('\t'); tab != std::string::npos;
+       start = tab + 1, tab = text.find('\t', start)) {
+    fields.push_back(text.substr(start, tab - start));
+  }
+  fields.push_back(text.substr(start));
+  return fields;
+}
+
 TEST(ServeTest, AttributeTranslationLookup) {
   auto service = MatchService::Load(GetFixture().snapshot_path);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   // "film" is the hub-side type of the Tiny corpus; its alignment must
   // carry at least one pt -> en correspondence discovered by the matcher.
-  auto alignments = (*service)->ListAlignments("pt", "en", "film");
-  ASSERT_TRUE(alignments.ok()) << alignments.status().ToString();
-  ASSERT_FALSE(alignments->empty());
+  auto alignments = OkLines((*service)->Handle("alignments pt:en film"));
+  ASSERT_FALSE(alignments.empty());
   // Take a pt attribute from the pipeline's own MatchSet and ask the
   // service for its correspondents.
   const auto* tr = GetFixture().result.FindByTypeB("film");
@@ -159,34 +185,44 @@ TEST(ServeTest, AttributeTranslationLookup) {
   auto pairs = tr->alignment.matches.CrossLanguagePairs("pt", "en");
   ASSERT_FALSE(pairs.empty());
   const auto& [pt_attr, en_attr] = pairs.front();
-  auto correspondents = (*service)->TranslateAttribute(
-      "pt", "en", "film", "pt", pt_attr.name);
-  ASSERT_TRUE(correspondents.ok()) << correspondents.status().ToString();
+  auto correspondents =
+      OkLines((*service)->Handle("attr pt:en film pt " + pt_attr.name));
   bool found = false;
-  for (const auto& c : *correspondents) {
+  for (const auto& c : correspondents) {
     if (c == "en:" + en_attr.name) found = true;
   }
   EXPECT_TRUE(found) << "expected en:" << en_attr.name;
   // Unknown pair and unknown type are clean errors.
-  EXPECT_FALSE((*service)->TranslateAttribute("vi", "en", "film", "vi",
-                                              "x").ok());
-  EXPECT_FALSE((*service)->TranslateAttribute("pt", "en", "nope", "pt",
-                                              "x").ok());
+  EXPECT_EQ((*service)->Handle("attr vi:en film vi x").compare(0, 4, "err "),
+            0);
+  EXPECT_EQ((*service)->Handle("attr pt:en nope pt x").compare(0, 4, "err "),
+            0);
 }
 
 TEST(ServeTest, TranslatedQueryMatchesOneShotPath) {
   auto service = MatchService::Load(GetFixture().snapshot_path);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
-  auto served = (*service)->EvaluateTranslatedQuery("pt", "en", kQuery);
-  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  auto served =
+      OkLines((*service)->Handle(std::string("query pt:en ") + kQuery));
+  ASSERT_FALSE(served.empty());
+  // "translated <#translated> <#relaxed> <query>", then one line per
+  // answer: its title and its projections, tab-separated.
+  std::istringstream header(served.front());
+  std::string word;
+  size_t constraints_translated = 0;
+  header >> word >> constraints_translated;
+  EXPECT_EQ(word, "translated");
   auto expected = OneShotAnswers(kQuery);
-  ASSERT_EQ(served->answers.size(), expected.size());
+  ASSERT_EQ(served.size() - 1, expected.size());
   for (size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_EQ(served->answers[i].title, expected[i].first) << "answer " << i;
-    EXPECT_EQ(served->answers[i].projections, expected[i].second)
+    std::vector<std::string> fields = TabFields(served[i + 1]);
+    ASSERT_FALSE(fields.empty()) << "answer " << i;
+    EXPECT_EQ(fields.front(), expected[i].first) << "answer " << i;
+    EXPECT_EQ(std::vector<std::string>(fields.begin() + 1, fields.end()),
+              expected[i].second)
         << "answer " << i;
   }
-  EXPECT_GT(served->constraints_translated, 0u);
+  EXPECT_GT(constraints_translated, 0u);
 }
 
 // The query index is built on the thread pool when a core is built: the
@@ -516,8 +552,9 @@ TEST(ServeTest, HealthVerbIsOneCheapLine) {
       << response;
   EXPECT_NE(response.find(" load_seq=1 "), std::string::npos) << response;
   EXPECT_NE(response.find(" uptime_s="), std::string::npos) << response;
-  // A liveness probe must not pollute the result cache.
+  // A liveness probe neither fills nor probes the result cache.
   EXPECT_EQ((*service)->Stats().cache.entries, 0u);
+  EXPECT_EQ((*service)->Stats().cache.misses, 0u);
 }
 
 TEST(ServeTest, VersionVerbReportsServerAndFormatVersions) {
@@ -557,11 +594,12 @@ TEST(ServeTest, ReloadSwapsGenerationAndInvalidatesCache) {
 
   // Same request: the generation-tagged key makes it a miss, not a stale
   // hit — and the answer (same matching payload) is unchanged. Misses are
-  // 3, not 2: the uncacheable reload line itself probed the cache once.
+  // the two first asks of the request; the uncacheable reload line never
+  // probed the cache.
   std::string after = (*service)->Handle(request);
   EXPECT_EQ(after, before);
   EXPECT_EQ((*service)->Stats().cache.hits, 1u);
-  EXPECT_EQ((*service)->Stats().cache.misses, 3u);
+  EXPECT_EQ((*service)->Stats().cache.misses, 2u);
 
   // The generation verb reflects the delta manifest.
   std::string gen_line = (*service)->Handle("generation");
@@ -773,6 +811,26 @@ TEST(ServeTest, ServeLoopSpeaksTheLineProtocol) {
   std::string text = out.str();
   EXPECT_EQ(text.compare(0, 10, "ok 1\npt:en"), 0) << text;
   EXPECT_NE(text.find("err unknown request 'nonsense'"), std::string::npos);
+}
+
+// docs/SERVING.md's verb table and ProtocolVerbs() name the same verbs:
+// every table verb has a "| `verb" row there, and every such row names a
+// table verb (FindVerb takes `exit` as quit's alias).
+TEST(ServeTest, ServingDocsListExactlyTheTableVerbs) {
+  std::ifstream in(std::string(WIKIMATCH_REPO_ROOT) + "/docs/SERVING.md");
+  ASSERT_TRUE(in.is_open()) << "docs/SERVING.md";
+  std::set<std::string> documented;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.compare(0, 3, "| `") != 0) continue;
+    std::string verb = line.substr(3, line.find_first_of(" `", 3) - 3);
+    EXPECT_NE(FindVerb(verb), nullptr) << "not a protocol verb: " << line;
+    documented.insert(verb);
+  }
+  for (const VerbSpec& spec : ProtocolVerbs()) {
+    EXPECT_EQ(documented.count(spec.verb), 1u)
+        << "no docs/SERVING.md row for " << spec.verb;
+  }
 }
 
 // ---------------------------------------------------------- pinned answers
