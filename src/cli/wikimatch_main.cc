@@ -21,9 +21,7 @@
 
 #include "ingest/delta.h"
 #include "ingest/incremental_matcher.h"
-#include "match/match_io.h"
 #include "match/pipeline.h"
-#include "match/type_matcher.h"
 #include "query/c_query.h"
 #include "query/evaluator.h"
 #include "query/translator.h"
@@ -58,8 +56,6 @@ struct Args {
   std::string positional;
   std::string lang;
   std::string tsv_path;
-  std::string save_path;
-  std::string matches_path;
   std::string out_path;
   std::string snapshot_path;
   double t_sim = match::MatcherConfig{}.t_sim;
@@ -118,8 +114,8 @@ bool Split(const char* value, Args* args) {
 
 // Command-line options, one row each in kOptions.
 enum Opt {
-  kDump, kRemove, kSynth, kSnapshot, kPair, kLang, kTranslate, kMatches,
-  kTsim, kTlsi, kThreads, kAlignThreads, kStats, kTsv, kSaveMatches, kOut,
+  kDump, kRemove, kSynth, kSnapshot, kPair, kLang, kTranslate, kTsim,
+  kTlsi, kThreads, kAlignThreads, kStats, kTsv, kOut,
   kCacheCapacity, kListen, kNetThreads, kMaxConns, kNumOpts
 };
 using OptSet = uint32_t;
@@ -160,9 +156,6 @@ constexpr OptionSpec kOptions[] = {
     {kTranslate, "--translate", "",
      "translate the query into the pair's target language first",
      Switch<&Args::translate>},
-    {kMatches, "--matches", "<path>",
-     "translate with saved match clusters instead of running the matcher",
-     Text<&Args::matches_path>},
     {kTsim, "--tsim", "<v>", "WikiMatch similarity threshold Tsim",
      Number<&Args::t_sim>},
     {kTlsi, "--tlsi", "<v>", "WikiMatch LSI threshold TLSI",
@@ -179,8 +172,6 @@ constexpr OptionSpec kOptions[] = {
      Switch<&Args::print_stats>},
     {kTsv, "--tsv", "<path>", "write the cross-language matches as TSV",
      Text<&Args::tsv_path>},
-    {kSaveMatches, "--save-matches", "<path>", "persist the match clusters",
-     Text<&Args::save_path>},
     {kOut, "--out", "<path>", "snapshot to write", Text<&Args::out_path>},
     {kCacheCapacity, "--cache-capacity", "<n>", "LRU result-cache entries",
      Number<&Args::cache_capacity>},
@@ -420,15 +411,6 @@ int RunMatch(const Args& args, bool types_only) {
   if (!args.tsv_path.empty() && Failed(util::WriteFile(args.tsv_path, tsv))) {
     return 1;
   }
-  if (!args.save_path.empty()) {
-    match::TypeMatchSets sets;
-    for (const auto& tr : result->per_type) {
-      sets.emplace(tr.type_b, tr.alignment.matches);
-    }
-    auto saved = match::SaveMatchSets(sets, args.save_path);
-    if (Failed(saved)) return 1;
-    std::fprintf(stderr, "saved matches to %s\n", args.save_path.c_str());
-  }
   return 0;
 }
 
@@ -447,31 +429,17 @@ int RunQuery(const Args& args) {
   query::CQuery q = std::move(parsed).ValueOrDie();
   std::string eval_lang = args.lang;
 
-  std::map<std::string, eval::MatchSet> per_type_storage;
   if (args.translate) {
     const auto& [lang_a, lang_b] = args.pairs.front();
     match::MatchPipeline pipeline(&*corpus);
-    std::vector<match::TypeMatch> type_matches;
-    if (!args.matches_path.empty()) {
-      auto loaded = match::LoadMatchSets(args.matches_path);
-      if (Failed(loaded.status())) return 1;
-      per_type_storage = std::move(loaded).ValueOrDie();
-      match::TypeMatcher type_matcher;
-      type_matches = type_matcher.Match(*corpus, lang_a, lang_b);
-    } else {
-      auto result = pipeline.Run(lang_a, lang_b, MakePipelineOptions(args));
-      if (Failed(result.status())) return 1;
-      type_matches = result->type_matches;
-      for (const auto& tr : result->per_type) {
-        per_type_storage.emplace(tr.type_b, tr.alignment.matches);
-      }
-    }
+    auto result = pipeline.Run(lang_a, lang_b, MakePipelineOptions(args));
+    if (Failed(result.status())) return 1;
     std::map<std::string, const eval::MatchSet*> per_type;
-    for (const auto& [type_b, matches] : per_type_storage) {
-      per_type.emplace(type_b, &matches);
+    for (const auto& tr : result->per_type) {
+      per_type.emplace(tr.type_b, &tr.alignment.matches);
     }
-    query::QueryTranslator translator(lang_a, lang_b, type_matches, per_type,
-                                      &pipeline.dictionary());
+    query::QueryTranslator translator(lang_a, lang_b, result->type_matches,
+                                      per_type, &pipeline.dictionary());
     query::TranslationReport report;
     auto translated = translator.Translate(q, &report);
     if (!translated.ok()) {
@@ -779,7 +747,7 @@ constexpr OptSet kAlignOpts = Set({kTsim, kTlsi, kThreads, kAlignThreads});
 
 constexpr VerbSpec kVerbs[] = {
     {"match", "", "align one pair's infobox schemas, print match clusters",
-     Set({kDump, kPair, kStats, kTsv, kSaveMatches}) | kAlignOpts,
+     Set({kDump, kPair, kStats, kTsv}) | kAlignOpts,
      Set({kDump}), {Set({kDump}), Set({kPair})}, 0, 0, 0,
      [](const Args& args) { return RunMatch(args, false); }},
     {"types", "", "print one pair's cross-language entity-type mapping",
@@ -787,9 +755,9 @@ constexpr VerbSpec kVerbs[] = {
      {Set({kDump}), Set({kPair})}, 0, 0, 0,
      [](const Args& args) { return RunMatch(args, true); }},
     {"query", "<c-query>", "evaluate a c-query, optionally translated",
-     Set({kDump, kPair, kLang, kTranslate, kMatches}) | kAlignOpts,
+     Set({kDump, kPair, kLang, kTranslate}) | kAlignOpts,
      Set({kDump}), {Set({kDump}), Set({kLang})},
-     Set({kPair, kMatches, kTsim, kTlsi}), Set({kTranslate}), 0, RunQuery},
+     Set({kPair, kTsim, kTlsi}), Set({kTranslate}), 0, RunQuery},
     {"demo", "[scale]", "align a generated corpus (scale 0.1 by default)",
      0, 0, {}, 0, 0, 0, RunDemo},
     {"build-snapshot", "", "align every pair, write a binary snapshot",

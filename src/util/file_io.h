@@ -1,5 +1,5 @@
 // Whole-file reads and writes for the files the CLI takes by path
-// (MediaWiki dumps and match-set TSVs).
+// (MediaWiki dumps, `match --tsv` output).
 
 #ifndef WIKIMATCH_UTIL_FILE_IO_H_
 #define WIKIMATCH_UTIL_FILE_IO_H_

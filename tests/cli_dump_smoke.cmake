@@ -4,14 +4,14 @@
 #         -DWORK_DIR=<scratch dir> -P cli_dump_smoke.cmake
 #
 # dump_ingest writes en/pt/vi dumps, and every wikimatch verb runs on them:
-# build-snapshot, match, types, query (in-process and from saved
-# clusters), demo, sync, apply-delta and serve on a fixed stdin script.
+# build-snapshot, match, types, query, demo, sync, apply-delta and serve
+# on a fixed stdin script.
 # Each must exit 0, and the SHA-256 of its stdout and of every file it
 # writes must equal the digest pinned below. stderr is not pinned: it
 # carries timings. match's outputs must not change with the thread
-# counts, and query --translate must honour --tlsi. A directory given as a
-# dump, and match --tsv or --save-matches to a full device, must fail with
-# an IoError (exit 1, not an abort or a success). An option the
+# counts, and query --translate and a served snapshot must both honour
+# --tlsi. A directory given as a dump, and match --tsv to a full device,
+# must fail with an IoError (exit 1, not an abort or a success). An option the
 # verb does not read, a stray or second positional, a repeated
 # single-valued option and a malformed value are usage errors: exit 2, a
 # message naming the verb and the offending argument, and nothing written
@@ -55,8 +55,7 @@ wikimatch_ok(build_snapshot build-snapshot
              --dump "en=${dumps}/enwiki.xml" ${other_dumps}
              --out "${WORK_DIR}/m.snap")
 wikimatch_ok(match match ${en_pt} --pair pt:en
-             --tsv "${WORK_DIR}/matches.tsv"
-             --save-matches "${WORK_DIR}/clusters.tsv")
+             --tsv "${WORK_DIR}/matches.tsv")
 foreach(threads 1 4)
   wikimatch_ok(match_threads${threads} match ${en_pt} --pair pt:en
                --threads ${threads} --align-threads ${threads}
@@ -65,8 +64,6 @@ endforeach()
 wikimatch_ok(types types ${en_pt} --pair pt:en)
 wikimatch_ok(query query ${en_pt} --lang pt --pair pt:en --translate
              "${film_query}")
-wikimatch_ok(query_matches query ${en_pt} --lang pt --pair pt:en --translate
-             --matches "${WORK_DIR}/clusters.tsv" "${film_query}")
 wikimatch_ok(demo demo 0.05)
 wikimatch_ok(sync sync --snapshot "${WORK_DIR}/m.snap"
              --out "${WORK_DIR}/synced.snap")
@@ -94,10 +91,8 @@ set(pinned
   matches_threads1.tsv afa89a8937adf43bd1e021ac40ae767071441ec007b9e3ab1d18af08f10bfab9
   match_threads4.out  5b8342216c8dd6e06ca3082bcd4bf7fd1d3627f8860af1e837d1fb0b0b9eae7a
   matches_threads4.tsv afa89a8937adf43bd1e021ac40ae767071441ec007b9e3ab1d18af08f10bfab9
-  clusters.tsv        f37fc2602fdc871f03d8a5cd768d2ec6ffae59348bf4d610e04fc8039b4a7925
   types.out           8f63e1488fdf72d25c3f1a426d08768646c62da341804d71a6b5c60b913fdb1d
   query.out           fc97bfe373b7c7072cf268d1242a58e65e213d8ed7a2e248fedb6a8b881f0ad9
-  query_matches.out   fc97bfe373b7c7072cf268d1242a58e65e213d8ed7a2e248fedb6a8b881f0ad9
   demo.out            cf11d323bd29f7b23de01b98ac3cca96ad204fa7d0bafa114d461102b453925c
   sync.out            e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
   synced.snap         45e45beed71abcf11a753914b09e0881772f237de82def22a0f581a6d0e17147
@@ -134,37 +129,43 @@ endif()
 # A write that fails late (a full device fails the flush at close) is an
 # IoError naming the path, not a success.
 if(EXISTS /dev/full)
-  foreach(flag --tsv --save-matches)
-    execute_process(COMMAND "${WIKIMATCH}" match ${en_pt} --pair pt:en
-                            ${flag} /dev/full
-                    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-    if(NOT rc EQUAL 1)
-      message(FATAL_ERROR "match ${flag} /dev/full exited ${rc}, "
-                          "expected 1: ${err}")
-    endif()
-    if(NOT err MATCHES "IoError: cannot write /dev/full")
-      message(FATAL_ERROR "match ${flag} /dev/full printed no IoError "
-                          "naming the path: ${err}")
-    endif()
-  endforeach()
+  execute_process(COMMAND "${WIKIMATCH}" match ${en_pt} --pair pt:en
+                          --tsv /dev/full
+                  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "match --tsv /dev/full exited ${rc}, expected 1: "
+                        "${err}")
+  endif()
+  if(NOT err MATCHES "IoError: cannot write /dev/full")
+    message(FATAL_ERROR "match --tsv /dev/full printed no IoError naming "
+                        "the path: ${err}")
+  endif()
 endif()
 
-# query --translate runs the matcher under --tlsi: at an LSI threshold no
-# pair reaches, its translation equals the one from clusters that match
-# saved under the same threshold.
-wikimatch_ok(match_tlsi5 match ${en_pt} --pair pt:en --tlsi 5
-             --save-matches "${WORK_DIR}/clusters_tlsi5.tsv")
-wikimatch_ok(query_saved_tlsi5 query ${en_pt} --lang pt --pair pt:en
-             --translate --matches "${WORK_DIR}/clusters_tlsi5.tsv"
-             "${drama_query}")
+# Both query paths run the matcher under --tlsi: at an LSI threshold no
+# pair reaches, a snapshot built under it serves the translation that
+# query --translate prints under it, and that translation differs from
+# the default threshold's.
+wikimatch_ok(snapshot_tlsi5 build-snapshot ${en_pt} --pair pt:en --tlsi 5
+             --out "${WORK_DIR}/tlsi5.snap")
+file(WRITE "${WORK_DIR}/tlsi5_script.txt" "query pt:en ${drama_query}\n")
+wikimatch_ok(serve_tlsi5 serve --snapshot "${WORK_DIR}/tlsi5.snap"
+             INPUT "${WORK_DIR}/tlsi5_script.txt")
 wikimatch_ok(query_tlsi5 query ${en_pt} --lang pt --pair pt:en --translate
              --tlsi 5 "${drama_query}")
-file(STRINGS "${WORK_DIR}/query_saved_tlsi5.out" saved LIMIT_COUNT 1)
+wikimatch_ok(query_drama query ${en_pt} --lang pt --pair pt:en --translate
+             "${drama_query}")
+file(STRINGS "${WORK_DIR}/serve_tlsi5.out" served REGEX "^translated ")
+string(REGEX REPLACE "^translated ([0-9]+) ([0-9]+) (.*)$"
+       "# translated query: \\3 (\\1 translated, \\2 relaxed)" served
+       "${served}")
 file(STRINGS "${WORK_DIR}/query_tlsi5.out" in_process LIMIT_COUNT 1)
-if(NOT saved MATCHES "^# translated query: " OR
-   NOT saved STREQUAL in_process)
-  message(FATAL_ERROR "query --translate --tlsi 5 printed '${in_process}', "
-                      "from clusters saved under --tlsi 5: '${saved}'")
+file(STRINGS "${WORK_DIR}/query_drama.out" default_tlsi LIMIT_COUNT 1)
+if(NOT in_process MATCHES "^# translated query: " OR
+   NOT served STREQUAL in_process OR in_process STREQUAL default_tlsi)
+  message(FATAL_ERROR "under --tlsi 5, serve answered '${served}' and "
+                      "query --translate printed '${in_process}'; the "
+                      "default --tlsi printed '${default_tlsi}'")
 endif()
 
 # Every file in ${bad_out} with its SHA-256, one per line.
@@ -228,6 +229,13 @@ expect_usage_error(NAMES match --pair
                    ARGS match ${en_pt} --pair pt:en --pair vi:en
                         --tsv "${bad_out}/t.tsv")
 expect_usage_error(NAMES demo 0.02 ARGS demo 0.01 0.02)
+# The TSV cluster format is gone: saved alignments are a snapshot.
+expect_usage_error(NAMES match --save-matches
+                   ARGS match ${en_pt} --pair pt:en
+                        --save-matches "${bad_out}/c.tsv")
+expect_usage_error(NAMES query --matches
+                   ARGS query ${en_pt} --lang pt --pair pt:en --translate
+                        --matches "${bad_out}/c.tsv" "${film_query}")
 expect_usage_error(NAMES query "${drama_query}"
                    ARGS query ${en_pt} --lang pt "${film_query}"
                         "${drama_query}")
@@ -235,8 +243,6 @@ expect_usage_error(NAMES query "${drama_query}"
 set(plain_query query ${en_pt} --lang pt "${film_query}")
 expect_usage_error(NAMES query --pair --translate
                    ARGS ${plain_query} --pair pt:en)
-expect_usage_error(NAMES query --matches --translate
-                   ARGS ${plain_query} --matches "${bad_out}/c.tsv")
 expect_usage_error(NAMES query --tsim --translate
                    ARGS ${plain_query} --tsim 0.9)
 expect_usage_error(NAMES query --tlsi --translate

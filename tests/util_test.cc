@@ -1,11 +1,13 @@
 // Unit and property tests for the util substrate: Status/Result, the
-// deterministic RNG, string helpers, and the UTF-8 codec.
+// deterministic RNG, string helpers, the UTF-8 codec, and whole-file I/O.
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <set>
 
+#include "util/file_io.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -351,6 +353,44 @@ TEST_P(Utf8RoundTripTest, EncodeDecode) {
 INSTANTIATE_TEST_SUITE_P(Boundaries, Utf8RoundTripTest,
                          ::testing::Values(0x1u, 0x7Fu, 0x80u, 0x7FFu, 0x800u,
                                            0xFFFFu, 0x10000u, 0x10FFFFu));
+
+// ----------------------------------------------------------------- file I/O
+
+// A directory opens but cannot be read: an IoError naming the path, not an
+// abort from sizing a buffer by seeking.
+TEST(FileIoTest, ReadingADirectoryIsIoError) {
+  const std::string dir = ::testing::TempDir();
+  auto read = ReadFile(dir);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
+  EXPECT_NE(read.status().message().find(dir), std::string::npos)
+      << read.status().ToString();
+}
+
+// A pipe reports no size; it must be read to EOF.
+TEST(FileIoTest, ReadsAPipeToEof) {
+  const std::string content = "en\tgenre\nvi\tthể loại\n";
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  ASSERT_EQ(::write(fds[1], content.data(), content.size()),
+            static_cast<ssize_t>(content.size()));
+  ::close(fds[1]);
+  auto read = ReadFile("/dev/fd/" + std::to_string(fds[0]));
+  ::close(fds[0]);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, content);
+}
+
+// /dev/full accepts the open and the buffered write; the flush at close
+// fails. That is an IoError naming the path, not a silent success.
+TEST(FileIoTest, WritingToAFullDeviceIsIoError) {
+  if (::access("/dev/full", W_OK) != 0) GTEST_SKIP() << "no /dev/full";
+  Status written = WriteFile("/dev/full", "en\tgenre\n");
+  ASSERT_FALSE(written.ok());
+  EXPECT_EQ(written.code(), StatusCode::kIoError);
+  EXPECT_NE(written.message().find("/dev/full"), std::string::npos)
+      << written.ToString();
+}
 
 }  // namespace
 }  // namespace util
