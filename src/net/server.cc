@@ -292,19 +292,18 @@ void Server::HandleAccepts(Loop* loop) {
 }
 
 // Runs one complete line through the shared protocol semantics and queues
-// the response. Returns true when the line asked to end the session.
+// the response. Returns true when the line was an answered `quit`.
 bool Server::DispatchLine(Connection* conn, const std::string& line) {
   pending_requests_.fetch_add(1, std::memory_order_relaxed);
   serve::LineOutcome outcome = serve::HandleRequestLine(service_, line);
   pending_requests_.fetch_sub(1, std::memory_order_relaxed);
-  if (outcome.quit) return true;
   if (outcome.response.empty()) return false;  // blank line
   requests_.fetch_add(1, std::memory_order_relaxed);
-  if (outcome.response.compare(0, 12, "err protocol") == 0) {
+  if (outcome.protocol_error) {
     protocol_errors_.fetch_add(1, std::memory_order_relaxed);
   }
   conn->wbuf += outcome.response;
-  return false;
+  return outcome.quit;
 }
 
 void Server::ProcessLines(Loop* loop, Connection* conn) {
@@ -316,7 +315,8 @@ void Server::ProcessLines(Loop* loop, Connection* conn) {
       conn->wbuf += serve::OversizedLineResponse(options_.max_line_bytes);
       protocol_errors_.fetch_add(1, std::memory_order_relaxed);
     } else if (DispatchLine(conn, line)) {
-      // "quit": flush what is owed, drop the rest of the pipeline.
+      // `quit`: flush what is owed, its `bye` included, and drop the rest
+      // of the pipeline.
       conn->want_close = true;
       break;
     }

@@ -1,5 +1,6 @@
 #include "serve/match_service.h"
 
+#include <algorithm>
 #include <ctime>
 #include <sstream>
 #include <string_view>
@@ -12,47 +13,30 @@ namespace wikimatch {
 namespace serve {
 namespace {
 
-// Splits "a:b" into its two halves; false when there is no colon.
-bool SplitPairToken(const std::string& token, std::string* a,
-                    std::string* b) {
-  size_t colon = token.find(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == token.size()) {
-    return false;
-  }
-  *a = token.substr(0, colon);
-  *b = token.substr(colon + 1);
-  return true;
-}
+constexpr std::string_view kBlanks = " \t";
 
-// Reads the next whitespace-delimited token starting at `*pos`; a leading
-// double quote makes the token run to the closing quote, so localized type
-// names with spaces stay one field. The view points into `line`.
-bool NextToken(const std::string& line, size_t* pos,
-               std::string_view* token) {
-  while (*pos < line.size() && line[*pos] == ' ') ++*pos;
-  if (*pos >= line.size()) return false;
-  if (line[*pos] == '"') {
-    size_t close = line.find('"', *pos + 1);
-    if (close == std::string::npos) return false;
-    *token = std::string_view(line).substr(*pos + 1, close - *pos - 1);
+// Reads the argument after the blanks at `*pos`. A leading double quote
+// runs it to the closing quote, dropping both (so it may hold blanks or be
+// empty); else it runs to the next blank or, for a `rest` argument, to the
+// line's last non-blank. False when no argument is left or its quote is
+// unterminated; the token is then the rest of the line.
+bool NextToken(std::string_view line, size_t* pos, std::string_view* token,
+               bool rest = false) {
+  *pos = std::min(line.find_first_not_of(kBlanks, *pos), line.size());
+  const size_t start = *pos;
+  *token = line.substr(start);
+  if (start == line.size()) return false;
+  if (line[start] == '"') {
+    const size_t close = line.find('"', start + 1);
+    if (close == std::string_view::npos) return false;
+    *token = line.substr(start + 1, close - start - 1);
     *pos = close + 1;
     return true;
   }
-  size_t end = line.find(' ', *pos);
-  if (end == std::string::npos) end = line.size();
-  *token = std::string_view(line).substr(*pos, end - *pos);
-  *pos = end;
+  *pos = rest ? line.find_last_not_of(kBlanks) + 1
+              : std::min(line.find_first_of(kBlanks, start), line.size());
+  *token = line.substr(start, *pos - start);
   return true;
-}
-
-std::string RestOfLine(const std::string& line, size_t pos) {
-  while (pos < line.size() && line[pos] == ' ') ++pos;
-  size_t end = line.size();
-  while (end > pos && (line[end - 1] == ' ' || line[end - 1] == '\r')) {
-    --end;
-  }
-  return line.substr(pos, end - pos);
 }
 
 std::string RenderOk(const std::vector<std::string>& lines) {
@@ -62,14 +46,6 @@ std::string RenderOk(const std::vector<std::string>& lines) {
     out += '\n';
   }
   return out;
-}
-
-std::string RenderErr(const std::string& message) {
-  return "err " + message + "\n";
-}
-
-std::string RenderStatus(const util::Status& status) {
-  return RenderErr(status.ToString());
 }
 
 std::string ClusterLine(const std::set<eval::AttrKey>& cluster) {
@@ -258,33 +234,56 @@ util::Status MatchService::Reload(const std::string& path) {
   return util::Status::OK();
 }
 
-const MatchService::PairServing* MatchService::CoreState::FindPair(
-    const std::string& lang_a, const std::string& lang_b) const {
-  auto it = pairs.find({lang_a, lang_b});
-  return it == pairs.end() ? nullptr : &it->second;
-}
-
-// One request as a verb's handler sees it: the pinned generation, a cursor
-// just past the tokens read so far, and what the verb's scope resolved.
+// One request as a verb's handler sees it: the row and arguments the
+// grammar read, the pinned generation, and what the verb's scope resolved.
 struct MatchService::Request {
   MatchService& service;
-  const VerbSpec& spec;
-  const GenerationState& gen;
-  const std::string& line;
-  size_t pos;
+  const VerbSpec* spec = nullptr;
+  std::vector<std::string> args{};  // declared ones; "" for an absent one
+  std::string pair_token{}, lang_a{}, lang_b{};  // pair verbs
+  const GenerationState* gen = nullptr;
   const CoreState* core = nullptr;    // core and pair verbs
-  const PairServing* pair = nullptr;  // pair verbs, with its token's halves
-  std::string pair_token{}, lang_a{}, lang_b{};
+  const PairServing* pair = nullptr;  // pair verbs
+  bool quit = false;                  // set by the quit row
 
-  bool Next(std::string* token) {
-    std::string_view view;
-    if (!NextToken(line, &pos, &view)) return false;
-    token->assign(view);
-    return true;
-  }
-  std::string Rest() const { return RestOfLine(line, pos); }
-  std::string Usage() const {
-    return RenderErr(std::string("usage: ") + spec.verb + " " + spec.args);
+  // The request grammar (VerbSpec): reads the verb, then its row's pair
+  // token and declared arguments, each by NextToken.
+  util::Status Parse(std::string_view line) {
+    size_t pos = 0;
+    std::string_view verb;
+    if (!NextToken(line, &pos, &verb) && pos == line.size()) {
+      return util::Status::InvalidArgument("empty request");
+    }
+    spec = FindVerb(verb);
+    if (spec == nullptr) {
+      return util::Status::InvalidArgument(
+          "unknown request '" + std::string(verb) +
+          "' (try 'help' for the protocol)");
+    }
+    auto usage = [this] {
+      return util::Status::InvalidArgument("usage: " + Usage(*spec));
+    };
+    std::string_view token;
+    if (spec->scope == VerbScope::kPair) {
+      const bool read = NextToken(line, &pos, &token);
+      const size_t colon = token.find(':');
+      if (!read || colon == 0 || colon >= token.size() - 1) return usage();
+      pair_token = token;
+      lang_a = token.substr(0, colon);
+      lang_b = token.substr(colon + 1);
+    }
+    for (const ArgSpec& arg : spec->args) {
+      const bool read =
+          NextToken(line, &pos, &token, arg.kind != ArgSpec::kToken);
+      if (read ? token.empty()
+               : arg.kind != ArgSpec::kOptionalRest || pos < line.size()) {
+        return usage();
+      }
+      args.emplace_back(token);
+    }
+    return line.find_first_not_of(kBlanks, pos) == std::string_view::npos
+               ? util::Status::OK()
+               : usage();
   }
   // The pair's alignment of `type_b`, or null.
   const eval::MatchSet* Alignment(const std::string& type_b) const {
@@ -292,7 +291,7 @@ struct MatchService::Request {
     return it == pair->per_type.end() ? nullptr : it->second;
   }
   std::string NoAlignment(const std::string& type_b) const {
-    return RenderStatus(util::Status::NotFound(
+    return ErrorResponse(util::Status::NotFound(
         "no alignment for type " + type_b + " in pair " + pair_token));
   }
 };
@@ -300,62 +299,55 @@ struct MatchService::Request {
 const std::vector<VerbSpec>& ProtocolVerbs() {
   using Request = MatchService::Request;
   static const std::vector<VerbSpec> kVerbs = {
-      {"attr", "<src>:<tgt> <type_b> <lang> <attribute>",
+      {"attr", {{"<type_b>"}, {"<lang>"}, {"<attribute>", ArgSpec::kRest}},
        "correspondents of the attribute in the pair's other language",
        VerbScope::kPair, true,
        [](Request& r) {
-         std::string type_b, lang;
-         if (!r.Next(&type_b) || !r.Next(&lang)) return r.Usage();
-         std::string name = r.Rest();
-         if (name.empty()) return r.Usage();
+         const std::string& lang = r.args[1];
          if (lang != r.lang_a && lang != r.lang_b) {
-           return RenderStatus(util::Status::InvalidArgument(
+           return ErrorResponse(util::Status::InvalidArgument(
                "language " + lang + " is not part of pair " + r.pair_token));
          }
-         const eval::MatchSet* matches = r.Alignment(type_b);
-         if (matches == nullptr) return r.NoAlignment(type_b);
+         const eval::MatchSet* matches = r.Alignment(r.args[0]);
+         if (matches == nullptr) return r.NoAlignment(r.args[0]);
          const std::string& other = lang == r.lang_a ? r.lang_b : r.lang_a;
-         eval::AttrKey key{lang, text::NormalizeAttributeName(name)};
+         eval::AttrKey key{lang, text::NormalizeAttributeName(r.args[2])};
          std::vector<std::string> lines;
          for (const auto& target : matches->CorrespondentsOf(key, other)) {
            lines.push_back(target.language + ":" + target.name);
          }
          return RenderOk(lines);
        }},
-      {"alignments", "<src>:<tgt> <type_b>",
-       "all alignment clusters of the type", VerbScope::kPair, true,
+      {"alignments", {{"<type_b>"}}, "all alignment clusters of the type",
+       VerbScope::kPair, true,
        [](Request& r) {
-         std::string type_b;
-         if (!r.Next(&type_b) || type_b.empty()) return r.Usage();
-         const eval::MatchSet* matches = r.Alignment(type_b);
-         if (matches == nullptr) return r.NoAlignment(type_b);
+         const eval::MatchSet* matches = r.Alignment(r.args[0]);
+         if (matches == nullptr) return r.NoAlignment(r.args[0]);
          std::vector<std::string> lines;
          for (const auto& cluster : matches->Clusters()) {
            lines.push_back(ClusterLine(cluster));
          }
          return RenderOk(lines);
        }},
-      {"query", "<src>:<tgt> <c-query>",
+      {"query", {{"<c-query>", ArgSpec::kRest}},
        "translate the c-query from <src> and evaluate it in <tgt>",
        VerbScope::kPair, true,
        [](Request& r) {
-         std::string query_text = r.Rest();
-         if (query_text.empty()) return r.Usage();
-         auto parsed = query::ParseCQuery(query_text);
+         auto parsed = query::ParseCQuery(r.args[0]);
          if (!parsed.ok()) {
-           return RenderStatus(parsed.status().WithContext("parsing c-query"));
+           return ErrorResponse(parsed.status().WithContext("parsing c-query"));
          }
          query::TranslationReport report;
          auto translated = r.pair->translator->Translate(*parsed, &report);
          if (!translated.ok()) {
-           return RenderStatus(
+           return ErrorResponse(
                translated.status().WithContext("translating c-query"));
          }
          query::EvaluatorOptions options;
          options.top_k = r.service.options_.query_top_k;
          auto answers = r.pair->evaluator->Run(*translated, options);
          if (!answers.ok()) {
-           return RenderStatus(answers.status().WithContext(
+           return ErrorResponse(answers.status().WithContext(
                "evaluating translated c-query"));
          }
          std::vector<std::string> lines = {
@@ -372,17 +364,17 @@ const std::vector<VerbSpec>& ProtocolVerbs() {
          }
          return RenderOk(lines);
        }},
-      {"sync", "<src>:<tgt> <type_b>",
+      {"sync", {{"<type_b>"}},
        "cell verdicts and propagation updates of the type (docs/SYNC.md)",
        VerbScope::kPair, true,
        [](Request& r) {
-         std::string type_b;
-         if (!r.Next(&type_b) || type_b.empty()) return r.Usage();
+         const std::string& type_b = r.args[0];
          const auto& core = *r.core;
          const sync::SyncReport& report = core.snapshot.sync_report;
          if (report.empty()) {
-           return RenderErr(
-               "no sync report in snapshot (run `wikimatch sync` and reload)");
+           return ErrorResponse(util::Status::NotFound(
+               "no sync report in snapshot (run `wikimatch sync` and "
+               "reload)"));
          }
          // The report keys its rows by the pair's non-hub language, and
          // either language of the pair may be the hub: look up both.
@@ -417,7 +409,7 @@ const std::vector<VerbSpec>& ProtocolVerbs() {
          if (r.lang_b != r.lang_a) emit(r.lang_b);
          return RenderOk(lines);
        }},
-      {"sync-status", "",
+      {"sync-status", {},
        "sync-report generation and per-language verdict counts",
        VerbScope::kCore, true,
        [](Request& r) {
@@ -438,7 +430,7 @@ const std::vector<VerbSpec>& ProtocolVerbs() {
          }
          return RenderOk(lines);
        }},
-      {"types", "<src>:<tgt>", "entity-type mapping of the pair",
+      {"types", {}, "entity-type mapping of the pair",
        VerbScope::kPair, true,
        [](Request& r) {
          std::vector<std::string> lines;
@@ -450,7 +442,7 @@ const std::vector<VerbSpec>& ProtocolVerbs() {
          }
          return RenderOk(lines);
        }},
-      {"pairs", "", "language pairs in the snapshot", VerbScope::kCore, false,
+      {"pairs", {}, "language pairs in the snapshot", VerbScope::kCore, false,
        [](Request& r) {
          std::vector<std::string> lines;
          for (const auto& [pair, serving] : r.core->pairs) {
@@ -458,15 +450,15 @@ const std::vector<VerbSpec>& ProtocolVerbs() {
          }
          return RenderOk(lines);
        }},
-      {"stats", "", "service and cache counters", VerbScope::kCore, false,
+      {"stats", {}, "service and cache counters", VerbScope::kCore, false,
        [](Request& r) {
          ServiceStats stats = r.service.Stats();
          std::ostringstream os;
          os << "requests=" << stats.requests << " errors=" << stats.errors
-            << " generation=" << r.gen.meta.generation
-            << " loads=" << stats.loads << " loaded_unix=" << r.gen.loaded_unix
+            << " generation=" << r.gen->meta.generation
+            << " loads=" << stats.loads << " loaded_unix=" << r.gen->loaded_unix
             << " uptime_s=" << stats.uptime_s
-            << " generation_age_s=" << SecondsSince(r.gen.loaded_at)
+            << " generation_age_s=" << SecondsSince(r.gen->loaded_at)
             << " cache_hits=" << stats.cache.hits
             << " cache_misses=" << stats.cache.misses
             << " cache_evictions=" << stats.cache.evictions
@@ -481,19 +473,19 @@ const std::vector<VerbSpec>& ProtocolVerbs() {
          }
          return RenderOk(lines);
        }},
-      {"health", "", "one-line liveness probe (load balancers, drain checks)",
+      {"health", {}, "one-line liveness probe (load balancers, drain checks)",
        VerbScope::kMeta, false,
        [](Request& r) {
          // Deliberately cheap (no cache probe, no core): load balancers
          // poll this at high frequency, and the net server's drain logic
          // uses it as the liveness signal that the process still answers.
          std::ostringstream os;
-         os << "healthy generation=" << r.gen.meta.generation
-            << " load_seq=" << r.gen.load_seq
+         os << "healthy generation=" << r.gen->meta.generation
+            << " load_seq=" << r.gen->load_seq
             << " uptime_s=" << SecondsSince(r.service.started_);
          return RenderOk({os.str()});
        }},
-      {"version", "", "server, protocol, and snapshot-format versions",
+      {"version", {}, "server, protocol, and snapshot-format versions",
        VerbScope::kMeta, false,
        [](Request&) {
          std::ostringstream os;
@@ -502,90 +494,81 @@ const std::vector<VerbSpec>& ProtocolVerbs() {
             << " snapshot_format=" << store::kSnapshotVersion;
          return RenderOk({os.str()});
        }},
-      {"generation", "", "generation of the snapshot being served",
+      {"generation", {}, "generation of the snapshot being served",
        VerbScope::kMeta, false,
        [](Request& r) {
          std::ostringstream os;
-         os << "generation=" << r.gen.meta.generation
-            << " load_seq=" << r.gen.load_seq
-            << " loaded_unix=" << r.gen.loaded_unix
-            << " age_s=" << SecondsSince(r.gen.loaded_at)
-            << " deltas_applied=" << r.gen.meta.history.size();
+         os << "generation=" << r.gen->meta.generation
+            << " load_seq=" << r.gen->load_seq
+            << " loaded_unix=" << r.gen->loaded_unix
+            << " age_s=" << SecondsSince(r.gen->loaded_at)
+            << " deltas_applied=" << r.gen->meta.history.size();
          return RenderOk({os.str()});
        }},
-      {"reload", "[<path>]",
+      {"reload", {{"[<path>]", ArgSpec::kOptionalRest}},
        "hot-swap to the snapshot at <path> (default: the loaded one)",
        VerbScope::kMeta, false,
        [](Request& r) {
-         util::Status status = r.service.Reload(r.Rest());
-         if (!status.ok()) return RenderStatus(status);
+         util::Status status = r.service.Reload(r.args[0]);
+         if (!status.ok()) return ErrorResponse(status);
          auto fresh = r.service.Current();
          std::ostringstream os;
          os << "reloaded generation=" << fresh->meta.generation
             << " load_seq=" << fresh->load_seq;
          return RenderOk({os.str()});
        }},
-      {"help", "", "this verb table", VerbScope::kMeta, false,
+      {"help", {}, "this verb table", VerbScope::kMeta, false,
        [](Request&) { return RenderOk(HelpLines()); }},
-      // Transports intercept quit before Handle (HandleRequestLine);
-      // answering here keeps direct Handle() callers working.
-      {"quit", "", "end the session", VerbScope::kMeta, false,
-       [](Request&) { return RenderOk({"bye"}); }},
+      // Every transport sends this answer, then ends the session.
+      {"quit", {}, "end the session", VerbScope::kMeta, false,
+       [](Request& r) {
+         r.quit = true;
+         return RenderOk({"bye"});
+       }},
   };
   return kVerbs;
 }
 
-std::string MatchService::Answer(const VerbSpec& spec,
-                                 const GenerationState& gen,
-                                 const std::string& line, size_t pos) {
-  Request request{*this, spec, gen, line, pos};
-  if (spec.scope != VerbScope::kMeta) {
-    auto core = gen.Core();
-    if (!core.ok()) return RenderStatus(core.status());
+std::string MatchService::Answer(Request& request) {
+  if (request.spec->scope != VerbScope::kMeta) {
+    auto core = request.gen->Core();
+    if (!core.ok()) return ErrorResponse(core.status());
     request.core = *core;
   }
-  if (spec.scope == VerbScope::kPair) {
-    if (!request.Next(&request.pair_token) ||
-        !SplitPairToken(request.pair_token, &request.lang_a,
-                        &request.lang_b)) {
-      return RenderErr(std::string("expected a language pair like pt:en "
-                                   "after '") +
-                       spec.verb + "'");
+  if (request.spec->scope == VerbScope::kPair) {
+    auto it = request.core->pairs.find({request.lang_a, request.lang_b});
+    if (it == request.core->pairs.end()) {
+      return ErrorResponse(util::Status::NotFound(
+          "no pipeline for pair " + request.pair_token + " in snapshot"));
     }
-    request.pair = request.core->FindPair(request.lang_a, request.lang_b);
-    if (request.pair == nullptr) {
-      return RenderErr("no pipeline for pair " + request.pair_token +
-                       " in snapshot");
-    }
+    request.pair = &it->second;
   }
-  return spec.handler(request);
+  return request.spec->handler(request);
 }
 
-std::string MatchService::Handle(const std::string& line) {
+std::string MatchService::Handle(const std::string& line, bool* quit) {
   requests_.fetch_add(1, std::memory_order_relaxed);
-  size_t pos = 0;
-  std::string_view verb;
-  const VerbSpec* spec = nullptr;
+  Request request{*this};
   std::string response;
-  if (!NextToken(line, &pos, &verb)) {
-    response = RenderErr("empty request");
-  } else if ((spec = FindVerb(verb)) == nullptr) {
-    response = RenderErr("unknown request '" + std::string(verb) +
-                         "' (try 'help' for the protocol)");
+  util::Status parsed = request.Parse(line);
+  if (!parsed.ok()) {
+    response = ErrorResponse(parsed);
   } else {
     // Pin one generation for the whole request. A cache key carries its
     // load sequence so a swap instantly invalidates every older entry
     // (they become unaddressable and age out of the LRU).
     auto gen = Current();
-    if (!spec->cacheable) {
-      response = Answer(*spec, *gen, line, pos);
+    request.gen = gen.get();
+    if (!request.spec->cacheable) {
+      response = Answer(request);
     } else {
       std::string key = std::to_string(gen->load_seq) + '\x1f' + line;
       if (cache_.Get(key, &response)) return response;
-      response = Answer(*spec, *gen, line, pos);
+      response = Answer(request);
       if (response.compare(0, 3, "ok ") == 0) cache_.Put(key, response);
     }
   }
+  if (quit != nullptr) *quit = request.quit;
   if (response.compare(0, 3, "err") == 0) {
     errors_.fetch_add(1, std::memory_order_relaxed);
   }

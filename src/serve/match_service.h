@@ -104,10 +104,11 @@ class MatchService {
   util::Status Reload(const std::string& path = "");
 
   /// \brief Handles one request line (see docs/SERVING.md) and returns the
-  /// full response text ("ok <n>\n..." or "err <message>\n"). Successful
-  /// answers of cacheable verbs are served from / inserted into the LRU
-  /// cache, keyed under the generation that produced them.
-  std::string Handle(const std::string& line);
+  /// full response text ("ok <n>\n..." or "err <Class>: <message>\n").
+  /// Successful answers of cacheable verbs are served from / inserted into
+  /// the LRU cache, keyed by the raw line under the generation that
+  /// produced them. `*quit`, if given, tells whether `quit` was answered.
+  std::string Handle(const std::string& line, bool* quit = nullptr);
 
   ServiceStats Stats() const;
 
@@ -154,9 +155,6 @@ class MatchService {
         sync_cells;
     std::map<std::pair<std::string, std::string>, std::vector<size_t>>
         sync_updates;
-
-    const PairServing* FindPair(const std::string& lang_a,
-                                const std::string& lang_b) const;
   };
 
   /// One serving epoch: the meta section (decoded at open), the pinned
@@ -203,11 +201,9 @@ class MatchService {
   /// Pins the current generation (shared_ptr copy under a short lock).
   std::shared_ptr<const GenerationState> Current() const;
 
-  /// Answers `spec`'s request against one pinned generation, uncached:
-  /// builds the core for core and pair verbs, resolves the pair token for
-  /// pair verbs, then runs the handler. `pos` is just past the verb.
-  std::string Answer(const VerbSpec& spec, const GenerationState& gen,
-                     const std::string& line, size_t pos);
+  /// Answers a parsed request, uncached: builds the core (core and pair
+  /// verbs), resolves the pair (pair verbs), then runs the handler.
+  std::string Answer(Request& request);
 
   ServiceOptions options_;
   ShardedLruCache cache_;

@@ -15,20 +15,22 @@ const VerbSpec* FindVerb(std::string_view verb) {
   return nullptr;
 }
 
+std::string Usage(const VerbSpec& spec) {
+  std::string usage = spec.verb;
+  if (spec.scope == VerbScope::kPair) usage += " <src>:<tgt>";
+  for (const ArgSpec& arg : spec.args) usage += std::string(" ") + arg.name;
+  return usage;
+}
+
 const std::vector<std::string>& HelpLines() {
   static const std::vector<std::string> kLines = [] {
     size_t width = 0;
-    auto usage = [](const VerbSpec& spec) {
-      std::string u = spec.verb;
-      if (spec.args[0] != '\0') u += std::string(" ") + spec.args;
-      return u;
-    };
     for (const VerbSpec& spec : ProtocolVerbs()) {
-      width = std::max(width, usage(spec).size());
+      width = std::max(width, Usage(spec).size());
     }
     std::vector<std::string> lines;
     for (const VerbSpec& spec : ProtocolVerbs()) {
-      std::string line = usage(spec);
+      std::string line = Usage(spec);
       line.append(width + 3 - line.size(), ' ');
       line += spec.description;
       lines.push_back(std::move(line));
@@ -90,33 +92,34 @@ bool LineSplitter::Finish(std::string* line) {
   return !line->empty();
 }
 
+std::string ErrorResponse(const util::Status& status) {
+  return "err " + status.ToString() + "\n";
+}
+
 LineOutcome HandleRequestLine(MatchService* service,
                               const std::string& raw) {
   LineOutcome out;
   std::string line = raw;
   if (!line.empty() && line.back() == '\r') line.pop_back();
   if (line.empty()) return out;
-  if (line == "quit" || line == "exit") {
-    out.quit = true;
-    return out;
-  }
   if (line.size() > kMaxRequestBytes) {
     // The TCP splitter enforces its own (possibly smaller) cap during
     // reassembly; this catches the stdin path, where getline is unbounded.
     out.response = OversizedLineResponse(kMaxRequestBytes);
-    return out;
+    out.protocol_error = true;
+  } else if (line.find('\0') != std::string::npos) {
+    out.response = ErrorResponse(
+        util::Status::InvalidArgument("request contains a NUL byte"));
+    out.protocol_error = true;
+  } else {
+    out.response = service->Handle(line, &out.quit);
   }
-  if (line.find('\0') != std::string::npos) {
-    out.response = "err protocol: request contains a NUL byte\n";
-    return out;
-  }
-  out.response = service->Handle(line);
   return out;
 }
 
 std::string OversizedLineResponse(size_t max_line_bytes) {
-  return "err protocol: request line exceeds " +
-         std::to_string(max_line_bytes) + " bytes\n";
+  return ErrorResponse(util::Status::OutOfRange(
+      "request line exceeds " + std::to_string(max_line_bytes) + " bytes"));
 }
 
 size_t ServeLoop(std::istream& in, std::ostream& out, MatchService* service,
@@ -126,11 +129,11 @@ size_t ServeLoop(std::istream& in, std::ostream& out, MatchService* service,
   while ((stop == nullptr || !stop->load(std::memory_order_acquire)) &&
          std::getline(in, line)) {
     LineOutcome outcome = HandleRequestLine(service, line);
-    if (outcome.quit) break;
     if (outcome.response.empty()) continue;
     out << outcome.response;
     out.flush();
     ++served;
+    if (outcome.quit) break;
   }
   return served;
 }

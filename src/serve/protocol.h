@@ -1,8 +1,8 @@
 // Line-oriented request/response framing for MatchService, shared by every
-// transport: one request per input line, one "ok <n>"/"err <msg>" response
-// block per request. `ServeLoop` runs the protocol on any istream/ostream
-// pair (so `wikimatch serve` is scriptable over stdin/stdout and tests
-// drive it with stringstreams); `net::Server` runs the same per-line
+// transport: one request per input line, one "ok <n>"/"err <Class>: <msg>"
+// response block per request. `ServeLoop` runs the protocol on any
+// istream/ostream pair (so `wikimatch serve` is scriptable over
+// stdin/stdout and tests drive it with stringstreams); `net::Server` runs the same per-line
 // semantics over TCP sockets via `LineSplitter` + `HandleRequestLine`, so
 // the two paths cannot drift apart.
 
@@ -18,14 +18,17 @@
 #include <vector>
 
 #include "serve/match_service.h"
+#include "util/status.h"
 
 namespace wikimatch {
 namespace serve {
 
 /// Version of the line protocol (reported by the `version` verb so load
 /// balancers and clients can gate on capabilities). 1 = the original verb
-/// set; 2 adds `health` and `version`; 3 adds `sync` and `sync-status`.
-inline constexpr int kProtocolVersion = 3;
+/// set; 2 adds `health` and `version`; 3 adds `sync` and `sync-status`;
+/// 4 reads every verb's declared arguments by one grammar, answers every
+/// error as `err <Class>: <message>`, and answers `quit` with `bye`.
+inline constexpr int kProtocolVersion = 4;
 
 /// Human-readable server release, also reported by `version`.
 inline constexpr char kServerVersion[] = "0.7.0";
@@ -37,19 +40,26 @@ enum class VerbScope {
   kPair,  ///< needs the core and a `<src>:<tgt>` pair the snapshot holds
 };
 
+/// \brief One declared argument of a verb.
+struct ArgSpec {
+  const char* name;  ///< as `help` and usage errors show it: "<type_b>"
+  enum Kind {
+    kToken,         ///< one blank-delimited or double-quoted token
+    kRest,          ///< the rest of the line (a last argument only)
+    kOptionalRest,  ///< the rest of the line, or nothing
+  } kind = kToken;
+};
+
 /// \brief One protocol verb. This table is the single description of the
-/// verb set: `help` renders it, MatchService::Handle() routes every
-/// request through it, and serve_test checks the docs/SERVING.md verb
-/// table against it. Handle() reads the verb, looks up its row, probes
-/// the result cache only for a cacheable row, builds the core only for a
-/// core or pair row, and for a pair row reads the `<src>:<tgt>` token and
-/// resolves it (an unknown pair is answered there, once for every verb)
-/// before it calls the handler. A handler that finds its arguments
-/// missing answers "usage: <verb> <args>", rendered from its row.
+/// verb set: `help` and usage errors render it, MatchService::Handle()
+/// parses and routes every request by it, and serve_test checks the
+/// docs/SERVING.md verb table against it. A request is the verb, a pair
+/// row's `<src>:<tgt>` token, then `args`; a line that does not fit them
+/// is the row's usage error, answered before the cache, core or pair.
 struct VerbSpec {
   const char* verb;
-  const char* args;         ///< usage suffix, "" for argument-less verbs
-  const char* description;  ///< one-line summary shown by `help`
+  std::vector<ArgSpec> args;  ///< after the pair token of a kPair row
+  const char* description;    ///< one-line summary shown by `help`
   VerbScope scope;
   /// True: successful answers are cached under the serving generation.
   /// False: the verb never touches the cache.
@@ -64,6 +74,10 @@ const std::vector<VerbSpec>& ProtocolVerbs();
 /// \brief The row of `verb` in ProtocolVerbs(), or null; `exit` is the
 /// undocumented alias of `quit`.
 const VerbSpec* FindVerb(std::string_view verb);
+
+/// \brief `spec`'s verb and declared arguments, as `help` and its usage
+/// error show them: "attr <src>:<tgt> <type_b> <lang> <attribute>".
+std::string Usage(const VerbSpec& spec);
 
 /// \brief The `help` response body, rendered from ProtocolVerbs().
 const std::vector<std::string>& HelpLines();
@@ -112,30 +126,34 @@ class LineSplitter {
   std::string buffer_;
 };
 
+/// \brief "err <Class>: <message>\n", the protocol's one error form.
+std::string ErrorResponse(const util::Status& status);
+
 /// \brief What one raw request line produced.
 struct LineOutcome {
-  std::string response;  ///< empty: nothing to send (blank line or quit)
-  bool quit = false;     ///< the client asked to end the session
+  std::string response;  ///< empty: nothing to send (a blank line)
+  bool quit = false;     ///< answered by `quit`: send it, then end
+  bool protocol_error = false;  ///< oversized or NUL: never reached Handle
 };
 
 /// \brief The per-line semantics shared by the stdin and TCP paths:
-/// strips a trailing CR, skips blank lines, recognizes "quit"/"exit",
-/// rejects oversized and NUL-bearing lines with a protocol error, and
-/// otherwise dispatches to the service. Anything else (malformed verbs,
-/// broken UTF-8 arguments) is the service's problem and comes back as its
-/// "err" response — the transport never crashes on request bytes.
+/// strips a trailing CR, skips blank lines, rejects oversized and
+/// NUL-bearing lines, and otherwise dispatches to the service. Anything
+/// else (malformed verbs, broken UTF-8 arguments) is the service's problem
+/// and comes back as its "err" response — the transport never crashes on
+/// request bytes.
 LineOutcome HandleRequestLine(MatchService* service, const std::string& line);
 
-/// \brief The protocol-error response for a line the splitter (or the
-/// stdin path's length check) flagged as oversized.
+/// \brief The error response for a line the splitter (or the stdin
+/// path's length check) flagged as oversized.
 std::string OversizedLineResponse(size_t max_line_bytes);
 
-/// \brief Reads request lines from `in` until EOF, a "quit"/"exit" line,
+/// \brief Reads request lines from `in` until EOF, an answered `quit`,
 /// or `stop` (the shared shutdown flag — see net::InstallShutdownHandlers;
 /// a SIGINT/SIGTERM interrupts the blocking read and the loop exits
 /// cleanly) becomes true, writing each response to `out` (flushed per
-/// request). Blank lines are ignored. Returns the number of requests
-/// served. An unterminated final line is served like any other.
+/// request). Blank lines are ignored. Returns the number of answers, the
+/// `bye` included; an unterminated final line is served like any other.
 size_t ServeLoop(std::istream& in, std::ostream& out, MatchService* service,
                  const std::atomic<bool>* stop = nullptr);
 

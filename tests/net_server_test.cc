@@ -265,10 +265,42 @@ TEST(NetServerTest, QuitAnswersEarlierRequestsThenCloses) {
   BlockingClient client(server->port());
   ASSERT_TRUE(client.connected());
   std::string baseline = service->Handle("pairs");
-  // The request after quit must never be answered.
+  // quit is answered; the request after it must never be.
   ASSERT_TRUE(client.SendRaw("pairs\nquit\npairs\n"));
   EXPECT_EQ(client.ReadResponse(), baseline);
+  EXPECT_EQ(client.ReadResponse(), "ok 1\nbye\n");
   EXPECT_TRUE(client.AtEof());
+}
+
+TEST(NetServerTest, EverySpellingOfQuitAnswersByeThenCloses) {
+  auto service = LoadService();
+  auto server = StartServer(service.get(), net::ServerOptions());
+  for (const char* quit : {"quit ", "\"quit\"", "quit\r", "exit"}) {
+    BlockingClient client(server->port());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.SendRaw(std::string(quit) + "\npairs\n"));
+    EXPECT_EQ(client.ReadResponse(), "ok 1\nbye\n") << quit;
+    EXPECT_TRUE(client.AtEof()) << quit;
+  }
+}
+
+TEST(NetServerTest, SurplusArgumentsAndQuotedAttributesOverTcp) {
+  auto service = LoadService();
+  auto server = StartServer(service.get(), net::ServerOptions());
+  BlockingClient client(server->port());
+  ASSERT_TRUE(client.connected());
+  ASSERT_TRUE(client.SendRaw(
+      "pairs extra\nsync-status extra\n"
+      "attr pt:en film pt \"direção\"\nattr pt:en film pt direção\n"));
+  EXPECT_EQ(client.ReadResponse(), "err InvalidArgument: usage: pairs\n");
+  EXPECT_EQ(client.ReadResponse(),
+            "err InvalidArgument: usage: sync-status\n");
+  const std::string unquoted = service->Handle("attr pt:en film pt direção");
+  EXPECT_EQ(unquoted, "ok 1\nen:directed by\n");
+  EXPECT_EQ(client.ReadResponse(), unquoted);
+  EXPECT_EQ(client.ReadResponse(), unquoted);
+  // A usage error is the service's answer, not a protocol error.
+  EXPECT_EQ(server->Stats().protocol_errors, 0u);
 }
 
 TEST(NetServerTest, ServesTheUnterminatedFinalLine) {
@@ -361,7 +393,7 @@ TEST(NetServerTest, OversizedLineGetsAnErrorAndFramingRecovers) {
   ASSERT_TRUE(client.SendRaw(huge + "\nversion\n"));
   std::string line;
   ASSERT_TRUE(client.ReadLine(&line));
-  EXPECT_EQ(line, "err protocol: request line exceeds 128 bytes");
+  EXPECT_EQ(line, "err OutOfRange: request line exceeds 128 bytes");
   // The stream resynchronizes at the newline: the next request works.
   EXPECT_EQ(client.ReadResponse(), service->Handle("version"));
   EXPECT_EQ(server->Stats().protocol_errors, 1u);
@@ -378,7 +410,7 @@ TEST(NetServerTest, EmbeddedNulGetsAProtocolError) {
   ASSERT_TRUE(client.SendRaw(request));
   std::string line;
   ASSERT_TRUE(client.ReadLine(&line));
-  EXPECT_EQ(line, "err protocol: request contains a NUL byte");
+  EXPECT_EQ(line, "err InvalidArgument: request contains a NUL byte");
   EXPECT_EQ(server->Stats().protocol_errors, 1u);
 }
 

@@ -2,21 +2,29 @@
 // and the TCP server: LineSplitter reassembly under byte-at-a-time and
 // pipelined delivery, oversized-line skipping and resynchronization,
 // embedded NUL bytes, partial UTF-8 sequences, and unterminated final
-// lines. Whatever a hostile or broken client sends, the parser must
-// answer with a protocol error or a normal response — never crash, hang,
-// or desynchronize from the line framing.
+// lines, and a fixed-seed mutation of every verb's declared arguments.
+// Whatever a hostile or broken client sends, the parser must answer with
+// exactly one error line or one normal response — never crash, hang, or
+// desynchronize from the line framing.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <charconv>
+#include <map>
 #include <sstream>
 #include <string>
+#include <system_error>
+#include <vector>
 
 #include "match/pipeline.h"
 #include "serve/match_service.h"
 #include "serve/protocol.h"
 #include "store/snapshot.h"
 #include "synth/generator.h"
+#include "util/rng.h"
+#include "util/status.h"
 
 namespace wikimatch {
 namespace serve {
@@ -141,9 +149,15 @@ TEST(ProtocolRobustnessTest, BlankAndQuitLines) {
   LineOutcome blank = HandleRequestLine(GetService(), "");
   EXPECT_TRUE(blank.response.empty());
   EXPECT_FALSE(blank.quit);
-  EXPECT_TRUE(HandleRequestLine(GetService(), "quit").quit);
-  EXPECT_TRUE(HandleRequestLine(GetService(), "exit").quit);
-  EXPECT_TRUE(HandleRequestLine(GetService(), "quit\r").quit);
+  // quit is an ordinary verb: answered, and only then the session ends.
+  for (const char* quit : {"quit", "exit", "quit\r", "quit ", "\"quit\""}) {
+    LineOutcome outcome = HandleRequestLine(GetService(), quit);
+    EXPECT_TRUE(outcome.quit) << quit;
+    EXPECT_EQ(outcome.response, "ok 1\nbye\n") << quit;
+  }
+  LineOutcome surplus = HandleRequestLine(GetService(), "quit now");
+  EXPECT_FALSE(surplus.quit);
+  EXPECT_EQ(surplus.response, "err InvalidArgument: usage: quit\n");
 }
 
 TEST(ProtocolRobustnessTest, EmbeddedNulIsAProtocolError) {
@@ -151,10 +165,9 @@ TEST(ProtocolRobustnessTest, EmbeddedNulIsAProtocolError) {
   line += '\0';
   line += "version";
   LineOutcome outcome = HandleRequestLine(GetService(), line);
-  EXPECT_EQ(outcome.response.compare(0, 12, "err protocol"), 0)
-      << outcome.response;
-  EXPECT_NE(outcome.response.find("NUL"), std::string::npos)
-      << outcome.response;
+  EXPECT_EQ(outcome.response,
+            "err InvalidArgument: request contains a NUL byte\n");
+  EXPECT_TRUE(outcome.protocol_error);
   EXPECT_FALSE(outcome.quit);
 }
 
@@ -163,10 +176,10 @@ TEST(ProtocolRobustnessTest, OversizedLineIsAProtocolError) {
   // unbounded), so the dispatcher itself must enforce the cap.
   std::string line = "alignments pt:en " + std::string(kMaxRequestBytes, 'a');
   LineOutcome outcome = HandleRequestLine(GetService(), line);
-  EXPECT_EQ(outcome.response.compare(0, 12, "err protocol"), 0)
-      << outcome.response;
-  EXPECT_NE(outcome.response.find("exceeds"), std::string::npos)
-      << outcome.response;
+  EXPECT_EQ(outcome.response, "err OutOfRange: request line exceeds " +
+                                  std::to_string(kMaxRequestBytes) +
+                                  " bytes\n");
+  EXPECT_TRUE(outcome.protocol_error);
 }
 
 TEST(ProtocolRobustnessTest, PartialUtf8IsAnsweredNotCrashed) {
@@ -189,7 +202,7 @@ TEST(ProtocolRobustnessTest, SyncVerbsSurviveAdversarialInputs) {
   // Oversized sync request: same protocol error as any other verb.
   std::string oversized = "sync pt:en " + std::string(kMaxRequestBytes, 'f');
   LineOutcome outcome = HandleRequestLine(GetService(), oversized);
-  EXPECT_EQ(outcome.response.compare(0, 12, "err protocol"), 0)
+  EXPECT_EQ(outcome.response.compare(0, 16, "err OutOfRange: "), 0)
       << outcome.response;
   // NUL smuggled into a sync request.
   std::string nul = "sync-status";
@@ -213,12 +226,15 @@ TEST(ProtocolRobustnessTest, SyncVerbsSurviveAdversarialInputs) {
   EXPECT_NE(text.find("sync_generation=0 cells=0 updates=0"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("err usage: sync <src>:<tgt> <type_b>"),
+  EXPECT_NE(
+      text.find("err InvalidArgument: usage: sync <src>:<tgt> <type_b>"),
+      std::string::npos)
+      << text;
+  EXPECT_NE(text.find("err NotFound: no pipeline for pair zz:qq"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("err no pipeline for pair zz:qq"), std::string::npos)
-      << text;
-  EXPECT_NE(text.find("err no sync report in snapshot"), std::string::npos)
+  EXPECT_NE(text.find("err NotFound: no sync report in snapshot"),
+            std::string::npos)
       << text;
 }
 
@@ -242,6 +258,162 @@ TEST(ProtocolRobustnessTest, EveryTableVerbIsDocumentedAndDispatched) {
             std::string::npos);
 }
 
+// ------------------------------------------------------- argument mutation
+
+// Whether `response` is exactly one answer: "ok <n>" and then n lines, or
+// one "err <Class>: <message>" line whose class util::StatusCodeToString
+// names.
+::testing::AssertionResult IsOneAnswer(const std::string& response) {
+  if (response.empty() || response.back() != '\n') {
+    return ::testing::AssertionFailure() << "unterminated: " << response;
+  }
+  const size_t lines = std::count(response.begin(), response.end(), '\n');
+  if (response.compare(0, 3, "ok ") == 0) {
+    const char* first = response.data() + 3;
+    const char* last = response.data() + response.find('\n');
+    size_t n = 0;
+    auto [stop, ec] = std::from_chars(first, last, n);
+    if (ec == std::errc() && stop == last && lines == n + 1) {
+      return ::testing::AssertionSuccess();
+    }
+    return ::testing::AssertionFailure() << "malformed ok block: " << response;
+  }
+  if (response.compare(0, 4, "err ") == 0 && lines == 1) {
+    const std::string cls = response.substr(4, response.find(": ") - 4);
+    for (util::StatusCode code :
+         {util::StatusCode::kInvalidArgument, util::StatusCode::kNotFound,
+          util::StatusCode::kAlreadyExists, util::StatusCode::kOutOfRange,
+          util::StatusCode::kParseError, util::StatusCode::kIoError,
+          util::StatusCode::kNotImplemented, util::StatusCode::kInternal}) {
+      if (cls == util::StatusCodeToString(code)) {
+        return ::testing::AssertionSuccess();
+      }
+    }
+    return ::testing::AssertionFailure() << "unknown error class: "
+                                         << response;
+  }
+  return ::testing::AssertionFailure() << "not one answer: " << response;
+}
+
+// A valid request for `spec`: its verb, the pair token of a pair row, and
+// a sample value for each declared argument.
+std::vector<std::string> ValidTokens(const VerbSpec& spec) {
+  static const std::map<std::string, std::string> kSamples = {
+      {"<type_b>", "film"},
+      {"<lang>", "en"},
+      {"<attribute>", "directed by"},
+      {"<c-query>", "filme(elenco=?)"},
+      {"[<path>]", "/nonexistent/mutated.snap"},  // reload never finds it
+  };
+  std::vector<std::string> tokens = {spec.verb};
+  if (spec.scope == VerbScope::kPair) tokens.push_back("pt:en");
+  for (const ArgSpec& arg : spec.args) tokens.push_back(kSamples.at(arg.name));
+  return tokens;
+}
+
+// One mutation of the token at `i` (i < tokens->size()).
+using Edit = void (*)(std::vector<std::string>* tokens, size_t i);
+const Edit kEdits[] = {
+    // drop it
+    [](std::vector<std::string>* t, size_t i) { t->erase(t->begin() + i); },
+    // add a surplus argument after it
+    [](std::vector<std::string>* t, size_t i) {
+      t->insert(t->begin() + i + 1, "surplus");
+    },
+    // quote it
+    [](std::vector<std::string>* t, size_t i) { (*t)[i] = '"' + (*t)[i] + '"'; },
+    // unquote it
+    [](std::vector<std::string>* t, size_t i) {
+      std::string& token = (*t)[i];
+      if (token.size() >= 2 && token.front() == '"' && token.back() == '"') {
+        token = token.substr(1, token.size() - 2);
+      }
+    },
+    // add empty quotes after it, or put them in its place
+    [](std::vector<std::string>* t, size_t i) {
+      t->insert(t->begin() + i + 1, "\"\"");
+    },
+    [](std::vector<std::string>* t, size_t i) { (*t)[i] = "\"\""; },
+    // leave a quote unterminated
+    [](std::vector<std::string>* t, size_t i) { (*t)[i] = '"' + (*t)[i]; },
+    // a 4 KiB token
+    [](std::vector<std::string>* t, size_t i) {
+      (*t)[i] = std::string(4096, 'x');
+    },
+    // invalid UTF-8
+    [](std::vector<std::string>* t, size_t i) { (*t)[i] = "\xff\xfe\xc3"; },
+};
+
+// Runs of blanks between, before and after the tokens.
+const char* const kBlanks[] = {" ", "  ", "\t", " \t\t "};
+
+std::string Join(const std::vector<std::string>& tokens, const char* blank,
+                 const char* edge) {
+  std::string line = edge;
+  for (size_t i = 0; i < tokens.size(); ++i) {
+    if (i > 0) line += blank;
+    line += tokens[i];
+  }
+  return line + edge;
+}
+
+// Sends `line` and checks its answer: one whole answer, from the service
+// (no protocol error), and the session ends exactly on a bare, possibly
+// quoted `quit` or `exit`. An empty line is skipped unanswered.
+void ExpectOneAnswer(const std::string& line) {
+  LineOutcome outcome = HandleRequestLine(GetService(), line);
+  if (line.empty()) {
+    EXPECT_TRUE(outcome.response.empty());
+    return;
+  }
+  EXPECT_TRUE(IsOneAnswer(outcome.response)) << "request: " << line;
+  EXPECT_FALSE(outcome.protocol_error) << line;
+  const size_t first = line.find_first_not_of(" \t");
+  const size_t last = line.find_last_not_of(" \t");
+  const std::string bare =
+      first == std::string::npos ? "" : line.substr(first, last - first + 1);
+  const bool quit = bare == "quit" || bare == "exit" || bare == "\"quit\"" ||
+                    bare == "\"exit\"";
+  EXPECT_EQ(outcome.quit, quit) << line;
+}
+
+TEST(ProtocolRobustnessTest, MutatedArgumentsGetExactlyOneAnswer) {
+  std::vector<std::vector<std::string>> valid;
+  for (const VerbSpec& spec : ProtocolVerbs()) valid.push_back(ValidTokens(spec));
+  valid.push_back({"exit"});
+  // Every single edit of every token, plain and with every token quoted,
+  // under every run of blanks.
+  for (const auto& plain : valid) {
+    std::vector<std::string> quoted = plain;
+    for (std::string& token : quoted) token = '"' + token + '"';
+    for (const auto& base : {plain, quoted}) {
+      for (const char* blank : kBlanks) {
+        ExpectOneAnswer(Join(base, blank, ""));
+        ExpectOneAnswer(Join(base, blank, blank));
+      }
+      for (Edit edit : kEdits) {
+        for (size_t i = 0; i < base.size(); ++i) {
+          std::vector<std::string> tokens = base;
+          edit(&tokens, i);
+          ExpectOneAnswer(Join(tokens, " ", ""));
+        }
+      }
+    }
+  }
+  // Random stacks of up to four edits, from a fixed seed.
+  util::Rng rng(20261018);
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<std::string> tokens = valid[rng.NextBounded(valid.size())];
+    const size_t edits = 1 + rng.NextBounded(4);
+    for (size_t e = 0; e < edits && !tokens.empty(); ++e) {
+      kEdits[rng.NextBounded(std::size(kEdits))](
+          &tokens, rng.NextBounded(tokens.size()));
+    }
+    ExpectOneAnswer(Join(tokens, kBlanks[rng.NextBounded(std::size(kBlanks))],
+                         kBlanks[rng.NextBounded(std::size(kBlanks))]));
+  }
+}
+
 // -------------------------------------------------------------- serve loop
 
 TEST(ProtocolRobustnessTest, ServeLoopSurvivesAdversarialStream) {
@@ -254,11 +426,12 @@ TEST(ProtocolRobustnessTest, ServeLoopSurvivesAdversarialStream) {
   EXPECT_EQ(served, 4u);
   std::string text = out.str();
   EXPECT_NE(text.find("healthy"), std::string::npos) << text;
-  EXPECT_NE(text.find("err protocol: request line exceeds"),
+  EXPECT_NE(text.find("err OutOfRange: request line exceeds"),
             std::string::npos)
       << text;
   EXPECT_NE(text.find("wikimatch "), std::string::npos) << text;
-  EXPECT_NE(text.find("err unknown request 'final'"), std::string::npos)
+  EXPECT_NE(text.find("err InvalidArgument: unknown request 'final'"),
+            std::string::npos)
       << text;
 }
 

@@ -807,10 +807,56 @@ TEST(ServeTest, ServeLoopSpeaksTheLineProtocol) {
       "pairs\n");  // after quit: never served
   std::ostringstream out;
   size_t served = ServeLoop(in, out, service->get());
-  EXPECT_EQ(served, 3u);
+  EXPECT_EQ(served, 4u);
   std::string text = out.str();
   EXPECT_EQ(text.compare(0, 10, "ok 1\npt:en"), 0) << text;
-  EXPECT_NE(text.find("err unknown request 'nonsense'"), std::string::npos);
+  EXPECT_NE(text.find("err InvalidArgument: unknown request 'nonsense'"),
+            std::string::npos);
+  // quit is answered, and it is the last answer.
+  EXPECT_EQ(text.substr(text.size() - 9), "ok 1\nbye\n") << text;
+}
+
+// Every spelling of quit — a trailing blank, quoted, CR-terminated, or the
+// `exit` alias — answers bye and ends the session.
+TEST(ServeTest, ServeLoopEndsOnEverySpellingOfQuit) {
+  auto service = MatchService::Load(GetFixture().snapshot_path);
+  ASSERT_TRUE(service.ok());
+  for (const char* quit : {"quit ", "\"quit\"", "quit\r", "exit"}) {
+    std::istringstream in(std::string(quit) + "\npairs\n");
+    std::ostringstream out;
+    EXPECT_EQ(ServeLoop(in, out, service->get()), 1u) << quit;
+    EXPECT_EQ(out.str(), "ok 1\nbye\n") << quit;
+  }
+}
+
+// An argument no row declares is a usage error, also for verbs that take
+// none.
+TEST(ServeTest, ServeLoopRejectsSurplusArguments) {
+  auto service = MatchService::Load(GetFixture().snapshot_path);
+  ASSERT_TRUE(service.ok());
+  std::istringstream in("pairs extra\nsync-status extra\n");
+  std::ostringstream out;
+  EXPECT_EQ(ServeLoop(in, out, service->get()), 2u);
+  EXPECT_EQ(out.str(),
+            "err InvalidArgument: usage: pairs\n"
+            "err InvalidArgument: usage: sync-status\n");
+}
+
+// attr's attribute is a rest-of-line argument that the grammar unquotes
+// like any other.
+TEST(ServeTest, ServeLoopReadsAQuotedAttributeLikeAnUnquotedOne) {
+  auto service = MatchService::Load(GetFixture().snapshot_path);
+  ASSERT_TRUE(service.ok());
+  std::istringstream in(
+      "attr pt:en film pt \"direção\"\n"
+      "attr pt:en film pt direção\n"
+      "attr pt:en film en \"directed by\"\n");
+  std::ostringstream out;
+  EXPECT_EQ(ServeLoop(in, out, service->get()), 3u);
+  EXPECT_EQ(out.str(),
+            "ok 1\nen:directed by\n"
+            "ok 1\nen:directed by\n"
+            "ok 1\npt:direção\n");
 }
 
 // docs/SERVING.md's verb table and ProtocolVerbs() name the same verbs:
@@ -835,10 +881,10 @@ TEST(ServeTest, ServingDocsListExactlyTheTableVerbs) {
 
 // ---------------------------------------------------------- pinned answers
 
-// Request lines covering every verb: bare, with arguments missing, with an
-// unknown pair, type or language, quoted and padded with blanks, and
-// garbage. Both orders of a pair token are asked where the answer
-// depends on it.
+// Request lines covering every verb: bare, with arguments missing or
+// surplus, with an unknown pair, type or language, quoted, unterminated,
+// padded with blanks and tabs, and garbage. Both orders of a pair token
+// are asked where the answer depends on it.
 const std::vector<std::string>& PinnedRequests() {
   static const std::vector<std::string> kRequests = {
       "help",
@@ -852,6 +898,9 @@ const std::vector<std::string>& PinnedRequests() {
       "types zz:yy",
       "types pt:en",
       "types   pt:en  ",
+      "types pt:en extra",
+      "types \"pt:en",
+      "types :en",
       "alignments",
       "alignments pt:en",
       "alignments zz:yy film",
@@ -861,6 +910,9 @@ const std::vector<std::string>& PinnedRequests() {
       "alignments pt:en \"film\"",
       "alignments  pt:en   film  ",
       "alignments pt:en film",  // a cache hit answers the same bytes
+      "alignments pt:en film extra",
+      "alignments pt:en \"\"",
+      "alignments\tpt:en\tfilm",
       "attr",
       "attr pt:en",
       "attr pt:en film",
@@ -869,6 +921,9 @@ const std::vector<std::string>& PinnedRequests() {
       "attr pt:en nope pt elenco",
       "attr pt:en film vi elenco",
       "attr pt:en film pt direção",
+      "attr pt:en film pt \"direção\"",
+      "attr pt:en film pt \"direção\" extra",
+      "attr pt:en film pt \"direção",
       "attr pt:en film en directed by",
       "attr pt:en film en gross revenue",
       "attr pt:en film pt elenco",
@@ -881,6 +936,7 @@ const std::vector<std::string>& PinnedRequests() {
       "query pt:en livro(autor=?)",
       std::string("query pt:en ") + kQuery,
       "query  pt:en   filme(elenco=?)  ",
+      "query pt:en \"filme(elenco=?)\"",
       "sync",
       "sync pt:en",
       "sync zz:yy film",
@@ -892,10 +948,15 @@ const std::vector<std::string>& PinnedRequests() {
       "sync-status extra",
       "reload /nonexistent/next.snap",
       "reload",
+      "reload \"\"",
       "generation",
       "health",
       "exit",
       "quit",
+      "quit ",
+      "\"quit\"",
+      "quit now",
+      "\"pairs",
       "frobnicate",
       "ATTR pt:en film pt elenco",
       "   ",
