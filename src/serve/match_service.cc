@@ -39,6 +39,37 @@ bool NextToken(std::string_view line, size_t* pos, std::string_view* token,
   return true;
 }
 
+// `spec`'s verb and declared arguments, as `help` and its usage error show
+// them: "attr <src>:<tgt> <type_b> <lang> <attribute>".
+std::string Usage(const VerbSpec& spec) {
+  std::string usage = spec.verb;
+  if (spec.scope == VerbScope::kPair) usage += " <src>:<tgt>";
+  for (const ArgSpec& arg : spec.args) usage += std::string(" ") + arg.name;
+  return usage;
+}
+
+// The `help` response body, rendered from ProtocolVerbs().
+const std::vector<std::string>& HelpLines() {
+  static const std::vector<std::string> kLines = [] {
+    size_t width = 0;
+    for (const VerbSpec& spec : ProtocolVerbs()) {
+      width = std::max(width, Usage(spec).size());
+    }
+    std::vector<std::string> lines;
+    for (const VerbSpec& spec : ProtocolVerbs()) {
+      std::string line = Usage(spec);
+      line.append(width + 3 - line.size(), ' ');
+      line += spec.description;
+      lines.push_back(std::move(line));
+    }
+    lines.push_back(
+        "(quote multi-word type names: alignments pt:en \"artista "
+        "musical\")");
+    return lines;
+  }();
+  return kLines;
+}
+
 std::string RenderOk(const std::vector<std::string>& lines) {
   std::string out = "ok " + std::to_string(lines.size()) + "\n";
   for (const auto& l : lines) {
@@ -245,21 +276,23 @@ struct MatchService::Request {
   const CoreState* core = nullptr;    // core and pair verbs
   const PairServing* pair = nullptr;  // pair verbs
   bool quit = false;                  // set by the quit row
+  size_t pos = 0;                     // just past what the grammar read
 
-  // The request grammar (VerbSpec): reads the verb, then its row's pair
-  // token and declared arguments, each by NextToken.
-  util::Status Parse(std::string_view line) {
-    size_t pos = 0;
+  // The request grammar (VerbSpec), each token read by NextToken, in two
+  // halves so that a cache hit reads no more than the verb: ReadVerb finds
+  // the row, ReadArgs its pair token and declared arguments.
+  util::Status ReadVerb(std::string_view line) {
     std::string_view verb;
     if (!NextToken(line, &pos, &verb) && pos == line.size()) {
       return util::Status::InvalidArgument("empty request");
     }
     spec = FindVerb(verb);
-    if (spec == nullptr) {
-      return util::Status::InvalidArgument(
-          "unknown request '" + std::string(verb) +
-          "' (try 'help' for the protocol)");
-    }
+    return spec != nullptr ? util::Status::OK()
+                           : util::Status::InvalidArgument(
+                                 "unknown request '" + std::string(verb) +
+                                 "' (try 'help' for the protocol)");
+  }
+  util::Status ReadArgs(std::string_view line) {
     auto usage = [this] {
       return util::Status::InvalidArgument("usage: " + Usage(*spec));
     };
@@ -529,7 +562,9 @@ const std::vector<VerbSpec>& ProtocolVerbs() {
   return kVerbs;
 }
 
-std::string MatchService::Answer(Request& request) {
+std::string MatchService::Answer(Request& request, const std::string& line) {
+  util::Status parsed = request.ReadArgs(line);
+  if (!parsed.ok()) return ErrorResponse(parsed);
   if (request.spec->scope != VerbScope::kMeta) {
     auto core = request.gen->Core();
     if (!core.ok()) return ErrorResponse(core.status());
@@ -550,9 +585,9 @@ std::string MatchService::Handle(const std::string& line, bool* quit) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   Request request{*this};
   std::string response;
-  util::Status parsed = request.Parse(line);
-  if (!parsed.ok()) {
-    response = ErrorResponse(parsed);
+  util::Status verb = request.ReadVerb(line);
+  if (!verb.ok()) {
+    response = ErrorResponse(verb);
   } else {
     // Pin one generation for the whole request. A cache key carries its
     // load sequence so a swap instantly invalidates every older entry
@@ -560,11 +595,11 @@ std::string MatchService::Handle(const std::string& line, bool* quit) {
     auto gen = Current();
     request.gen = gen.get();
     if (!request.spec->cacheable) {
-      response = Answer(request);
+      response = Answer(request, line);
     } else {
       std::string key = std::to_string(gen->load_seq) + '\x1f' + line;
       if (cache_.Get(key, &response)) return response;
-      response = Answer(request);
+      response = Answer(request, line);
       if (response.compare(0, 3, "ok ") == 0) cache_.Put(key, response);
     }
   }

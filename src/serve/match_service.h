@@ -201,9 +201,10 @@ class MatchService {
   /// Pins the current generation (shared_ptr copy under a short lock).
   std::shared_ptr<const GenerationState> Current() const;
 
-  /// Answers a parsed request, uncached: builds the core (core and pair
-  /// verbs), resolves the pair (pair verbs), then runs the handler.
-  std::string Answer(Request& request);
+  /// Answers a request whose verb is read, uncached: reads its arguments,
+  /// builds the core (core and pair verbs), resolves the pair (pair
+  /// verbs), then runs the handler.
+  std::string Answer(Request& request, const std::string& line);
 
   ServiceOptions options_;
   ShardedLruCache cache_;

@@ -1,8 +1,6 @@
 #include "serve/protocol.h"
 
-#include <algorithm>
 #include <string>
-#include <vector>
 
 namespace wikimatch {
 namespace serve {
@@ -13,34 +11,6 @@ const VerbSpec* FindVerb(std::string_view verb) {
     if (verb == spec.verb) return &spec;
   }
   return nullptr;
-}
-
-std::string Usage(const VerbSpec& spec) {
-  std::string usage = spec.verb;
-  if (spec.scope == VerbScope::kPair) usage += " <src>:<tgt>";
-  for (const ArgSpec& arg : spec.args) usage += std::string(" ") + arg.name;
-  return usage;
-}
-
-const std::vector<std::string>& HelpLines() {
-  static const std::vector<std::string> kLines = [] {
-    size_t width = 0;
-    for (const VerbSpec& spec : ProtocolVerbs()) {
-      width = std::max(width, Usage(spec).size());
-    }
-    std::vector<std::string> lines;
-    for (const VerbSpec& spec : ProtocolVerbs()) {
-      std::string line = Usage(spec);
-      line.append(width + 3 - line.size(), ' ');
-      line += spec.description;
-      lines.push_back(std::move(line));
-    }
-    lines.push_back(
-        "(quote multi-word type names: alignments pt:en \"artista "
-        "musical\")");
-    return lines;
-  }();
-  return kLines;
 }
 
 LineSplitter::Next LineSplitter::Pop(std::string* line) {

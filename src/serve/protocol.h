@@ -55,7 +55,7 @@ struct ArgSpec {
 /// parses and routes every request by it, and serve_test checks the
 /// docs/SERVING.md verb table against it. A request is the verb, a pair
 /// row's `<src>:<tgt>` token, then `args`; a line that does not fit them
-/// is the row's usage error, answered before the cache, core or pair.
+/// is the row's usage error, answered before the core or pair is touched.
 struct VerbSpec {
   const char* verb;
   std::vector<ArgSpec> args;  ///< after the pair token of a kPair row
@@ -74,13 +74,6 @@ const std::vector<VerbSpec>& ProtocolVerbs();
 /// \brief The row of `verb` in ProtocolVerbs(), or null; `exit` is the
 /// undocumented alias of `quit`.
 const VerbSpec* FindVerb(std::string_view verb);
-
-/// \brief `spec`'s verb and declared arguments, as `help` and its usage
-/// error show them: "attr <src>:<tgt> <type_b> <lang> <attribute>".
-std::string Usage(const VerbSpec& spec);
-
-/// \brief The `help` response body, rendered from ProtocolVerbs().
-const std::vector<std::string>& HelpLines();
 
 /// Hard cap on one request line, on every transport. Longer lines are
 /// answered with a protocol error and discarded — the TCP splitter never
