@@ -1,10 +1,10 @@
 // Line-oriented request/response framing for MatchService, shared by every
 // transport: one request per input line, one "ok <n>"/"err <Class>: <msg>"
 // response block per request. `ServeLoop` runs the protocol on any
-// istream/ostream pair (so `wikimatch serve` is scriptable over
-// stdin/stdout and tests drive it with stringstreams); `net::Server` runs the same per-line
-// semantics over TCP sockets via `LineSplitter` + `HandleRequestLine`, so
-// the two paths cannot drift apart.
+// istream/ostream pair (so `wikimatch serve` is scriptable over stdin/stdout
+// and tests drive it with stringstreams); `net::Server` runs the same
+// per-line semantics over TCP sockets via `LineSplitter` +
+// `HandleRequestLine`, so the two paths cannot drift apart.
 
 #ifndef WIKIMATCH_SERVE_PROTOCOL_H_
 #define WIKIMATCH_SERVE_PROTOCOL_H_

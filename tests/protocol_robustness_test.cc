@@ -295,9 +295,11 @@ TEST(ProtocolRobustnessTest, EveryTableVerbIsDocumentedAndDispatched) {
   return ::testing::AssertionFailure() << "not one answer: " << response;
 }
 
+using Tokens = std::vector<std::string>;
+
 // A valid request for `spec`: its verb, the pair token of a pair row, and
 // a sample value for each declared argument.
-std::vector<std::string> ValidTokens(const VerbSpec& spec) {
+Tokens ValidTokens(const VerbSpec& spec) {
   static const std::map<std::string, std::string> kSamples = {
       {"<type_b>", "film"},
       {"<lang>", "en"},
@@ -305,50 +307,43 @@ std::vector<std::string> ValidTokens(const VerbSpec& spec) {
       {"<c-query>", "filme(elenco=?)"},
       {"[<path>]", "/nonexistent/mutated.snap"},  // reload never finds it
   };
-  std::vector<std::string> tokens = {spec.verb};
+  Tokens tokens = {spec.verb};
   if (spec.scope == VerbScope::kPair) tokens.push_back("pt:en");
   for (const ArgSpec& arg : spec.args) tokens.push_back(kSamples.at(arg.name));
   return tokens;
 }
 
 // One mutation of the token at `i` (i < tokens->size()).
-using Edit = void (*)(std::vector<std::string>* tokens, size_t i);
+using Edit = void (*)(Tokens* tokens, size_t i);
 const Edit kEdits[] = {
     // drop it
-    [](std::vector<std::string>* t, size_t i) { t->erase(t->begin() + i); },
+    [](Tokens* t, size_t i) { t->erase(t->begin() + i); },
     // add a surplus argument after it
-    [](std::vector<std::string>* t, size_t i) {
-      t->insert(t->begin() + i + 1, "surplus");
-    },
+    [](Tokens* t, size_t i) { t->insert(t->begin() + i + 1, "surplus"); },
     // quote it
-    [](std::vector<std::string>* t, size_t i) { (*t)[i] = '"' + (*t)[i] + '"'; },
+    [](Tokens* t, size_t i) { (*t)[i] = '"' + (*t)[i] + '"'; },
     // unquote it
-    [](std::vector<std::string>* t, size_t i) {
+    [](Tokens* t, size_t i) {
       std::string& token = (*t)[i];
       if (token.size() >= 2 && token.front() == '"' && token.back() == '"') {
         token = token.substr(1, token.size() - 2);
       }
     },
     // add empty quotes after it, or put them in its place
-    [](std::vector<std::string>* t, size_t i) {
-      t->insert(t->begin() + i + 1, "\"\"");
-    },
-    [](std::vector<std::string>* t, size_t i) { (*t)[i] = "\"\""; },
+    [](Tokens* t, size_t i) { t->insert(t->begin() + i + 1, "\"\""); },
+    [](Tokens* t, size_t i) { (*t)[i] = "\"\""; },
     // leave a quote unterminated
-    [](std::vector<std::string>* t, size_t i) { (*t)[i] = '"' + (*t)[i]; },
+    [](Tokens* t, size_t i) { (*t)[i] = '"' + (*t)[i]; },
     // a 4 KiB token
-    [](std::vector<std::string>* t, size_t i) {
-      (*t)[i] = std::string(4096, 'x');
-    },
+    [](Tokens* t, size_t i) { (*t)[i] = std::string(4096, 'x'); },
     // invalid UTF-8
-    [](std::vector<std::string>* t, size_t i) { (*t)[i] = "\xff\xfe\xc3"; },
+    [](Tokens* t, size_t i) { (*t)[i] = "\xff\xfe\xc3"; },
 };
 
 // Runs of blanks between, before and after the tokens.
 const char* const kBlanks[] = {" ", "  ", "\t", " \t\t "};
 
-std::string Join(const std::vector<std::string>& tokens, const char* blank,
-                 const char* edge) {
+std::string Join(const Tokens& tokens, const char* blank, const char* edge) {
   std::string line = edge;
   for (size_t i = 0; i < tokens.size(); ++i) {
     if (i > 0) line += blank;
@@ -378,13 +373,15 @@ void ExpectOneAnswer(const std::string& line) {
 }
 
 TEST(ProtocolRobustnessTest, MutatedArgumentsGetExactlyOneAnswer) {
-  std::vector<std::vector<std::string>> valid;
-  for (const VerbSpec& spec : ProtocolVerbs()) valid.push_back(ValidTokens(spec));
+  std::vector<Tokens> valid;
+  for (const VerbSpec& spec : ProtocolVerbs()) {
+    valid.push_back(ValidTokens(spec));
+  }
   valid.push_back({"exit"});
   // Every single edit of every token, plain and with every token quoted,
   // under every run of blanks.
   for (const auto& plain : valid) {
-    std::vector<std::string> quoted = plain;
+    Tokens quoted = plain;
     for (std::string& token : quoted) token = '"' + token + '"';
     for (const auto& base : {plain, quoted}) {
       for (const char* blank : kBlanks) {
@@ -393,7 +390,7 @@ TEST(ProtocolRobustnessTest, MutatedArgumentsGetExactlyOneAnswer) {
       }
       for (Edit edit : kEdits) {
         for (size_t i = 0; i < base.size(); ++i) {
-          std::vector<std::string> tokens = base;
+          Tokens tokens = base;
           edit(&tokens, i);
           ExpectOneAnswer(Join(tokens, " ", ""));
         }
@@ -403,7 +400,7 @@ TEST(ProtocolRobustnessTest, MutatedArgumentsGetExactlyOneAnswer) {
   // Random stacks of up to four edits, from a fixed seed.
   util::Rng rng(20261018);
   for (int round = 0; round < 2000; ++round) {
-    std::vector<std::string> tokens = valid[rng.NextBounded(valid.size())];
+    Tokens tokens = valid[rng.NextBounded(valid.size())];
     const size_t edits = 1 + rng.NextBounded(4);
     for (size_t e = 0; e < edits && !tokens.empty(); ++e) {
       kEdits[rng.NextBounded(std::size(kEdits))](
