@@ -138,8 +138,11 @@ const SnapshotSections& PaperSections() {
     util::BinaryWriter dictionary;
     match::EncodeDictionary(pipeline.dictionary(), &dictionary);
     out->dictionary = dictionary.TakeBuffer();
-    out->sync_report = sync::EncodeSyncReport(engine.Run(
-        sync::SyncEngine::ScopesFromPipelines(snapshot.pipelines)));
+    util::BinaryWriter sync_report;
+    sync::EncodeSyncReport(
+        engine.Run(sync::SyncEngine::ScopesFromPipelines(snapshot.pipelines)),
+        &sync_report);
+    out->sync_report = sync_report.TakeBuffer();
     out->decoded = std::move(snapshot.corpus);
     return out;
   }();

@@ -66,11 +66,20 @@ struct IncrementalMatcher::ReclaimerSlot {
 IncrementalMatcher::IncrementalMatcher(
     wiki::Corpus corpus, std::map<LanguagePair, match::PipelineResult> results,
     match::PipelineOptions options)
+    : IncrementalMatcher(std::move(corpus), match::TranslationDictionary(),
+                         std::move(results), std::move(options)) {
+  dictionary_.Build(corpus_, options_.num_threads);
+}
+
+IncrementalMatcher::IncrementalMatcher(
+    wiki::Corpus corpus, match::TranslationDictionary dictionary,
+    std::map<LanguagePair, match::PipelineResult> results,
+    match::PipelineOptions options)
     : corpus_(std::move(corpus)),
+      dictionary_(std::move(dictionary)),
       results_(std::move(results)),
       options_(std::move(options)),
       reclaimer_(std::make_unique<ReclaimerSlot>()) {
-  dictionary_.Build(corpus_, options_.num_threads);
   RebuildFootprints();
 }
 
@@ -121,9 +130,9 @@ util::Result<IncrementalMatcher> IncrementalMatcher::FromSnapshot(
           "; supplied: " + supplied.ToString() + ")");
     }
   }
-  IncrementalMatcher matcher(std::move(snapshot.corpus),
-                             std::move(snapshot.pipelines),
-                             std::move(options));
+  IncrementalMatcher matcher(
+      std::move(snapshot.corpus), std::move(snapshot.dictionary),
+      std::move(snapshot.pipelines), std::move(options));
   matcher.meta_ = std::move(snapshot.meta);
   return matcher;
 }

@@ -87,7 +87,8 @@ class IncrementalMatcher {
 
   /// \brief Wraps an existing run. `results` must come from MatchPipeline
   /// runs over `corpus` with these `options` — the reuse guarantee is
-  /// relative to what a rebuild with the same options would produce.
+  /// relative to what a rebuild with the same options would produce. The
+  /// translation dictionary is built from `corpus`.
   IncrementalMatcher(wiki::Corpus corpus,
                      std::map<LanguagePair, match::PipelineResult> results,
                      match::PipelineOptions options = {});
@@ -100,6 +101,14 @@ class IncrementalMatcher {
   /// InvalidArgument naming both sides — the unit-reuse guarantee is only
   /// relative to matching options, so a silent mismatch would corrupt
   /// results. Fingerprint-less (older) snapshots are trusted as before.
+  ///
+  /// Preconditions, trusted and not re-checked: `snapshot.pipelines` come
+  /// from MatchPipeline runs over `snapshot.corpus` (as for the
+  /// constructor above), and `snapshot.dictionary` equals
+  /// TranslationDictionary::Build(snapshot.corpus). Every snapshot this
+  /// code writes meets both, so the decoded dictionary is adopted instead
+  /// of rebuilt. A file that breaks them yields wrong translations, never
+  /// a crash: Put, Erase and Translate are safe on any dictionary.
   static util::Result<IncrementalMatcher> FromSnapshot(
       store::Snapshot snapshot, match::PipelineOptions options = {});
 
@@ -135,6 +144,13 @@ class IncrementalMatcher {
   store::Snapshot ToSnapshot() const;
 
  private:
+  /// Takes every part as given; the public constructor builds
+  /// `dictionary` first, FromSnapshot adopts the decoded one.
+  IncrementalMatcher(wiki::Corpus corpus,
+                     match::TranslationDictionary dictionary,
+                     std::map<LanguagePair, match::PipelineResult> results,
+                     match::PipelineOptions options);
+
   using TitleKey = std::pair<std::string, std::string>;  // (language, title)
   using UnitKey = std::pair<std::string, std::string>;   // (type_a, type_b)
 

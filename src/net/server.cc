@@ -27,8 +27,13 @@ using Clock = std::chrono::steady_clock;
 constexpr uint64_t kListenerTag = 1;
 constexpr uint64_t kWakeTag = 2;
 
-// The one-line reply a shed accept gets before its socket is closed.
-constexpr char kBusyReply[] = "err busy (server overloaded, retry later)\n";
+// The one-line reply a shed accept gets before its socket is closed, in
+// the protocol's one error form.
+const std::string& BusyReply() {
+  static const std::string reply = serve::ErrorResponse(
+      util::Status::Unavailable("server overloaded, retry later"));
+  return reply;
+}
 
 std::string Errno(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
@@ -266,7 +271,7 @@ void Server::HandleAccepts(Loop* loop) {
       // Count before the reply: a client that has read the busy line must
       // already see it in Stats().
       shed_.fetch_add(1, std::memory_order_relaxed);
-      (void)::send(fd, kBusyReply, sizeof(kBusyReply) - 1, MSG_NOSIGNAL);
+      (void)::send(fd, BusyReply().data(), BusyReply().size(), MSG_NOSIGNAL);
       ::close(fd);
       continue;
     }

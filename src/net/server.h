@@ -14,7 +14,7 @@
 //    memory instead of ballooning the server.
 //  - Load shedding: past `max_connections` active connections or a
 //    `max_pending_requests` in-flight watermark, new accepts are answered
-//    with one "err busy ..." line and closed immediately.
+//    with one "err Unavailable: ..." line and closed immediately.
 //  - Idle timeout: connections quiet for `idle_timeout_ms` are closed.
 //  - Graceful drain: when the shutdown flag fires (SIGINT/SIGTERM via
 //    net::InstallShutdownHandlers, or Shutdown()), the listener stops
@@ -57,7 +57,8 @@ struct ServerOptions {
   uint16_t port = 0;
   /// Event-loop threads; 0 = one per core (util::DefaultThreads()).
   size_t num_threads = 1;
-  /// Active-connection cap; accepts beyond it are shed with "err busy".
+  /// Active-connection cap; accepts beyond it are shed with
+  /// "err Unavailable: ...".
   size_t max_connections = 1024;
   /// Shed accepts while this many requests are parsed-but-unanswered
   /// across all connections; 0 sheds every accept (maintenance mode).
@@ -81,7 +82,7 @@ struct ServerOptions {
 /// \brief Monotonic counters, aggregated across event loops.
 struct ServerStats {
   uint64_t accepted = 0;         ///< connections accepted (incl. shed)
-  uint64_t shed = 0;             ///< accepts answered "err busy" + closed
+  uint64_t shed = 0;             ///< accepts refused with "err Unavailable"
   uint64_t requests = 0;         ///< lines dispatched to the service
   uint64_t protocol_errors = 0;  ///< oversized/NUL lines answered "err"
   uint64_t idle_closed = 0;      ///< connections closed by the timeout

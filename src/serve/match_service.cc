@@ -562,7 +562,7 @@ const std::vector<VerbSpec>& ProtocolVerbs() {
   return kVerbs;
 }
 
-std::string MatchService::Answer(Request& request, const std::string& line) {
+std::string MatchService::Answer(Request& request, std::string_view line) {
   util::Status parsed = request.ReadArgs(line);
   if (!parsed.ok()) return ErrorResponse(parsed);
   if (request.spec->scope != VerbScope::kMeta) {
@@ -581,7 +581,7 @@ std::string MatchService::Answer(Request& request, const std::string& line) {
   return request.spec->handler(request);
 }
 
-std::string MatchService::Handle(const std::string& line, bool* quit) {
+std::string MatchService::Handle(std::string_view line, bool* quit) {
   requests_.fetch_add(1, std::memory_order_relaxed);
   Request request{*this};
   std::string response;
@@ -597,7 +597,8 @@ std::string MatchService::Handle(const std::string& line, bool* quit) {
     if (!request.spec->cacheable) {
       response = Answer(request, line);
     } else {
-      std::string key = std::to_string(gen->load_seq) + '\x1f' + line;
+      std::string key = std::to_string(gen->load_seq) + '\x1f';
+      key += line;
       if (cache_.Get(key, &response)) return response;
       response = Answer(request, line);
       if (response.compare(0, 3, "ok ") == 0) cache_.Put(key, response);

@@ -44,6 +44,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -108,7 +109,7 @@ class MatchService {
   /// Successful answers of cacheable verbs are served from / inserted into
   /// the LRU cache, keyed by the raw line under the generation that
   /// produced them. `*quit`, if given, tells whether `quit` was answered.
-  std::string Handle(const std::string& line, bool* quit = nullptr);
+  std::string Handle(std::string_view line, bool* quit = nullptr);
 
   ServiceStats Stats() const;
 
@@ -204,7 +205,7 @@ class MatchService {
   /// Answers a request whose verb is read, uncached: reads its arguments,
   /// builds the core (core and pair verbs), resolves the pair (pair
   /// verbs), then runs the handler.
-  std::string Answer(Request& request, const std::string& line);
+  std::string Answer(Request& request, std::string_view line);
 
   ServiceOptions options_;
   ShardedLruCache cache_;

@@ -1,5 +1,6 @@
 #include "serve/protocol.h"
 
+#include <limits>
 #include <string>
 
 namespace wikimatch {
@@ -66,18 +67,16 @@ std::string ErrorResponse(const util::Status& status) {
   return "err " + status.ToString() + "\n";
 }
 
-LineOutcome HandleRequestLine(MatchService* service,
-                              const std::string& raw) {
+LineOutcome HandleRequestLine(MatchService* service, std::string_view line) {
   LineOutcome out;
-  std::string line = raw;
-  if (!line.empty() && line.back() == '\r') line.pop_back();
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
   if (line.empty()) return out;
   if (line.size() > kMaxRequestBytes) {
     // The TCP splitter enforces its own (possibly smaller) cap during
-    // reassembly; this catches the stdin path, where getline is unbounded.
+    // reassembly; this catches the stdin path's longest kept line.
     out.response = OversizedLineResponse(kMaxRequestBytes);
     out.protocol_error = true;
-  } else if (line.find('\0') != std::string::npos) {
+  } else if (line.find('\0') != std::string_view::npos) {
     out.response = ErrorResponse(
         util::Status::InvalidArgument("request contains a NUL byte"));
     out.protocol_error = true;
@@ -95,10 +94,28 @@ std::string OversizedLineResponse(size_t max_line_bytes) {
 size_t ServeLoop(std::istream& in, std::ostream& out, MatchService* service,
                  const std::atomic<bool>* stop) {
   size_t served = 0;
-  std::string line;
-  while ((stop == nullptr || !stop->load(std::memory_order_acquire)) &&
-         std::getline(in, line)) {
-    LineOutcome outcome = HandleRequestLine(service, line);
+  // One line at a time, as a pipe delivers it, but never more than the cap
+  // plus one byte (and a CR) of it: the +2 leaves room for the CR that
+  // HandleRequestLine strips and for getline's terminating NUL.
+  std::string line(kMaxRequestBytes + 2, '\0');
+  while (stop == nullptr || !stop->load(std::memory_order_acquire)) {
+    in.getline(line.data(), static_cast<std::streamsize>(line.size()));
+    const auto kept = static_cast<size_t>(in.gcount());
+    LineOutcome outcome;
+    if (in.fail() && kept == line.size() - 1) {
+      // No newline within the cap: answer the line as oversized and skip
+      // the rest of it unread into memory.
+      in.clear();
+      in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      outcome.response = OversizedLineResponse(kMaxRequestBytes);
+    } else if (in.fail()) {
+      break;  // end of input (or a read interrupted by the stop signal)
+    } else {
+      // gcount() counts the newline getline consumed, unless the input
+      // ended first.
+      outcome = HandleRequestLine(
+          service, std::string_view(line.data(), in.eof() ? kept : kept - 1));
+    }
     if (outcome.response.empty()) continue;
     out << outcome.response;
     out.flush();

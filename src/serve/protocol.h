@@ -135,7 +135,7 @@ struct LineOutcome {
 /// else (malformed verbs, broken UTF-8 arguments) is the service's problem
 /// and comes back as its "err" response — the transport never crashes on
 /// request bytes.
-LineOutcome HandleRequestLine(MatchService* service, const std::string& line);
+LineOutcome HandleRequestLine(MatchService* service, std::string_view line);
 
 /// \brief The error response for a line the splitter (or the stdin
 /// path's length check) flagged as oversized.
@@ -147,6 +147,8 @@ std::string OversizedLineResponse(size_t max_line_bytes);
 /// cleanly) becomes true, writing each response to `out` (flushed per
 /// request). Blank lines are ignored. Returns the number of answers, the
 /// `bye` included; an unterminated final line is served like any other.
+/// A line longer than kMaxRequestBytes is answered as oversized, and at
+/// most kMaxRequestBytes + 2 bytes of it are ever held in memory.
 size_t ServeLoop(std::istream& in, std::ostream& out, MatchService* service,
                  const std::atomic<bool>* stop = nullptr);
 

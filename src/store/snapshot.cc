@@ -24,7 +24,7 @@ std::string EncodeHeader(uint32_t section_count) {
   return w.TakeBuffer();
 }
 
-util::Status WriteAll(std::FILE* file, const std::string& bytes) {
+util::Status WriteAll(std::FILE* file, std::string_view bytes) {
   if (std::fwrite(bytes.data(), 1, bytes.size(), file) != bytes.size()) {
     return util::Status::IoError("short write to snapshot file");
   }
@@ -51,6 +51,54 @@ util::Status SyncParentDirectory(const std::string& path) {
   ::close(fd);
   if (rc != 0) return util::Status::IoError("cannot fsync directory " + dir);
   return util::Status::OK();
+}
+
+// The meta section payload (kind 4).
+void EncodeMeta(const SnapshotMeta& meta, util::BinaryWriter* w) {
+  w->PutU64(meta.generation);
+  w->PutU64(meta.history.size());
+  for (const auto& rec : meta.history) {
+    w->PutU64(rec.generation);
+    w->PutU64(rec.articles_added);
+    w->PutU64(rec.articles_updated);
+    w->PutU64(rec.articles_removed);
+    w->PutU64(rec.units_reused);
+    w->PutU64(rec.units_recomputed);
+  }
+  // Options fingerprint: trailing fields appended after the original
+  // payload, so old readers (which stop after the history) never see them
+  // and a meta section without a fingerprint keeps its original bytes — an
+  // additive extension, no version bump. A present fingerprint starts with
+  // a 1 flag byte; absence writes nothing at all.
+  if (meta.options.has_value()) {
+    const OptionsFingerprint& fp = *meta.options;
+    w->PutU8(1);
+    w->PutDouble(fp.t_sim);
+    w->PutDouble(fp.t_lsi);
+    w->PutDouble(fp.t_inductive);
+    w->PutDouble(fp.t_revise_min_sim);
+    w->PutDouble(fp.min_link_support);
+    w->PutU64(fp.lsi_rank);
+    w->PutDouble(fp.lsi_co_occur_tolerance);
+    w->PutU8(fp.use_vsim ? 1 : 0);
+    w->PutU8(fp.use_lsim ? 1 : 0);
+    w->PutU8(fp.use_lsi ? 1 : 0);
+    w->PutU8(fp.use_integrate_constraint ? 1 : 0);
+    w->PutU8(fp.use_revise_uncertain ? 1 : 0);
+    w->PutU8(fp.use_inductive_grouping ? 1 : 0);
+    w->PutU8(fp.random_order ? 1 : 0);
+    w->PutU8(fp.single_step ? 1 : 0);
+    w->PutU64(fp.random_seed);
+    w->PutU8(fp.keep_all_pairs ? 1 : 0);
+    w->PutU8(fp.translate_values ? 1 : 0);
+    w->PutU64(fp.schema_min_occurrences);
+    w->PutU64(fp.schema_max_sample_infoboxes);
+    w->PutU64(fp.type_min_votes);
+    w->PutDouble(fp.type_min_confidence);
+    // Trailing fingerprint extension (same tolerant-read pattern as the
+    // fingerprint itself): older readers stop before it.
+    w->PutU8(fp.use_exact_cosine ? 1 : 0);
+  }
 }
 
 }  // namespace
@@ -152,96 +200,77 @@ void SnapshotWriter::Abandon() {
   ::unlink(temp_path_.c_str());
 }
 
-util::Status SnapshotWriter::WriteSection(SectionKind kind,
-                                          const std::string& payload) {
+util::Status SnapshotWriter::WriteSection(
+    SectionKind kind,
+    const std::function<void(util::BinaryWriter*)>& encode) {
   if (file_ == nullptr) {
     return util::Status::Internal("snapshot writer already finished");
   }
+  // Provisional header: the payload size and CRC are known only once the
+  // payload has streamed past, and are patched in afterwards.
+  const off_t header_at = ::ftello(file_);
+  if (header_at < 0) return util::Status::IoError("cannot tell " + temp_path_);
   util::BinaryWriter header;
   header.PutU32(static_cast<uint32_t>(kind));
-  header.PutU64(payload.size());
-  header.PutU32(Crc32(payload));
+  header.PutU64(0);  // payload size
+  header.PutU32(0);  // CRC
   WIKIMATCH_RETURN_NOT_OK(WriteAll(file_, header.buffer()));
-  WIKIMATCH_RETURN_NOT_OK(WriteAll(file_, payload));
+
+  uint32_t crc = 0;
+  util::BinaryWriter payload([this, &crc](std::string_view block) {
+    crc = Crc32(block, crc);
+    return WriteAll(file_, block);
+  });
+  encode(&payload);
+  WIKIMATCH_RETURN_NOT_OK(payload.Flush());
+
+  util::BinaryWriter patch;
+  patch.PutU64(payload.size());
+  patch.PutU32(crc);
+  if (::fseeko(file_, header_at + 4, SEEK_SET) != 0) {
+    return util::Status::IoError("cannot seek in " + temp_path_);
+  }
+  WIKIMATCH_RETURN_NOT_OK(WriteAll(file_, patch.buffer()));
+  if (::fseeko(file_, 0, SEEK_END) != 0) {
+    return util::Status::IoError("cannot seek in " + temp_path_);
+  }
   ++section_count_;
   return util::Status::OK();
 }
 
 util::Status SnapshotWriter::WriteCorpus(const wiki::Corpus& corpus) {
-  util::BinaryWriter w;
-  wiki::EncodeCorpus(corpus, &w);
-  return WriteSection(SectionKind::kCorpus, w.buffer());
+  return WriteSection(SectionKind::kCorpus, [&](util::BinaryWriter* w) {
+    wiki::EncodeCorpus(corpus, w);
+  });
 }
 
 util::Status SnapshotWriter::WriteDictionary(
     const match::TranslationDictionary& dict) {
-  util::BinaryWriter w;
-  match::EncodeDictionary(dict, &w);
-  return WriteSection(SectionKind::kDictionary, w.buffer());
+  return WriteSection(SectionKind::kDictionary, [&](util::BinaryWriter* w) {
+    match::EncodeDictionary(dict, w);
+  });
 }
 
 util::Status SnapshotWriter::WritePipeline(
     const std::string& lang_a, const std::string& lang_b,
     const match::PipelineResult& result) {
-  util::BinaryWriter w;
-  w.PutString(lang_a);
-  w.PutString(lang_b);
-  match::EncodePipelineResult(result, &w);
-  return WriteSection(SectionKind::kPipeline, w.buffer());
+  return WriteSection(SectionKind::kPipeline, [&](util::BinaryWriter* w) {
+    w->PutString(lang_a);
+    w->PutString(lang_b);
+    match::EncodePipelineResult(result, w);
+  });
 }
 
 util::Status SnapshotWriter::WriteMeta(const SnapshotMeta& meta) {
-  util::BinaryWriter w;
-  w.PutU64(meta.generation);
-  w.PutU64(meta.history.size());
-  for (const auto& rec : meta.history) {
-    w.PutU64(rec.generation);
-    w.PutU64(rec.articles_added);
-    w.PutU64(rec.articles_updated);
-    w.PutU64(rec.articles_removed);
-    w.PutU64(rec.units_reused);
-    w.PutU64(rec.units_recomputed);
-  }
-  // Options fingerprint: trailing fields appended after the original
-  // payload, so old readers (which stop after the history) never see them
-  // and a meta section without a fingerprint keeps its original bytes — an
-  // additive extension, no version bump. A present fingerprint starts with
-  // a 1 flag byte; absence writes nothing at all.
-  if (meta.options.has_value()) {
-    const OptionsFingerprint& fp = *meta.options;
-    w.PutU8(1);
-    w.PutDouble(fp.t_sim);
-    w.PutDouble(fp.t_lsi);
-    w.PutDouble(fp.t_inductive);
-    w.PutDouble(fp.t_revise_min_sim);
-    w.PutDouble(fp.min_link_support);
-    w.PutU64(fp.lsi_rank);
-    w.PutDouble(fp.lsi_co_occur_tolerance);
-    w.PutU8(fp.use_vsim ? 1 : 0);
-    w.PutU8(fp.use_lsim ? 1 : 0);
-    w.PutU8(fp.use_lsi ? 1 : 0);
-    w.PutU8(fp.use_integrate_constraint ? 1 : 0);
-    w.PutU8(fp.use_revise_uncertain ? 1 : 0);
-    w.PutU8(fp.use_inductive_grouping ? 1 : 0);
-    w.PutU8(fp.random_order ? 1 : 0);
-    w.PutU8(fp.single_step ? 1 : 0);
-    w.PutU64(fp.random_seed);
-    w.PutU8(fp.keep_all_pairs ? 1 : 0);
-    w.PutU8(fp.translate_values ? 1 : 0);
-    w.PutU64(fp.schema_min_occurrences);
-    w.PutU64(fp.schema_max_sample_infoboxes);
-    w.PutU64(fp.type_min_votes);
-    w.PutDouble(fp.type_min_confidence);
-    // Trailing fingerprint extension (same tolerant-read pattern as the
-    // fingerprint itself): older readers stop before it.
-    w.PutU8(fp.use_exact_cosine ? 1 : 0);
-  }
-  return WriteSection(SectionKind::kMeta, w.buffer());
+  return WriteSection(SectionKind::kMeta, [&](util::BinaryWriter* w) {
+    EncodeMeta(meta, w);
+  });
 }
 
 util::Status SnapshotWriter::WriteSyncReport(const sync::SyncReport& report) {
-  return WriteSection(SectionKind::kSyncReport,
-                      sync::EncodeSyncReport(report));
+  return WriteSection(SectionKind::kSyncReport, [&](util::BinaryWriter* w) {
+    sync::EncodeSyncReport(report, w);
+  });
 }
 
 util::Status SnapshotWriter::Finish() {

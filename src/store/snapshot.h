@@ -35,6 +35,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -45,6 +46,7 @@
 #include "match/dictionary.h"
 #include "match/pipeline.h"
 #include "sync/sync_engine.h"
+#include "util/binary_io.h"
 #include "util/result.h"
 #include "wiki/corpus.h"
 
@@ -167,8 +169,11 @@ struct Snapshot {
 
 /// \brief Streaming writer: one Write* call per section, then Finish().
 ///
-/// Sections are checksummed and written as they are produced, into a temp
-/// file in the target's directory. Finish() patches the section count into
+/// Each section is encoded straight into a temp file in the target's
+/// directory: a provisional section header, then the payload in
+/// BinaryWriter::kBlockBytes blocks with the CRC chained over them, then
+/// the real payload size and CRC patched into the header. No section is
+/// held whole in memory. Finish() patches the section count into
 /// the header, fsyncs, and renames the temp file over the target, then
 /// fsyncs the directory. A writer destroyed without a successful Finish()
 /// (crash mid-build, error) unlinks its temp file and leaves whatever was
@@ -201,7 +206,10 @@ class SnapshotWriter {
   SnapshotWriter(std::FILE* file, std::string path, std::string temp_path)
       : file_(file), path_(std::move(path)), temp_path_(std::move(temp_path)) {}
 
-  util::Status WriteSection(SectionKind kind, const std::string& payload);
+  /// Writes one section whose payload `encode` puts into the writer.
+  util::Status WriteSection(
+      SectionKind kind,
+      const std::function<void(util::BinaryWriter*)>& encode);
   /// Closes and unlinks the temp file of an unfinished writer.
   void Abandon();
 

@@ -64,8 +64,8 @@ SyncReport::Summaries() const {
   return out;
 }
 
-std::string EncodeSyncReport(const SyncReport& report) {
-  util::BinaryWriter w;
+void EncodeSyncReport(const SyncReport& report, util::BinaryWriter* writer) {
+  util::BinaryWriter& w = *writer;
   w.PutU32(kReportFormatVersion);
   w.PutU64(report.generation);
   w.PutU32(static_cast<uint32_t>(report.cells.size()));
@@ -90,7 +90,6 @@ std::string EncodeSyncReport(const SyncReport& report) {
     w.PutString(u.proposed_value);
     w.PutDouble(u.evidence_score);
   }
-  return w.TakeBuffer();
 }
 
 util::Result<SyncReport> DecodeSyncReport(std::string_view payload) {
@@ -287,7 +286,15 @@ SyncEngine::GroupResult SyncEngine::ClassifyGroup(const Group& group) const {
 }
 
 SyncReport SyncEngine::Assemble(std::vector<GroupResult> results) {
+  size_t num_cells = 0;
+  size_t num_updates = 0;
+  for (const GroupResult& r : results) {
+    num_cells += r.cells.size();
+    num_updates += r.updates.size();
+  }
   SyncReport report;
+  report.cells.reserve(num_cells);
+  report.updates.reserve(num_updates);
   for (GroupResult& r : results) {
     report.cells.insert(report.cells.end(),
                         std::make_move_iterator(r.cells.begin()),
@@ -329,32 +336,61 @@ SyncReport SyncEngine::Resync(
   FreezeAlignments(scopes);
   // Rows and updates of one group all name the pair-side article, and a
   // title is unique within a language, so (pair_lang, pair_title) keys the
-  // previous report's groups.
-  using GroupKey = std::pair<std::string, std::string>;
-  std::map<GroupKey, GroupResult> prev;
-  for (const CellVerdict& v : previous.cells) {
-    prev[{v.pair_lang, v.pair_title}].cells.push_back(v);
+  // previous report's groups. The index holds row numbers, in report
+  // order, with keys viewing `previous`; a clean group's rows are copied
+  // once, straight into its result slot.
+  using GroupKey = std::pair<std::string_view, std::string_view>;
+  struct PreviousRows {
+    std::vector<uint32_t> cells;
+    std::vector<uint32_t> updates;
+  };
+  std::map<GroupKey, PreviousRows> index;
+  // Rows of one group are usually adjacent: look a key up once per run.
+  GroupKey last_key;
+  PreviousRows* last = nullptr;
+  auto rows_of = [&](GroupKey key) -> PreviousRows& {
+    if (last == nullptr || key != last_key) {
+      last_key = key;
+      last = &index[key];
+    }
+    return *last;
+  };
+  for (size_t row = 0; row < previous.cells.size(); ++row) {
+    const CellVerdict& v = previous.cells[row];
+    rows_of({v.pair_lang, v.pair_title})
+        .cells.push_back(static_cast<uint32_t>(row));
   }
-  for (const PropagationUpdate& u : previous.updates) {
-    GroupKey key = u.source_lang == hub_
-                       ? GroupKey{u.target_lang, u.target_title}
-                       : GroupKey{u.source_lang, u.source_title};
-    prev[key].updates.push_back(u);
+  for (size_t row = 0; row < previous.updates.size(); ++row) {
+    const PropagationUpdate& u = previous.updates[row];
+    rows_of(u.source_lang == hub_ ? GroupKey{u.target_lang, u.target_title}
+                                  : GroupKey{u.source_lang, u.source_title})
+        .updates.push_back(static_cast<uint32_t>(row));
   }
+  const std::set<GroupKey> dirty_keys(dirty.begin(), dirty.end());
 
   std::vector<Group> groups = EnumerateGroups(scopes);
   std::vector<GroupResult> results(groups.size());
   util::thread_pool_for(groups.size(), num_threads, [&](size_t i) {
     const Group& g = groups[i];
-    GroupKey key{g.scope->pair_lang, corpus_->Get(g.pair_id).title};
-    bool is_dirty =
-        dirty.count(key) > 0 ||
-        dirty.count({g.scope->hub_lang, corpus_->Get(g.hub_id).title}) > 0;
-    auto it = prev.find(key);
-    if (!is_dirty && it != prev.end()) {
-      results[i] = it->second;  // clean group: reuse the previous verdicts
-    } else {
+    const GroupKey key{g.scope->pair_lang, corpus_->Get(g.pair_id).title};
+    const bool is_dirty =
+        dirty_keys.count(key) > 0 ||
+        dirty_keys.count({g.scope->hub_lang, corpus_->Get(g.hub_id).title}) >
+            0;
+    auto it = is_dirty ? index.end() : index.find(key);
+    if (it == index.end()) {
       results[i] = ClassifyGroup(g);
+      return;
+    }
+    // Clean group: reuse the previous verdicts.
+    GroupResult& out = results[i];
+    out.cells.reserve(it->second.cells.size());
+    for (uint32_t row : it->second.cells) {
+      out.cells.push_back(previous.cells[row]);
+    }
+    out.updates.reserve(it->second.updates.size());
+    for (uint32_t row : it->second.updates) {
+      out.updates.push_back(previous.updates[row]);
     }
   });
   return Assemble(std::move(results));

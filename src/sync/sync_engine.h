@@ -31,6 +31,7 @@
 #include "match/dictionary.h"
 #include "match/pipeline.h"
 #include "sync/evidence.h"
+#include "util/binary_io.h"
 #include "util/result.h"
 #include "wiki/corpus.h"
 
@@ -105,7 +106,7 @@ struct SyncReport {
 
 /// \brief Binary serialization (snapshot section kind 5, BENCH byte
 /// equivalence checks). Encode/Decode round-trip exactly.
-std::string EncodeSyncReport(const SyncReport& report);
+void EncodeSyncReport(const SyncReport& report, util::BinaryWriter* writer);
 util::Result<SyncReport> DecodeSyncReport(std::string_view payload);
 
 /// \brief One aligned type pair to synchronize.

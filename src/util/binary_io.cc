@@ -5,16 +5,29 @@
 namespace wikimatch {
 namespace util {
 
+BinaryWriter::BinaryWriter(Sink sink)
+    : sink_(std::move(sink)), drain_at_(kBlockBytes) {
+  // Room for a block plus one fixed-width put; only a long string can
+  // make the buffer grow past it.
+  buffer_.reserve(kBlockBytes + sizeof(uint64_t));
+}
+
 void BinaryWriter::PutU32(uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    buffer_.push_back(static_cast<char>((v >> shift) & 0xFF));
+  char bytes[4];
+  for (int i = 0; i < 4; ++i) {
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  buffer_.append(bytes, sizeof(bytes));
+  MaybeDrain();
 }
 
 void BinaryWriter::PutU64(uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    buffer_.push_back(static_cast<char>((v >> shift) & 0xFF));
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) {
+    bytes[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
   }
+  buffer_.append(bytes, sizeof(bytes));
+  MaybeDrain();
 }
 
 void BinaryWriter::PutDouble(double v) {
@@ -26,7 +39,24 @@ void BinaryWriter::PutDouble(double v) {
 
 void BinaryWriter::PutString(std::string_view s) {
   PutU64(s.size());
-  buffer_.append(s);
+  PutBytes(s);
+}
+
+void BinaryWriter::Drain() {
+  const size_t whole = buffer_.size() - buffer_.size() % kBlockBytes;
+  for (size_t at = 0; at < whole && sink_status_.ok(); at += kBlockBytes) {
+    sink_status_ = sink_(std::string_view(buffer_).substr(at, kBlockBytes));
+  }
+  buffer_.erase(0, whole);
+  streamed_ += whole;
+}
+
+Status BinaryWriter::Flush() {
+  if (!sink_) return Status::OK();
+  if (!buffer_.empty() && sink_status_.ok()) sink_status_ = sink_(buffer_);
+  streamed_ += buffer_.size();
+  buffer_.clear();
+  return sink_status_;
 }
 
 Status BinaryReader::Require(size_t n) const {

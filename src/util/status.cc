@@ -23,6 +23,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "NotImplemented";
     case StatusCode::kInternal:
       return "Internal";
+    case StatusCode::kUnavailable:
+      return "Unavailable";
   }
   return "Unknown";
 }

@@ -26,6 +26,9 @@ enum class StatusCode : int {
   kIoError = 6,
   kNotImplemented = 7,
   kInternal = 8,
+  /// The service cannot take the request now (overloaded); retrying later
+  /// may succeed.
+  kUnavailable = 9,
 };
 
 /// \brief Human-readable name of a StatusCode (e.g. "InvalidArgument").
@@ -80,6 +83,9 @@ class [[nodiscard]] Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
+  }
+  static Status Unavailable(std::string msg) {
+    return Status(StatusCode::kUnavailable, std::move(msg));
   }
   /// @}
 

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -423,6 +424,56 @@ TEST(IncrementalMatcherTest, FromSnapshotApplyMatchesFreshRebuild) {
   // what the persisted per-unit stats buy.
   EXPECT_GE(stats->units_reused, 1u);
   ExpectMatchesFullRebuild(second, base_after_1, *batch2, f.pairs);
+}
+
+// FromSnapshot adopts the snapshot's dictionary instead of rebuilding it.
+// That is only sound because every written snapshot carries exactly
+// Build(corpus): check it after the first load and after each of three
+// chained Apply + write + read rounds, next to the full-rebuild check.
+TEST(IncrementalMatcherTest, AdoptedDictionaryEqualsARebuildAcrossRounds) {
+  SynthFixture f = MakeSynthFixture();
+  const std::string path = ::testing::TempDir() + "/ingest_adopted.snap";
+  auto reload = [&](const IncrementalMatcher& from)
+      -> util::Result<IncrementalMatcher> {
+    WIKIMATCH_RETURN_NOT_OK(store::WriteSnapshotFile(from.ToSnapshot(), path));
+    auto snapshot = store::ReadSnapshotFile(path);
+    std::remove(path.c_str());
+    if (!snapshot.ok()) return snapshot.status();
+    return IncrementalMatcher::FromSnapshot(std::move(snapshot).ValueOrDie());
+  };
+  auto expect_rebuilt_dictionary = [](const IncrementalMatcher& matcher) {
+    match::TranslationDictionary rebuilt;
+    rebuilt.Build(matcher.corpus());
+    EXPECT_GT(rebuilt.size(), 0u);
+    EXPECT_EQ(DictionaryBytes(matcher.dictionary()), DictionaryBytes(rebuilt));
+  };
+
+  auto loaded = reload(IncrementalMatcher(f.corpus, f.results));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  std::optional<IncrementalMatcher> matcher;
+  matcher.emplace(std::move(loaded).ValueOrDie());
+  expect_rebuilt_dictionary(*matcher);
+  for (uint64_t round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const wiki::Corpus before = matcher->corpus();
+    synth::DeltaSpec spec;
+    spec.seed = 60 + round;
+    spec.lang_a = round == 1 ? "vi" : "pt";
+    spec.value_edits = 2;
+    spec.new_articles = 1;
+    spec.removals = round == 2 ? 1 : 0;
+    spec.attribute_renames = round == 0 ? 1 : 0;
+    auto batch = synth::MakeDeltaBatch(before, spec);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    auto stats = matcher->Apply(*batch);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    auto next = reload(*matcher);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    matcher.emplace(std::move(next).ValueOrDie());
+    EXPECT_EQ(matcher->generation(), round + 1);
+    expect_rebuilt_dictionary(*matcher);
+    ExpectMatchesFullRebuild(*matcher, before, *batch, f.pairs);
+  }
 }
 
 // Apply() stamps the snapshot meta with the options fingerprint; a later

@@ -340,7 +340,7 @@ TEST(NetServerTest, ShedsBeyondMaxConnectionsWithABusyReply) {
   ASSERT_TRUE(third.connected());
   std::string line;
   ASSERT_TRUE(third.ReadLine(&line));
-  EXPECT_EQ(line, "err busy (server overloaded, retry later)");
+  EXPECT_EQ(line, "err Unavailable: server overloaded, retry later");
   EXPECT_TRUE(third.AtEof());
 
   // Room opens up again once an active connection leaves.
@@ -360,7 +360,7 @@ TEST(NetServerTest, ZeroPendingWatermarkShedsEveryAccept) {
   ASSERT_TRUE(client.connected());
   std::string line;
   ASSERT_TRUE(client.ReadLine(&line));
-  EXPECT_EQ(line.compare(0, 8, "err busy"), 0) << line;
+  EXPECT_EQ(line.rfind("err Unavailable: ", 0), 0u) << line;
   EXPECT_TRUE(client.AtEof());
   EXPECT_EQ(server->Stats().shed, 1u);
 }

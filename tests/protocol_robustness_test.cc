@@ -12,8 +12,10 @@
 #include <algorithm>
 #include <atomic>
 #include <charconv>
+#include <fstream>
 #include <map>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -172,14 +174,79 @@ TEST(ProtocolRobustnessTest, EmbeddedNulIsAProtocolError) {
 }
 
 TEST(ProtocolRobustnessTest, OversizedLineIsAProtocolError) {
-  // The stdin path has no LineSplitter in front of it (std::getline is
-  // unbounded), so the dispatcher itself must enforce the cap.
+  // The stdin path has no LineSplitter in front of it (ServeLoop keeps the
+  // cap plus a byte and a CR of a line), so the dispatcher itself must
+  // enforce the cap.
   std::string line = "alignments pt:en " + std::string(kMaxRequestBytes, 'a');
   LineOutcome outcome = HandleRequestLine(GetService(), line);
   EXPECT_EQ(outcome.response, "err OutOfRange: request line exceeds " +
                                   std::to_string(kMaxRequestBytes) +
                                   " bytes\n");
   EXPECT_TRUE(outcome.protocol_error);
+}
+
+// Serves `size` bytes of 'a', then `tail`, one 64 KiB block at a time:
+// a request line far larger than the cap that never exists whole on the
+// producing side.
+class LongLineBuf : public std::streambuf {
+ public:
+  LongLineBuf(size_t size, std::string tail)
+      : remaining_(size), tail_(std::move(tail)), block_(64 * 1024, 'a') {}
+
+ protected:
+  int_type underflow() override {
+    if (remaining_ > 0) {
+      const size_t n = std::min(remaining_, block_.size());
+      remaining_ -= n;
+      setg(block_.data(), block_.data(), block_.data() + n);
+    } else if (!tail_served_ && !tail_.empty()) {
+      tail_served_ = true;
+      setg(tail_.data(), tail_.data(), tail_.data() + tail_.size());
+    } else {
+      return traits_type::eof();
+    }
+    return traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  size_t remaining_;
+  std::string tail_;
+  std::string block_;
+  bool tail_served_ = false;
+};
+
+// Peak resident set of this process (VmHWM), in KiB; -1 if unreadable.
+long PeakRssKb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stol(line.substr(6));
+  }
+  return -1;
+}
+
+TEST(ProtocolRobustnessTest, ServeLoopBoundsAnOversizedStdinLine) {
+  MatchService* service = GetService();
+  ASSERT_EQ(service->Handle("health").rfind("ok 1\n", 0), 0u);
+  // A CR ends the answered line, as telnet sends it.
+  LongLineBuf buf(size_t{256} << 20, "\nhealth\r\n");
+  std::istream in(&buf);
+  std::ostringstream out;
+  const long before = PeakRssKb();
+  ASSERT_GT(before, 0);
+  EXPECT_EQ(ServeLoop(in, out, service), 2u);
+  const long grown_kb = PeakRssKb() - before;
+  const std::string text = out.str();
+  EXPECT_EQ(text.rfind("err OutOfRange: request line exceeds " +
+                           std::to_string(kMaxRequestBytes) + " bytes\n",
+                       0),
+            0u)
+      << text.substr(0, 200);
+  EXPECT_NE(text.find("ok 1\nhealthy generation="), std::string::npos)
+      << text.substr(0, 200);
+  // Holding the line (twice, as a getline plus a copy would) is 256-512
+  // MiB; the bounded read keeps one cap-sized buffer.
+  EXPECT_LT(grown_kb, 32 * 1024);
 }
 
 TEST(ProtocolRobustnessTest, PartialUtf8IsAnsweredNotCrashed) {

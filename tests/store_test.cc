@@ -11,6 +11,7 @@
 #include <cstring>
 #include <fstream>
 #include <string_view>
+#include <vector>
 
 #include "ingest/incremental_matcher.h"
 #include "match/pipeline.h"
@@ -19,6 +20,7 @@
 #include "store/snapshot.h"
 #include "store/snapshot_reader.h"
 #include "snapshot_bytes.h"
+#include "sync/sync_engine.h"
 #include "synth/generator.h"
 #include "util/binary_io.h"
 #include "util/rng.h"
@@ -108,6 +110,50 @@ TEST(BinaryIoTest, TruncatedReadsFailCleanly) {
   auto s = r2.ReadString();
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.status().code(), util::StatusCode::kOutOfRange);
+}
+
+// A streaming writer hands its sink exactly the bytes an in-memory writer
+// keeps, in kBlockBytes blocks (only the last one shorter), whatever the
+// put sizes; after a sink error it hands over nothing more.
+TEST(BinaryIoTest, StreamingWriterHandsOnFixedBlocks) {
+  auto encode = [](util::BinaryWriter* w) {
+    wiki::EncodeCorpus(GetFixture().gc.corpus, w);
+    w->PutString(std::string(3 * util::BinaryWriter::kBlockBytes + 5, 'x'));
+    for (uint32_t i = 0; i < 40000; ++i) w->PutU32(i);
+    w->PutU8(7);
+  };
+  util::BinaryWriter memory;
+  encode(&memory);
+
+  std::vector<std::string> blocks;
+  util::BinaryWriter streaming([&](std::string_view block) {
+    blocks.emplace_back(block);
+    return util::Status::OK();
+  });
+  encode(&streaming);
+  ASSERT_TRUE(streaming.Flush().ok());
+  EXPECT_EQ(streaming.size(), memory.size());
+  EXPECT_TRUE(streaming.buffer().empty());
+  ASSERT_GT(blocks.size(), 4u);
+  std::string joined;
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    if (i + 1 < blocks.size()) {
+      EXPECT_EQ(blocks[i].size(), util::BinaryWriter::kBlockBytes) << i;
+    }
+    joined += blocks[i];
+  }
+  EXPECT_EQ(joined, memory.buffer());
+
+  size_t calls = 0;
+  util::BinaryWriter failing([&](std::string_view) {
+    ++calls;
+    return calls == 2 ? util::Status::IoError("disk full")
+                      : util::Status::OK();
+  });
+  encode(&failing);
+  util::Status flushed = failing.Flush();
+  EXPECT_EQ(flushed.code(), util::StatusCode::kIoError);
+  EXPECT_EQ(calls, 2u);
 }
 
 TEST(Crc32Test, KnownVectorsAndChunking) {
@@ -306,6 +352,80 @@ TEST(StoreTest, SnapshotFileRoundTrip) {
   const auto& result = loaded->pipelines.at(LanguagePair("pt", "en"));
   EXPECT_EQ(result.per_type.size(), GetFixture().result.per_type.size());
   std::remove(path.c_str());
+}
+
+// The streamed writer's file equals the layout a buffered writer frames:
+// the header, then per section its kind, payload size and CRC-32 of the
+// whole payload, then the payload. The synced Paper(0.02) snapshot's
+// corpus section spans many streaming blocks, so a CRC chained wrongly
+// across blocks or a size patched at the wrong offset shows here.
+TEST(StoreTest, StreamedFileEqualsBufferedSectionFraming) {
+  Snapshot paper;
+  {
+    synth::CorpusGenerator generator(synth::GeneratorOptions::Paper(0.02));
+    paper.corpus = std::move(generator.Generate()).ValueOrDie().corpus;
+    match::MatchPipeline pipeline(&paper.corpus);
+    paper.dictionary = pipeline.dictionary();
+    paper.pipelines.emplace(LanguagePair("pt", "en"),
+                            std::move(pipeline.Run("pt", "en")).ValueOrDie());
+    sync::SyncEngine engine(&paper.corpus, &paper.dictionary, "en");
+    paper.sync_report = engine.Run(
+        sync::SyncEngine::ScopesFromPipelines(paper.pipelines), 2);
+    paper.sync_report.generation = 1;
+  }
+  ASSERT_FALSE(paper.sync_report.cells.empty());
+  struct Case {
+    const char* name;
+    Snapshot snapshot;
+  };
+  for (const Case& c : {Case{"Tiny", MakeSnapshot()},
+                        Case{"synced Paper(0.02)", std::move(paper)}}) {
+    SCOPED_TRACE(c.name);
+    std::string expected;
+    {
+      util::BinaryWriter header;
+      header.PutU32(kSnapshotMagic);
+      header.PutU32(kSnapshotVersion);
+      header.PutU32(0);  // section count, bumped per section
+      header.PutU32(0);  // reserved
+      expected = header.TakeBuffer();
+    }
+    auto frame = [&](SectionKind kind, auto encode) {
+      util::BinaryWriter w;
+      encode(&w);
+      testing_snapshot::AppendSection(&expected, static_cast<uint32_t>(kind),
+                                      w.buffer());
+    };
+    frame(SectionKind::kCorpus, [&](util::BinaryWriter* w) {
+      wiki::EncodeCorpus(c.snapshot.corpus, w);
+    });
+    frame(SectionKind::kDictionary, [&](util::BinaryWriter* w) {
+      match::EncodeDictionary(c.snapshot.dictionary, w);
+    });
+    for (const auto& [pair, result] : c.snapshot.pipelines) {
+      frame(SectionKind::kPipeline, [&](util::BinaryWriter* w) {
+        w->PutString(pair.first);
+        w->PutString(pair.second);
+        match::EncodePipelineResult(result, w);
+      });
+    }
+    if (!c.snapshot.sync_report.empty()) {
+      frame(SectionKind::kSyncReport, [&](util::BinaryWriter* w) {
+        sync::EncodeSyncReport(c.snapshot.sync_report, w);
+      });
+    }
+
+    std::string path = TempPath("streamed.snap");
+    ASSERT_TRUE(WriteSnapshotFile(c.snapshot, path).ok());
+    const std::string bytes = ReadFileBytes(path);
+    std::remove(path.c_str());
+    EXPECT_GT(testing_snapshot::Sections(expected)[0].payload_size,
+              c.snapshot.sync_report.empty()
+                  ? 0u
+                  : 8 * util::BinaryWriter::kBlockBytes);
+    EXPECT_EQ(bytes.size(), expected.size());
+    EXPECT_TRUE(bytes == expected) << "streamed file differs from framing";
+  }
 }
 
 // ---------------------------------------------------------------- robustness

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
 #include <set>
 #include <string>
 #include <utility>
@@ -14,11 +16,13 @@
 #include "eval/match_set.h"
 #include "ingest/delta.h"
 #include "match/dictionary.h"
+#include "resync_oracle.h"
 #include "sync/evidence.h"
 #include "synth/sync_oracle.h"
 #include "sync/sync_engine.h"
 #include "synth/delta.h"
 #include "synth/generator.h"
+#include "util/binary_io.h"
 #include "wiki/corpus.h"
 #include "wiki/wikitext_parser.h"
 
@@ -27,6 +31,12 @@ namespace sync {
 namespace {
 
 // ----------------------------------------------------------- serialization
+
+std::string ReportBytes(const SyncReport& report) {
+  util::BinaryWriter w;
+  EncodeSyncReport(report, &w);
+  return w.TakeBuffer();
+}
 
 SyncReport SampleReport() {
   SyncReport r;
@@ -61,13 +71,13 @@ SyncReport SampleReport() {
 
 TEST(SyncReportTest, EncodeDecodeRoundTrip) {
   SyncReport r = SampleReport();
-  auto decoded = DecodeSyncReport(EncodeSyncReport(r));
+  auto decoded = DecodeSyncReport(ReportBytes(r));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded.ValueOrDie(), r);
 }
 
 TEST(SyncReportTest, DecodeRejectsTruncationAndBadClass) {
-  std::string bytes = EncodeSyncReport(SampleReport());
+  std::string bytes = ReportBytes(SampleReport());
   for (size_t cut : {size_t{1}, size_t{10}, bytes.size() - 1}) {
     EXPECT_FALSE(DecodeSyncReport(bytes.substr(0, cut)).ok());
   }
@@ -247,10 +257,10 @@ TEST(SyncEngineTest, ByteIdenticalAcrossThreadCounts) {
   dict.Build(gc.corpus);
   SyncEngine engine(&gc.corpus, &dict, gc.hub);
   std::vector<SyncScope> scopes = synth::SyncOracle::ScopesFromGroundTruth(gc);
-  std::string baseline = EncodeSyncReport(engine.Run(scopes, 1));
+  std::string baseline = ReportBytes(engine.Run(scopes, 1));
   EXPECT_FALSE(baseline.empty());
   for (size_t threads : {2u, 3u, 8u}) {
-    EXPECT_EQ(EncodeSyncReport(engine.Run(scopes, threads)), baseline)
+    EXPECT_EQ(ReportBytes(engine.Run(scopes, threads)), baseline)
         << "thread count " << threads;
   }
 }
@@ -287,8 +297,8 @@ TEST(SyncEngineTest, ResyncByteIdenticalToFullRunAfterDelta) {
     SyncReport before = engine.Run(scopes, 2);
 
     // No edits, nothing dirty: Resync must reproduce the previous report.
-    EXPECT_EQ(EncodeSyncReport(engine.Resync(scopes, before, {}, 2)),
-              EncodeSyncReport(before));
+    EXPECT_EQ(ReportBytes(engine.Resync(scopes, before, {}, 2)),
+              ReportBytes(before));
 
     synth::DeltaSpec spec;
     spec.lang_a = "pt";
@@ -307,10 +317,93 @@ TEST(SyncEngineTest, ResyncByteIdenticalToFullRunAfterDelta) {
     SyncReport full = engine.Run(scopes, 2);
     SyncReport incremental =
         engine.Resync(scopes, before, DirtyKeys(batch.ValueOrDie()), 2);
-    EXPECT_EQ(EncodeSyncReport(incremental), EncodeSyncReport(full));
+    EXPECT_EQ(ReportBytes(incremental), ReportBytes(full));
     // The delta actually changed something, so this equality is not
     // vacuous.
-    EXPECT_NE(EncodeSyncReport(full), EncodeSyncReport(before));
+    EXPECT_NE(ReportBytes(full), ReportBytes(before));
+  }
+}
+
+// Resync against the reference (tests/resync_oracle.h), byte for byte:
+// three chained batches on Paper(0.02), each re-synced from the previous
+// round's report with the batch's dirty keys, with no key dirty, with
+// every key dirty, with a random third dirty, and from previous reports
+// whose rows are shuffled (groups no longer contiguous) or partly dropped
+// — at pool sizes 1 and 4.
+TEST(SyncEngineTest, ResyncMatchesReferenceForAnyPreviousReport) {
+  synth::GeneratedCorpus gc =
+      MustGenerate(synth::GeneratorOptions::Paper(0.02));
+  match::TranslationDictionary dict;
+  dict.Build(gc.corpus);
+  std::vector<SyncScope> scopes = synth::SyncOracle::ScopesFromGroundTruth(gc);
+  SyncEngine engine(&gc.corpus, &dict, gc.hub);
+  SyncReport previous = engine.Run(scopes, 4);
+  ASSERT_FALSE(previous.updates.empty());
+  std::mt19937 rng(2024);
+
+  for (uint64_t round = 0; round < 3; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    synth::DeltaSpec spec;
+    spec.seed = 70 + round;
+    spec.lang_a = round == 1 ? "vi" : "pt";
+    spec.lang_b = gc.hub;
+    spec.value_edits = 10;
+    spec.new_articles = 2;
+    spec.removals = 1;
+    spec.attribute_renames = round == 2 ? 1 : 0;
+    auto batch = synth::MakeDeltaBatch(gc.corpus, spec);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    ingest::DeltaUndo undo;
+    auto applied =
+        ingest::ApplyDeltaInPlace(&gc.corpus, batch.ValueOrDie(), &undo);
+    ASSERT_TRUE(applied.ok()) << applied.ToString();
+
+    using Keys = std::set<std::pair<std::string, std::string>>;
+    Keys all;
+    for (const CellVerdict& v : previous.cells) {
+      all.insert({v.pair_lang, v.pair_title});
+      all.insert({gc.hub, v.hub_title});
+    }
+    Keys third;
+    for (const auto& key : all) {
+      if (rng() % 3 == 0) third.insert(key);
+    }
+    SyncReport shuffled = previous;
+    std::shuffle(shuffled.cells.begin(), shuffled.cells.end(), rng);
+    std::shuffle(shuffled.updates.begin(), shuffled.updates.end(), rng);
+    SyncReport dropped = previous;
+    std::erase_if(dropped.cells, [&](const CellVerdict&) {
+      return rng() % 4 == 0;
+    });
+    std::erase_if(dropped.updates, [&](const PropagationUpdate&) {
+      return rng() % 4 == 0;
+    });
+
+    const Keys batch_keys = DirtyKeys(batch.ValueOrDie());
+    struct Input {
+      const char* name;
+      const SyncReport* previous;
+      const Keys* dirty;
+    };
+    const Keys none;
+    for (const Input& input : {Input{"batch", &previous, &batch_keys},
+                               Input{"none dirty", &previous, &none},
+                               Input{"all dirty", &previous, &all},
+                               Input{"random third", &previous, &third},
+                               Input{"shuffled", &shuffled, &batch_keys},
+                               Input{"shuffled, none dirty", &shuffled, &none},
+                               Input{"dropped rows", &dropped, &third}}) {
+      SCOPED_TRACE(input.name);
+      for (size_t threads : {1u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        EXPECT_EQ(ReportBytes(engine.Resync(scopes, *input.previous,
+                                            *input.dirty, threads)),
+                  ReportBytes(resync_oracle::Resync(
+                      gc.corpus, engine, gc.hub, scopes, *input.previous,
+                      *input.dirty, threads)));
+      }
+    }
+    previous = engine.Resync(scopes, previous, batch_keys, 4);
   }
 }
 

@@ -53,15 +53,19 @@ run_stage "build (gcc/default)" stage_build "$@"
 run_stage "tests (ctest)" stage_tests
 
 # ------------------------------------------------------------ pool sizes
-# Unit footprints are computed on the shared pool, one task per unit.
-# Re-run the ingest suite with the pool at one worker and at four so the
-# incremental-equals-rebuild and thread-count invariance tests hold at
-# either size, not just at this machine's default.
+# Unit footprints are computed on the shared pool, one task per unit, and
+# Resync copies or reclassifies one article pair per pool task. Re-run the
+# ingest and sync suites with the pool at one worker and at four so the
+# incremental-equals-rebuild, Resync-equals-reference and thread-count
+# invariance tests hold at either size, not just at this machine's
+# default.
 stage_ingest_pool_sizes() {
   WIKIMATCH_THREADS=1 "$BUILD_DIR"/tests/ingest_test &&
-  WIKIMATCH_THREADS=4 "$BUILD_DIR"/tests/ingest_test
+  WIKIMATCH_THREADS=4 "$BUILD_DIR"/tests/ingest_test &&
+  WIKIMATCH_THREADS=1 "$BUILD_DIR"/tests/sync_test &&
+  WIKIMATCH_THREADS=4 "$BUILD_DIR"/tests/sync_test
 }
-run_stage "ingest at pool sizes 1 and 4" stage_ingest_pool_sizes
+run_stage "ingest and sync at pool sizes 1 and 4" stage_ingest_pool_sizes
 
 # ----------------------------------------------------------------- analyzer
 # The in-tree analyzer (src/analysis/, built above as tools/wikimatch-lint)
