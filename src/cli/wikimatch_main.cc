@@ -1,7 +1,6 @@
 // wikimatch — command-line front end. The verbs and options are the
 // kVerbs and kOptions tables below; usage text is rendered from them.
 
-#include <algorithm>
 #include <bit>
 #include <charconv>
 #include <cmath>
@@ -62,7 +61,6 @@ struct Args {
   double t_lsi = match::MatcherConfig{}.t_lsi;
   double synth_scale = 0.0;  // > 0: build-snapshot generates its corpus
   size_t num_threads = 0;    // 0 = every core
-  size_t align_threads = 0;  // 0 = sequential intra-pair alignment
   size_t cache_capacity = 4096;
   int listen_port = -1;       // serve: < 0 = stdin mode, else TCP port
   size_t net_threads = 0;     // serve --listen: 0 = one per core
@@ -115,7 +113,7 @@ bool Split(const char* value, Args* args) {
 // Command-line options, one row each in kOptions.
 enum Opt {
   kDump, kRemove, kSynth, kSnapshot, kPair, kLang, kTranslate, kTsim,
-  kTlsi, kThreads, kAlignThreads, kStats, kTsv, kOut,
+  kTlsi, kThreads, kStats, kTsv, kOut,
   kCacheCapacity, kListen, kNetThreads, kMaxConns, kNumOpts
 };
 using OptSet = uint32_t;
@@ -163,10 +161,6 @@ constexpr OptionSpec kOptions[] = {
     {kThreads, "--threads", "<n>",
      "pool workers aligning type pairs, or syncing (default: every core)",
      Number<&Args::num_threads>},
-    {kAlignThreads, "--align-threads", "<n>",
-     "pool workers inside one type pair's similarity join (both thread "
-     "knobs share one pool sized to the larger)",
-     Number<&Args::align_threads>},
     {kStats, "--stats", "",
      "print pipeline phase timings and join counters to stderr",
      Switch<&Args::print_stats>},
@@ -336,15 +330,12 @@ size_t Threads(const Args& args) {
 }
 
 // The pipeline configuration of every verb that aligns: the thresholds
-// and both thread knobs. Output does not depend on the thread counts.
+// and the thread count. Output does not depend on the thread count.
 match::PipelineOptions MakePipelineOptions(const Args& args) {
   match::PipelineOptions options;
   options.matcher.t_sim = args.t_sim;
   options.matcher.t_lsi = args.t_lsi;
   options.num_threads = Threads(args);
-  if (args.align_threads > 0) {
-    options.matcher.num_threads = args.align_threads;
-  }
   return options;
 }
 
@@ -633,7 +624,7 @@ int RunApplyDelta(const Args& args) {
   auto stats = matcher.Apply(*batch);
   if (Failed(stats.status())) return 1;
   std::fprintf(stderr, "%s\n", stats->ToString().c_str());
-  store::Snapshot out = matcher.ToSnapshot();
+  store::Snapshot out = std::move(matcher).ToSnapshot();
   if (!previous_sync.empty()) {
     // Refresh the persisted sync report over just the touched articles, so
     // a snapshot that ran `wikimatch sync` stays current through deltas.
@@ -666,7 +657,7 @@ int RunApplyDelta(const Args& args) {
   if (Failed(status)) return 1;
   std::fprintf(stderr, "wrote snapshot %s (generation %llu)\n",
                args.out_path.c_str(),
-               static_cast<unsigned long long>(matcher.generation()));
+               static_cast<unsigned long long>(out.meta.generation));
   return 0;
 }
 
@@ -743,7 +734,7 @@ int RunDemo(const Args& args) {
   return 0;
 }
 
-constexpr OptSet kAlignOpts = Set({kTsim, kTlsi, kThreads, kAlignThreads});
+constexpr OptSet kAlignOpts = Set({kTsim, kTlsi, kThreads});
 
 constexpr VerbSpec kVerbs[] = {
     {"match", "", "align one pair's infobox schemas, print match clusters",
@@ -811,15 +802,11 @@ int main(int argc, char** argv) {
   args.verb = verb;
   if (!ParseArgs(*verb, argc, argv, &args)) return 2;
   util::SetLogLevel(util::LogLevel::kWarning);
-  // The thread knobs name shares of ONE pool, not independent budgets:
-  // size the shared pool to the larger knob before any parallel work
-  // touches it. A run with --align-threads N therefore never has more
-  // than max(N, --threads) pool workers alive, no matter how many type
-  // pairs align concurrently. Unspecified knobs leave the lazy default
-  // (DefaultThreads(): WIKIMATCH_THREADS env, cgroup quota, core count).
-  if (size_t hint = std::max(args.num_threads, args.align_threads);
-      hint > 0) {
-    util::ThreadPool::SetDefaultPoolSize(hint);
+  // --threads sizes the one shared pool before any parallel work touches
+  // it. Without it the pool takes the lazy default (DefaultThreads():
+  // WIKIMATCH_THREADS env, cgroup quota, core count).
+  if (args.num_threads > 0) {
+    util::ThreadPool::SetDefaultPoolSize(args.num_threads);
   }
   return verb->run(args);
 }

@@ -9,7 +9,6 @@
 
 #include "match/schema_builder.h"
 #include "match/type_matcher.h"
-#include "util/logging.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -68,7 +67,7 @@ IncrementalMatcher::IncrementalMatcher(
     match::PipelineOptions options)
     : IncrementalMatcher(std::move(corpus), match::TranslationDictionary(),
                          std::move(results), std::move(options)) {
-  dictionary_.Build(corpus_, options_.num_threads);
+  dictionary_.Build(corpus_);
 }
 
 IncrementalMatcher::IncrementalMatcher(
@@ -368,7 +367,6 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
   Clock::time_point align_start = Clock::now();
   std::map<LanguagePair, match::PipelineResult> new_results;
   std::map<LanguagePair, std::map<UnitKey, UnitFootprint>> new_footprints;
-  match::AttributeAligner aligner(options_.matcher);
   for (const auto& [pair, old_result] : results_) {
     const std::string& lang_a = pair.first;
     const std::string& lang_b = pair.second;
@@ -424,42 +422,24 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
         out.type_matches.size());
     std::vector<UnitFootprint> slot_fps(out.type_matches.size());
     std::vector<util::Status> errors(out.type_matches.size());
+    std::vector<double> schema_ms(out.type_matches.size(), 0.0);
     util::thread_pool_for(
         out.type_matches.size(), options_.num_threads, [&](size_t i) {
           if (!dirty[i]) return;
           const match::TypeMatch& tm = out.type_matches[i];
-          auto data = match::BuildTypePairData(corpus_, dictionary_, lang_a,
-                                               tm.type_a, lang_b, tm.type_b,
-                                               options_.schema);
-          if (!data.ok()) {
-            if (data.status().code() != util::StatusCode::kNotFound) {
-              errors[i] = data.status();
-            } else {
-              WIKIMATCH_LOG(Warning)
-                  << "skipping type pair " << tm.type_a << "/" << tm.type_b
-                  << ": " << data.status().ToString();
-            }
-            return;
+          errors[i] = match::AlignTypePair(corpus_, dictionary_, lang_a,
+                                           lang_b, tm, options_, &slots[i],
+                                           &schema_ms[i]);
+          if (slots[i].has_value()) {
+            slot_fps[i] = ComputeFootprint(corpus_, lang_a, tm.type_a,
+                                           lang_b, tm.type_b);
           }
-          match::TypePairResult result;
-          result.type_a = tm.type_a;
-          result.type_b = tm.type_b;
-          result.num_duals = data->num_duals;
-          result.frequencies = data->Frequencies();
-          auto alignment = aligner.Align(data.ValueOrDie());
-          if (!alignment.ok()) {
-            errors[i] = alignment.status();
-            return;
-          }
-          result.alignment = std::move(alignment).ValueOrDie();
-          slots[i] = std::move(result);
-          slot_fps[i] = ComputeFootprint(corpus_, lang_a, tm.type_a, lang_b,
-                                         tm.type_b);
         });
 
     auto& fps_out = new_footprints[pair];
     for (size_t i = 0; i < out.type_matches.size(); ++i) {
       if (!errors[i].ok()) return fail(errors[i]);
+      out.stats.schema_ms += schema_ms[i];
       const match::TypeMatch& tm = out.type_matches[i];
       UnitKey key{tm.type_a, tm.type_b};
       if (dirty[i]) {
@@ -511,12 +491,21 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
   return stats;
 }
 
-store::Snapshot IncrementalMatcher::ToSnapshot() const {
+store::Snapshot IncrementalMatcher::ToSnapshot() const& {
   store::Snapshot snapshot;
   snapshot.corpus = corpus_;
   snapshot.dictionary = dictionary_;
   snapshot.pipelines = results_;
   snapshot.meta = meta_;
+  return snapshot;
+}
+
+store::Snapshot IncrementalMatcher::ToSnapshot() && {
+  store::Snapshot snapshot;
+  snapshot.corpus = std::move(corpus_);
+  snapshot.dictionary = std::move(dictionary_);
+  snapshot.pipelines = std::move(results_);
+  snapshot.meta = std::move(meta_);
   return snapshot;
 }
 

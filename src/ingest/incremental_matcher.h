@@ -140,8 +140,11 @@ class IncrementalMatcher {
   }
 
   /// \brief Snapshot of the current state (corpus, dictionary, results,
-  /// generation meta), ready for WriteSnapshotFile.
-  store::Snapshot ToSnapshot() const;
+  /// generation meta), ready for WriteSnapshotFile. The const& form copies
+  /// every part; the && form moves them out and leaves the matcher fit
+  /// only for destruction.
+  store::Snapshot ToSnapshot() const&;
+  store::Snapshot ToSnapshot() &&;
 
  private:
   /// Takes every part as given; the public constructor builds

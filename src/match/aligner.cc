@@ -1,13 +1,11 @@
 #include "match/aligner.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 
 #include "match/similarity_join.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace wikimatch {
 namespace match {
@@ -108,14 +106,15 @@ double AttributeAligner::InductiveGroupingScore(const TypePairData& data,
 }
 
 // Inverted-index feature pass: one pass over posting lists per group row,
-// LSI scored row-by-row, rows sharded across worker threads and merged in
-// group order (deterministic for any thread count). Unless keep_all_pairs
-// forces full materialization, a pair is only emitted when its similarity
-// is nonzero or the LSI ordering still needs it (lsi > t_lsi admits it to
-// the queue even with zero direct evidence — such pairs can shift the
-// random_order shuffle and, when t_revise_min_sim admits them, reach
-// ReviseUncertain). tests/align_oracle.h keeps the all-pairs cosine loop
-// this pass must reproduce bit for bit.
+// LSI scored row-by-row, rows appended in group order. Unless
+// keep_all_pairs forces full materialization, a pair is only emitted when
+// its similarity is nonzero or the LSI ordering still needs it (lsi > t_lsi
+// admits it to the queue even with zero direct evidence — such pairs can
+// shift the random_order shuffle and, when t_revise_min_sim admits them,
+// reach ReviseUncertain). tests/align_oracle.h keeps the all-pairs cosine
+// loop this pass must reproduce bit for bit. The pass is sequential: type
+// pairs already spread over the pool, and one pair's join is a few ms
+// (docs/PERFORMANCE.md "Threads").
 std::vector<CandidatePair> AttributeAligner::IndexedCandidates(
     const TypePairData& data, const LsiCorrelation& lsi_scores,
     AlignStats* stats) const {
@@ -127,22 +126,10 @@ std::vector<CandidatePair> AttributeAligner::IndexedCandidates(
   SimilarityJoinIndex index(data, jopts);
 
   const bool need_all = config_.keep_all_pairs;
-  std::vector<std::vector<CandidatePair>> rows(n);
-  std::atomic<size_t> postings_visited{0};
-  // Runs on the shared pool: when Align executes inside the pipeline's
-  // per-pair loop (itself a pool job), this inner loop is claimed by the
-  // calling worker plus whatever workers the outer level left idle —
-  // borrowed, not spawned, so pair-level × row-level parallelism cannot
-  // oversubscribe the box.
-  util::thread_pool_for(n, config_.num_threads, [&](size_t i) {
-    // Per-OS-thread accumulators; each row runs entirely on one thread
-    // (a pool worker or the caller), so reuse across rows — and across
-    // Align calls, since pool workers persist process-wide — is safe and
-    // keeps the reset cost proportional to the row's nonzero count.
-    thread_local SimilarityJoinIndex::Scratch scratch;
-    thread_local std::vector<SimilarityEntry> sparse_row;
-    size_t visited_before = scratch.postings_visited();
-    std::vector<CandidatePair>& out = rows[i];
+  std::vector<CandidatePair> pairs;
+  SimilarityJoinIndex::Scratch scratch;
+  std::vector<SimilarityEntry> sparse_row;
+  for (size_t i = 0; i < n; ++i) {
     if (need_all || config_.use_lsi) {
       sparse_row.clear();
       index.ForEachNonZero(i, &scratch, [&](const SimilarityEntry& e) {
@@ -163,7 +150,7 @@ std::vector<CandidatePair> AttributeAligner::IndexedCandidates(
             !(config_.use_lsi && p.lsi > config_.t_lsi)) {
           continue;
         }
-        out.push_back(p);
+        pairs.push_back(p);
       }
     } else {
       // No LSI and no all-pairs retention: only nonzero-similarity pairs
@@ -174,21 +161,11 @@ std::vector<CandidatePair> AttributeAligner::IndexedCandidates(
         p.j = e.j;
         p.vsim = e.vsim;
         p.lsim = e.lsim;
-        out.push_back(p);
+        pairs.push_back(p);
       });
     }
-    postings_visited.fetch_add(scratch.postings_visited() - visited_before,
-                               std::memory_order_relaxed);
-  });
-
-  size_t total = 0;
-  for (const auto& row : rows) total += row.size();
-  std::vector<CandidatePair> pairs;
-  pairs.reserve(total);
-  for (auto& row : rows) {
-    pairs.insert(pairs.end(), row.begin(), row.end());
   }
-  stats->postings_visited = postings_visited.load();
+  stats->postings_visited = scratch.postings_visited();
   return pairs;
 }
 

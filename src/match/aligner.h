@@ -75,10 +75,6 @@ struct MatcherConfig {
   /// similarity join can then skip materializing zero-similarity pairs whose
   /// LSI correlation is below t_lsi.
   bool keep_all_pairs = true;
-  /// Worker threads for the feature join and LSI scoring *within* one
-  /// Align() call (1 or 0 = sequential). Results are identical for any
-  /// value: rows are sharded by group and merged in group order.
-  size_t num_threads = 1;
 };
 
 /// \brief Counters and per-phase wall times of one Align() call.

@@ -1,10 +1,5 @@
 #include "match/dictionary.h"
 
-#include <algorithm>
-#include <vector>
-
-#include "util/thread_pool.h"
-
 namespace wikimatch {
 namespace match {
 namespace {
@@ -23,36 +18,6 @@ void TranslationDictionary::Build(const wiki::Corpus& corpus) {
       Add(lang, title, a.language, a.title);
     }
   }
-}
-
-void TranslationDictionary::Build(const wiki::Corpus& corpus,
-                                  size_t num_threads) {
-  const size_t n = corpus.size();
-  if (num_threads <= 1 || n < 2048) {
-    Build(corpus);
-    return;
-  }
-  // Partial maps per article range, spliced together in range order.
-  // entries_.merge keeps the existing entry on key collision, and partial
-  // maps from earlier ranges are merged first, so the surviving entry for
-  // any key is the one from the lowest article id — exactly the
-  // first-insertion-wins outcome of the serial scan.
-  const size_t chunks = num_threads * 2;
-  const size_t step = (n + chunks - 1) / chunks;
-  std::vector<Entries> partial(chunks);
-  util::thread_pool_for(chunks, num_threads, [&](size_t c) {
-    const size_t begin = c * step;
-    const size_t end = std::min(n, begin + step);
-    auto& out = partial[c];
-    for (size_t id = begin; id < end; ++id) {
-      const wiki::Article& a = corpus.Get(static_cast<wiki::ArticleId>(id));
-      for (const auto& [lang, title] : a.cross_language_links) {
-        out.emplace(std::make_tuple(a.language, lang, a.title), title);
-        out.emplace(std::make_tuple(lang, a.language, title), a.title);
-      }
-    }
-  });
-  for (auto& p : partial) entries_.merge(p);
 }
 
 void TranslationDictionary::Add(const std::string& from_lang,

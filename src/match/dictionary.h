@@ -36,12 +36,6 @@ class TranslationDictionary {
   /// Call after Corpus::Finalize() so links are symmetrized.
   void Build(const wiki::Corpus& corpus);
 
-  /// \brief Like Build(corpus), but scans article ranges on up to
-  /// `num_threads` workers and splices the partial maps together in range
-  /// order. First insertion wins in both paths, so the result is identical
-  /// to the single-threaded build at any thread count.
-  void Build(const wiki::Corpus& corpus, size_t num_threads);
-
   /// \brief Adds one entry (used by tests and by the COMA++ baseline's
   /// synthetic-MT configuration).
   void Add(const std::string& from_lang, const std::string& term,

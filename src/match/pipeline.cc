@@ -42,6 +42,34 @@ const TypePairResult* PipelineResult::FindByTypeB(
   return nullptr;
 }
 
+util::Status AlignTypePair(const wiki::Corpus& corpus,
+                           const TranslationDictionary& dictionary,
+                           const std::string& lang_a,
+                           const std::string& lang_b, const TypeMatch& tm,
+                           const PipelineOptions& options,
+                           std::optional<TypePairResult>* slot,
+                           double* schema_ms) {
+  Clock::time_point build_start = Clock::now();
+  auto data = BuildTypePairData(corpus, dictionary, lang_a, tm.type_a,
+                                lang_b, tm.type_b, options.schema);
+  *schema_ms = MsSince(build_start);
+  if (!data.ok()) {
+    WIKIMATCH_LOG(Warning) << "skipping type pair " << tm.type_a << "/"
+                           << tm.type_b << ": " << data.status().ToString();
+    return util::Status::OK();
+  }
+  TypePairResult result;
+  result.type_a = tm.type_a;
+  result.type_b = tm.type_b;
+  result.num_duals = data->num_duals;
+  result.frequencies = data->Frequencies();
+  WIKIMATCH_ASSIGN_OR_RETURN(
+      result.alignment,
+      AttributeAligner(options.matcher).Align(data.ValueOrDie()));
+  *slot = std::move(result);
+  return util::Status::OK();
+}
+
 MatchPipeline::MatchPipeline(const wiki::Corpus* corpus) : corpus_(corpus) {
   dictionary_.Build(*corpus_);
 }
@@ -64,43 +92,19 @@ util::Result<PipelineResult> MatchPipeline::Run(
   out.type_matches = type_matcher.Match(*corpus_, lang_a, lang_b);
   out.stats.type_match_ms = MsSince(run_start);
 
-  AttributeAligner aligner(options.matcher);
-  // Type pairs are independent: build and align each into its own slot so
-  // parallel execution keeps deterministic output order. Per-slot timings
-  // are summed after the join (workers never touch shared stats). This
-  // loop runs on the shared pool, as do the aligner's loops inside it —
-  // the nested parallelism borrows from one worker budget instead of
-  // multiplying threads (util/thread_pool.h).
-  std::vector<std::optional<TypePairResult>> slots(out.type_matches.size());
-  std::vector<util::Status> errors(out.type_matches.size());
-  std::vector<double> schema_ms(out.type_matches.size(), 0.0);
-  util::thread_pool_for(
-      out.type_matches.size(), options.num_threads, [&](size_t i) {
-        const TypeMatch& tm = out.type_matches[i];
-        Clock::time_point build_start = Clock::now();
-        auto data = BuildPair(lang_a, tm.type_a, lang_b, tm.type_b,
-                              options.schema);
-        schema_ms[i] = MsSince(build_start);
-        if (!data.ok()) {
-          WIKIMATCH_LOG(Warning)
-              << "skipping type pair " << tm.type_a << "/" << tm.type_b
-              << ": " << data.status().ToString();
-          return;
-        }
-        TypePairResult result;
-        result.type_a = tm.type_a;
-        result.type_b = tm.type_b;
-        result.num_duals = data->num_duals;
-        result.frequencies = data->Frequencies();
-        auto alignment = aligner.Align(data.ValueOrDie());
-        if (!alignment.ok()) {
-          errors[i] = alignment.status();
-          return;
-        }
-        result.alignment = std::move(alignment).ValueOrDie();
-        slots[i] = std::move(result);
-      });
-  for (size_t i = 0; i < slots.size(); ++i) {
+  // Type pairs are independent: align each into its own slot so parallel
+  // execution keeps deterministic output order. Per-slot timings are
+  // summed after the join (workers never touch shared stats).
+  const size_t n = out.type_matches.size();
+  std::vector<std::optional<TypePairResult>> slots(n);
+  std::vector<util::Status> errors(n);
+  std::vector<double> schema_ms(n, 0.0);
+  util::thread_pool_for(n, options.num_threads, [&](size_t i) {
+    errors[i] = AlignTypePair(*corpus_, dictionary_, lang_a, lang_b,
+                              out.type_matches[i], options, &slots[i],
+                              &schema_ms[i]);
+  });
+  for (size_t i = 0; i < n; ++i) {
     if (!errors[i].ok()) return errors[i];
     out.stats.schema_ms += schema_ms[i];
     if (slots[i].has_value()) {

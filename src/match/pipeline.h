@@ -1,9 +1,12 @@
 // End-to-end WikiMatch pipeline: type matching -> schema building ->
-// attribute alignment, for every type shared by a language pair.
+// attribute alignment, for every type shared by a language pair. The unit
+// of work is one type pair (AlignTypePair); units spread over the shared
+// thread pool, and each unit runs sequentially.
 
 #ifndef WIKIMATCH_MATCH_PIPELINE_H_
 #define WIKIMATCH_MATCH_PIPELINE_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,10 +37,10 @@ struct PipelineOptions {
   /// Type-matching thresholds (Section 3.1).
   size_t type_min_votes = 2;
   double type_min_confidence = 0.5;
-  /// Worker threads for per-type alignment (type pairs are independent);
-  /// 1 = sequential. Results are deterministic regardless of this value.
-  /// Intra-pair parallelism (the feature join of one large type pair) is
-  /// controlled separately by matcher.num_threads.
+  /// Participants in the shared pool's loop over type pairs (type pairs
+  /// are independent); 1 = sequential. Results are deterministic
+  /// regardless of this value. Alignment inside one type pair is always
+  /// sequential.
   size_t num_threads = 1;
 };
 
@@ -77,6 +80,20 @@ struct PipelineResult {
   /// \brief The result for localized type `type_b` (hub side), or nullptr.
   const TypePairResult* FindByTypeB(const std::string& type_b) const;
 };
+
+/// \brief One unit of alignment work: builds the schema of type pair `tm`
+/// (BuildTypePairData) and aligns it into `*slot`. A pair without a schema
+/// (NotFound, the only error BuildTypePairData returns) leaves `*slot`
+/// empty after a warning; an alignment error is returned. `*schema_ms`
+/// receives the schema build's wall time. MatchPipeline::Run and
+/// IncrementalMatcher::Apply both spread these units over the pool.
+util::Status AlignTypePair(const wiki::Corpus& corpus,
+                           const TranslationDictionary& dictionary,
+                           const std::string& lang_a,
+                           const std::string& lang_b, const TypeMatch& tm,
+                           const PipelineOptions& options,
+                           std::optional<TypePairResult>* slot,
+                           double* schema_ms);
 
 /// \brief Runs WikiMatch over a finalized corpus.
 class MatchPipeline {

@@ -30,8 +30,7 @@
 // end against the all-pairs oracle in tests/align_oracle.h.
 //
 // Thread safety: a built index is immutable; concurrent callers pass their
-// own Scratch, so row accumulation parallelizes by group row with no
-// shared mutable state.
+// own Scratch and share no mutable state.
 
 #ifndef WIKIMATCH_MATCH_SIMILARITY_JOIN_H_
 #define WIKIMATCH_MATCH_SIMILARITY_JOIN_H_
@@ -64,8 +63,8 @@ struct SimilarityEntry {
 /// \brief Inverted-index join over one TypePairData's attribute groups.
 class SimilarityJoinIndex {
  public:
-  /// \brief Per-thread accumulation state. Reusable across rows and across
-  /// ForEachNonZero calls; grows to the largest group count seen.
+  /// \brief One caller's accumulation state. Reusable across rows and
+  /// across ForEachNonZero calls; grows to the largest group count seen.
   class Scratch {
    public:
     size_t postings_visited() const { return postings_visited_; }

@@ -115,20 +115,6 @@ util::Result<std::unique_ptr<MatchService>> MatchService::Load(
   return service;
 }
 
-std::unique_ptr<MatchService> MatchService::Create(
-    store::Snapshot snapshot, const ServiceOptions& options) {
-  auto service = std::unique_ptr<MatchService>(new MatchService(options));
-  store::SnapshotMeta meta = snapshot.meta;
-  auto gen = std::make_shared<const GenerationState>(
-      std::move(meta), nullptr, 1, BuildCore(std::move(snapshot)));
-  {
-    util::MutexLock lock(service->gen_mu_);
-    service->gen_ = std::move(gen);
-  }
-  service->loads_.store(1, std::memory_order_relaxed);
-  return service;
-}
-
 MatchService::MatchService(const ServiceOptions& options)
     : options_(options),
       cache_(options.cache_capacity, options.cache_shards),
@@ -136,13 +122,12 @@ MatchService::MatchService(const ServiceOptions& options)
 
 MatchService::GenerationState::GenerationState(
     store::SnapshotMeta meta, std::shared_ptr<store::MappedSnapshot> mapped,
-    uint64_t load_seq, std::unique_ptr<const CoreState> core)
+    uint64_t load_seq)
     : meta(std::move(meta)),
       mapped(std::move(mapped)),
       load_seq(load_seq),
       loaded_unix(static_cast<int64_t>(std::time(nullptr))),
-      loaded_at(Clock::now()),
-      core_(std::move(core)) {}
+      loaded_at(Clock::now()) {}
 
 util::Result<const MatchService::CoreState*>
 MatchService::GenerationState::Core() const {
@@ -179,8 +164,7 @@ MatchService::OpenGeneration(const std::string& path, uint64_t load_seq) {
     return meta.status();
   }
   return std::make_shared<const GenerationState>(
-      std::move(meta_only.meta), std::move(mapped).ValueOrDie(), load_seq,
-      nullptr);
+      std::move(meta_only.meta), std::move(mapped).ValueOrDie(), load_seq);
 }
 
 std::unique_ptr<const MatchService::CoreState> MatchService::BuildCore(
@@ -244,11 +228,6 @@ util::Status MatchService::Reload(const std::string& path) {
   // One writer at a time; readers are never blocked by a rebuild.
   util::MutexLock reload_lock(reload_mu_);
   std::string source = path.empty() ? source_path_ : path;
-  if (source.empty()) {
-    return util::Status::InvalidArgument(
-        "no snapshot path to reload from (service was built in memory; "
-        "pass an explicit path)");
-  }
   // Build the core *before* swapping so that on any error the previous
   // generation keeps serving untouched.
   auto gen =

@@ -94,10 +94,6 @@ class MatchService {
   static util::Result<std::unique_ptr<MatchService>> Load(
       const std::string& path, const ServiceOptions& options = {});
 
-  /// \brief Builds a service from an in-memory snapshot (tests, bench).
-  static std::unique_ptr<MatchService> Create(
-      store::Snapshot snapshot, const ServiceOptions& options = {});
-
   /// \brief Opens the snapshot at `path` (or, with an empty path, the
   /// path of the last successful load) and builds its core off the read
   /// path, then atomically swaps it in. On error the previous generation
@@ -162,11 +158,9 @@ class MatchService {
   /// mapping, and the core, built at most once from that mapping.
   class GenerationState {
    public:
-    /// `core` is null for an opened snapshot (built on first Core()) and
-    /// set for an in-memory one, which has no mapping to build from.
     GenerationState(store::SnapshotMeta meta,
                     std::shared_ptr<store::MappedSnapshot> mapped,
-                    uint64_t load_seq, std::unique_ptr<const CoreState> core);
+                    uint64_t load_seq);
 
     /// The core, built on the first call. A build failure is returned by
     /// this and every later call on the same generation.
@@ -176,9 +170,9 @@ class MatchService {
     const CoreState* BuiltCore() const;
 
     const store::SnapshotMeta meta;
-    /// Pins the mapping the core is decoded from (null for in-memory
-    /// snapshots): the pages stay valid even if the snapshot file is
-    /// replaced or unlinked, until the generation drains.
+    /// Pins the mapping the core is decoded from: the pages stay valid
+    /// even if the snapshot file is replaced or unlinked, until the
+    /// generation drains.
     const std::shared_ptr<store::MappedSnapshot> mapped;
     const uint64_t load_seq;  ///< 1 for the initial load, +1 per reload
     const int64_t loaded_unix;  ///< wall clock at open

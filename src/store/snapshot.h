@@ -83,9 +83,9 @@ struct DeltaRecord {
 /// in the snapshot meta section so `apply-delta` can verify it reuses unit
 /// results under the exact options that produced them (docs/INGEST.md).
 ///
-/// Execution-only switches are deliberately excluded: num_threads (both
-/// levels) changes wall clock, never bytes — the equivalence suites assert
-/// that — so it is free to differ between the build and the apply.
+/// Execution-only switches are deliberately excluded: num_threads changes
+/// wall clock, never bytes — the equivalence suites assert that — so it is
+/// free to differ between the build and the apply.
 struct OptionsFingerprint {
   // MatcherConfig thresholds.
   double t_sim = 0.0;

@@ -1,9 +1,11 @@
 // The process-wide concurrency substrate: one fixed set of worker threads
-// that every parallel loop and background task in the system shares, so
-// nested parallelism (the pipeline aligning type pairs in parallel while
-// each pair's similarity join shards by row) cooperates on a single core
-// budget instead of multiplying threads — spawning fresh std::threads per
-// loop, as the pre-pool design did, lets a P-pair run at T threads put T²
+// that every parallel loop and background task in the system shares (the
+// pipeline's and the incremental matcher's loops over type pairs, sync's
+// loops over article pairs, the query evaluator's index build, the
+// matcher's background reclaim), so a loop nested in another loop or task
+// cooperates on a single core budget instead of multiplying threads —
+// spawning fresh std::threads per loop, as the pre-pool design did, lets
+// an outer loop at T threads whose bodies loop at T threads put T²
 // workers on the box.
 //
 // Shape (after the yocto-gl `concurrent` namespace): a lazily created

@@ -8,8 +8,8 @@
 # on a fixed stdin script.
 # Each must exit 0, and the SHA-256 of its stdout and of every file it
 # writes must equal the digest pinned below. stderr is not pinned: it
-# carries timings. match's outputs must not change with the thread
-# counts, and query --translate and a served snapshot must both honour
+# carries timings. The outputs of match and apply-delta must not change
+# with --threads, and query --translate and a served snapshot must both honour
 # --tlsi. A directory given as a dump, and match --tsv to a full device,
 # must fail with an IoError (exit 1, not an abort or a success). An option the
 # verb does not read, a stray or second positional, a repeated
@@ -58,7 +58,7 @@ wikimatch_ok(match match ${en_pt} --pair pt:en
              --tsv "${WORK_DIR}/matches.tsv")
 foreach(threads 1 4)
   wikimatch_ok(match_threads${threads} match ${en_pt} --pair pt:en
-               --threads ${threads} --align-threads ${threads}
+               --threads ${threads}
                --tsv "${WORK_DIR}/matches_threads${threads}.tsv")
 endforeach()
 wikimatch_ok(types types ${en_pt} --pair pt:en)
@@ -73,6 +73,12 @@ string(REGEX REPLACE ".*<title>(.*)</title>.*" "\\1" first_title
        "${first_title}")
 wikimatch_ok(apply_delta apply-delta --snapshot "${WORK_DIR}/synced.snap"
              --out "${WORK_DIR}/delta.snap" --remove "pt:${first_title}")
+foreach(threads 1 4)
+  wikimatch_ok(apply_delta_threads${threads} apply-delta
+               --snapshot "${WORK_DIR}/synced.snap" --threads ${threads}
+               --out "${WORK_DIR}/delta_threads${threads}.snap"
+               --remove "pt:${first_title}")
+endforeach()
 
 file(WRITE "${WORK_DIR}/serve_script.txt"
      "help\npairs\ntypes pt:en\nalignments pt:en film\n"
@@ -98,6 +104,10 @@ set(pinned
   synced.snap         45e45beed71abcf11a753914b09e0881772f237de82def22a0f581a6d0e17147
   apply_delta.out     e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
   delta.snap          217a4b0d9d5979f09a94ca3d91fb15bdb8babb56afae85a8f945ffe8ab1b9636
+  apply_delta_threads1.out e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+  delta_threads1.snap 217a4b0d9d5979f09a94ca3d91fb15bdb8babb56afae85a8f945ffe8ab1b9636
+  apply_delta_threads4.out e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855
+  delta_threads4.snap 217a4b0d9d5979f09a94ca3d91fb15bdb8babb56afae85a8f945ffe8ab1b9636
   serve.out           280cb235aa47c484d8f6b0f345d5d016c98dc3d67f6f62dd696e4e904c4f62d5
 )
 set(mismatches "")
@@ -229,6 +239,11 @@ expect_usage_error(NAMES match --pair
                    ARGS match ${en_pt} --pair pt:en --pair vi:en
                         --tsv "${bad_out}/t.tsv")
 expect_usage_error(NAMES demo 0.02 ARGS demo 0.01 0.02)
+# The pool is the only thread knob: alignment inside a type pair is
+# sequential.
+expect_usage_error(NAMES match --align-threads
+                   ARGS match ${en_pt} --pair pt:en --align-threads 4
+                        --tsv "${bad_out}/t.tsv")
 # The TSV cluster format is gone: saved alignments are a snapshot.
 expect_usage_error(NAMES match --save-matches
                    ARGS match ${en_pt} --pair pt:en

@@ -501,11 +501,10 @@ TEST(IncrementalMatcherTest, FromSnapshotRejectsMismatchedOptions) {
   // The message names both fingerprints so the operator can diff them.
   EXPECT_NE(rejected.status().ToString().find("t_sim"), std::string::npos);
 
-  // Thread counts change wall clock, never bytes, so they are not part of
+  // The thread count changes wall clock, never bytes, so it is not part of
   // the fingerprint.
   match::PipelineOptions threads_only;
   threads_only.num_threads = 7;
-  threads_only.matcher.num_threads = 3;
   EXPECT_TRUE(IncrementalMatcher::FromSnapshot(first.ToSnapshot(),
                                                threads_only)
                   .ok());

@@ -351,7 +351,6 @@ TEST_F(PaperPinTest, EncodedOutputDigestsAtPoolSizes1And4) {
           std::pair<std::string, Digest>{"vi", {2169134791u, 11699}}}) {
       match::PipelineOptions options;
       options.num_threads = 4;
-      options.matcher.num_threads = 4;
       auto result = pipeline.Run(lang, gc_->hub, options);
       ASSERT_TRUE(result.ok()) << result.status().ToString();
       util::BinaryWriter encoded;

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <charconv>
@@ -34,7 +36,8 @@ namespace {
 
 using Next = LineSplitter::Next;
 
-// One tiny service shared by the dispatch-level tests.
+// One tiny service shared by the dispatch-level tests, loaded from a
+// per-pid snapshot file (ctest runs each TEST as its own process).
 MatchService* GetService() {
   static MatchService* service = [] {
     synth::CorpusGenerator generator(synth::GeneratorOptions::Tiny());
@@ -46,7 +49,11 @@ MatchService* GetService() {
     snapshot.dictionary = pipeline.dictionary();
     snapshot.pipelines.emplace(store::LanguagePair("pt", "en"),
                                std::move(result));
-    return MatchService::Create(std::move(snapshot)).release();
+    const std::string path = ::testing::TempDir() + "/protocol_robustness." +
+                             std::to_string(::getpid()) + ".snap";
+    util::Status written = store::WriteSnapshotFile(snapshot, path);
+    if (!written.ok()) ADD_FAILURE() << written.ToString();
+    return std::move(MatchService::Load(path)).ValueOrDie().release();
   }();
   return service;
 }

@@ -419,8 +419,12 @@ TEST(ServeTest, LiveServiceSurvivesInPlaceRewrites) {
   store::Snapshot b = FixtureSnapshot();
   b.pipelines.clear();  // answers differ from a's on every pair verb
   b.meta.generation = 1;
-  auto expected_a = MatchService::Create(FixtureSnapshot());
-  auto expected_b = MatchService::Create(b);
+  std::string path_b = PerPidTempPath("rewrite_b.snap");
+  ASSERT_TRUE(store::WriteSnapshotFile(b, path_b).ok());
+  auto expected_a = MatchService::Load(GetFixture().snapshot_path);
+  auto expected_b = MatchService::Load(path_b);
+  ASSERT_TRUE(expected_a.ok()) << expected_a.status().ToString();
+  ASSERT_TRUE(expected_b.ok()) << expected_b.status().ToString();
   auto answers_match = [&](MatchService* service, MatchService* expected) {
     for (const auto& request : DataRequests()) {
       EXPECT_EQ(service->Handle(request), expected->Handle(request))
@@ -432,18 +436,19 @@ TEST(ServeTest, LiveServiceSurvivesInPlaceRewrites) {
   auto service = MatchService::Load(path);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   ASSERT_TRUE(store::WriteSnapshotFile(b, path).ok());  // core not built
-  answers_match(service->get(), expected_a.get());
+  answers_match(service->get(), expected_a->get());
   EXPECT_TRUE((*service)->CoreLoaded());
   ASSERT_TRUE(store::WriteSnapshotFile(a, path).ok());  // core built
   ASSERT_TRUE(store::WriteSnapshotFile(b, path).ok());
-  answers_match(service->get(), expected_a.get());
+  answers_match(service->get(), expected_a->get());
 
   std::string reloaded = (*service)->Handle("reload");
   ASSERT_EQ(reloaded.compare(0, 3, "ok "), 0) << reloaded;
   EXPECT_EQ((*service)->Generation(), 1u);
   ASSERT_TRUE(store::WriteSnapshotFile(a, path).ok());
-  answers_match(service->get(), expected_b.get());
+  answers_match(service->get(), expected_b->get());
   std::remove(path.c_str());
+  std::remove(path_b.c_str());
 }
 
 TEST(ServeTest, UnlinkedSnapshotStillAnswersItsFirstRequest) {
@@ -628,17 +633,6 @@ TEST(ServeTest, ReloadWithoutPathReusesTheLastSource) {
   ASSERT_TRUE(service.ok());
   EXPECT_TRUE((*service)->Reload().ok());  // re-reads snapshot_path
   EXPECT_EQ((*service)->Stats().loads, 2u);
-
-  // A service built from memory has no source to re-read.
-  store::Snapshot snapshot;
-  snapshot.corpus = GetFixture().gc.corpus;
-  snapshot.dictionary = GetFixture().dictionary;
-  snapshot.pipelines.emplace(store::LanguagePair("pt", "en"),
-                             GetFixture().result);
-  auto in_memory = MatchService::Create(std::move(snapshot));
-  auto status = in_memory->Reload();
-  ASSERT_FALSE(status.ok());
-  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
 }
 
 // Satellite of the reload design: readers must never observe a torn or

@@ -2,10 +2,10 @@
 // loop coverage and determinism, work stealing under skewed index costs,
 // reentrancy (For inside For, For inside Async), TaskHandle wait/steal/
 // error semantics, pool injection, DefaultThreads resolution — and the
-// regression this subsystem exists for: a nested pipeline run must not
-// put more threads on the box than the pool owns (the pre-pool
-// ParallelFor spawned fresh std::threads per call, so pipeline-over-pairs
-// times join-within-pair multiplied to T² workers).
+// regression this subsystem exists for: nested loops must not put more
+// threads on the box than the pool owns (the pre-pool ParallelFor spawned
+// fresh std::threads per call, so an outer loop times an inner one
+// multiplied to T² workers).
 
 #include <gtest/gtest.h>
 
@@ -268,26 +268,17 @@ TEST(ThreadPoolTest, DefaultThreadsHonorsEnvOverride) {
   EXPECT_GE(util::DefaultThreads(), 1u);
 }
 
-// The regression the tentpole fixes: a pipeline run that is parallel at
-// BOTH levels (across type pairs, and across join rows within each pair)
-// must execute entirely on the injected pool — total live threads in the
-// process never exceeds the pre-run count. The pre-pool implementation
-// spawned outer*inner fresh std::threads and this sampler caught them.
-TEST(ThreadPoolTest, NestedPipelineRunDoesNotOversubscribe) {
-  synth::CorpusGenerator generator(synth::GeneratorOptions::Tiny(123));
-  auto gc = generator.Generate();
-  ASSERT_TRUE(gc.ok());
-  match::MatchPipeline pipeline(&gc->corpus);
-
+// Nested loops on one pool (an outer thread_pool_for whose bodies run
+// inner thread_pool_for loops) must execute entirely on the injected pool:
+// total live threads in the process never exceeds the pre-run count. The
+// pre-pool ParallelFor spawned outer*inner fresh std::threads and this
+// sampler caught them.
+TEST(ThreadPoolTest, NestedForDoesNotOversubscribe) {
   util::ThreadPool pool(4);
   util::ScopedThreadPoolOverride override_pool(&pool);
 
-  match::PipelineOptions options;
-  options.num_threads = 4;          // across type pairs
-  options.matcher.num_threads = 4;  // within each pair's similarity join
-
   // One sampler thread polls the kernel's thread count for the duration
-  // of the run; it is itself part of the baseline.
+  // of the loops; it is itself part of the baseline.
   std::atomic<bool> sampling{true};
   std::atomic<size_t> max_seen{0};
   std::thread sampler([&]() {
@@ -304,15 +295,20 @@ TEST(ThreadPoolTest, NestedPipelineRunDoesNotOversubscribe) {
   SpinUntil([&]() { return max_seen.load() > 0; }, "first sample");
   const size_t baseline = CountProcessThreads();
 
-  auto result = pipeline.Run("pt", "en", options);
+  std::vector<std::atomic<int>> hits(8 * 8);
+  util::thread_pool_for(8, 4, [&](size_t outer) {
+    util::thread_pool_for(8, 4, [&](size_t inner) {
+      // Long enough that the loops overlap the sampler's polls.
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      hits[outer * 8 + inner].fetch_add(1, std::memory_order_relaxed);
+    });
+  });
   sampling.store(false, std::memory_order_release);
   sampler.join();
 
-  ASSERT_TRUE(result.ok());
-  ASSERT_GE(result->per_type.size(), 2u)
-      << "corpus too small to exercise outer parallelism";
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   EXPECT_LE(max_seen.load(), baseline)
-      << "the nested run spawned threads beyond the pool";
+      << "the nested loops spawned threads beyond the pool";
 }
 
 TEST(ThreadPoolTest, PipelineOutputInvariantAcrossPoolSizes) {
@@ -333,7 +329,6 @@ TEST(ThreadPoolTest, PipelineOutputInvariantAcrossPoolSizes) {
   util::ScopedThreadPoolOverride override_pool(&pool);
   match::PipelineOptions parallel;
   parallel.num_threads = 8;
-  parallel.matcher.num_threads = 8;
   auto b = pipeline.Run("pt", "en", parallel);
   ASSERT_TRUE(b.ok());
 

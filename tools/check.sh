@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Full verification matrix (docs/ANALYSIS.md): build + tests, the ingest
-# suite at pool sizes 1 and 4, the in-tree analyzer (wikimatch-lint), the
+# Full verification matrix (docs/ANALYSIS.md): build + tests, the align,
+# ingest and sync suites at pool sizes 1 and 4, the in-tree analyzer (wikimatch-lint), the
 # static-analysis stages, negative compile checks proving the contracts
 # actually fire, and the sanitizer matrix (ASan+UBSan full suite; TSan
 # concurrency tests with the runtime lock-order deadlock detector
@@ -53,19 +53,23 @@ run_stage "build (gcc/default)" stage_build "$@"
 run_stage "tests (ctest)" stage_tests
 
 # ------------------------------------------------------------ pool sizes
-# Unit footprints are computed on the shared pool, one task per unit, and
-# Resync copies or reclassifies one article pair per pool task. Re-run the
-# ingest and sync suites with the pool at one worker and at four so the
-# incremental-equals-rebuild, Resync-equals-reference and thread-count
-# invariance tests hold at either size, not just at this machine's
-# default.
+# The pool is the pipeline's only thread dimension: type pairs are aligned
+# one per pool task (each pair sequentially), unit footprints are computed
+# one per task, and Resync copies or reclassifies one article pair per
+# task. Re-run the align, ingest and sync suites with the pool at one
+# worker and at four so the thread-count invariance,
+# incremental-equals-rebuild and Resync-equals-reference tests hold at
+# either size, not just at this machine's default.
 stage_ingest_pool_sizes() {
+  WIKIMATCH_THREADS=1 "$BUILD_DIR"/tests/align_join_test &&
+  WIKIMATCH_THREADS=4 "$BUILD_DIR"/tests/align_join_test &&
   WIKIMATCH_THREADS=1 "$BUILD_DIR"/tests/ingest_test &&
   WIKIMATCH_THREADS=4 "$BUILD_DIR"/tests/ingest_test &&
   WIKIMATCH_THREADS=1 "$BUILD_DIR"/tests/sync_test &&
   WIKIMATCH_THREADS=4 "$BUILD_DIR"/tests/sync_test
 }
-run_stage "ingest and sync at pool sizes 1 and 4" stage_ingest_pool_sizes
+run_stage "align, ingest and sync at pool sizes 1 and 4" \
+  stage_ingest_pool_sizes
 
 # ----------------------------------------------------------------- analyzer
 # The in-tree analyzer (src/analysis/, built above as tools/wikimatch-lint)
@@ -219,9 +223,11 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
       "$tsan_dir"/tests/deadlock_test &&
       # thread_pool_test stresses the shared work-stealing pool itself:
       # nested For, async steal-on-wait, handle reuse after pool death,
-      # and the multi-level pipeline run on an injected pool.
+      # and a pipeline run whose type pairs spread over an injected pool.
       "$tsan_dir"/tests/thread_pool_test &&
       "$tsan_dir"/tests/parallel_test &&
+      # align_join_test runs the pipeline at 1 and 8 loop participants:
+      # type pairs align concurrently, each pair's join on its own stack.
       "$tsan_dir"/tests/align_join_test &&
       # serve_test includes the concurrent-reload stress (queries racing a
       # generation swap); lru_cache_test races inserts against a
