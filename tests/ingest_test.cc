@@ -555,8 +555,9 @@ TEST(IncrementalMatcherTest, DestroyWhileReclaimInFlight) {
 // FromSnapshot plus a chain of Apply calls, with the footprints rebuilt
 // and recomputed on the shared pool, must not depend on how many threads
 // take part: the pipeline bytes and the reuse counts after every batch
-// are the same at 1 and 4 threads. tools/check.sh also runs this suite at
-// pool sizes 1 and 4.
+// are the same at 1 and 4 threads, and every batch's state equals a full
+// rebuild of that batch. tools/check.sh also runs this suite at pool
+// sizes 1 and 4.
 TEST(IncrementalMatcherTest, ChainedApplyIsInvariantAcrossThreadCounts) {
   synth::CorpusGenerator generator(synth::GeneratorOptions::Paper(0.02));
   auto gc = generator.Generate();
@@ -591,12 +592,16 @@ TEST(IncrementalMatcherTest, ChainedApplyIsInvariantAcrossThreadCounts) {
       spec.value_edits = 3;
       spec.new_articles = 1;
       spec.removals = k == 2 ? 1 : 0;
-      auto batch = synth::MakeDeltaBatch(matcher.corpus(), spec);
+      const wiki::Corpus before = matcher.corpus();
+      auto batch = synth::MakeDeltaBatch(before, spec);
       EXPECT_TRUE(batch.ok()) << batch.status().ToString();
       if (!batch.ok()) return steps;
       auto stats = matcher.Apply(*batch);
       EXPECT_TRUE(stats.ok()) << stats.status().ToString();
       if (!stats.ok()) return steps;
+      // The only path where a unit or footprint reused in batch k is read
+      // again in batch k+1 without a snapshot round trip in between.
+      ExpectMatchesFullRebuild(matcher, before, *batch, pairs);
       Step step;
       for (const auto& pair : pairs) {
         step.result_bytes.push_back(ResultBytes(matcher.results().at(pair)));
