@@ -557,8 +557,8 @@ std::vector<Diagnostic> RunRule(const SourceTree& tree,
   } else if (rule == "raw-thread") {
     RunStdBan(tree, rule, {"thread", "jthread"}, {"util", "net"},
               "run the work on the shared pool (util/thread_pool.h: "
-              "thread_pool_for / thread_pool_async) so the process thread "
-              "count stays bounded by the pool size",
+              "thread_pool_for) so the process thread count stays bounded "
+              "by the pool size",
               &out);
   } else if (rule == "assign-or-return") {
     RunAssignOrReturn(tree, &out);

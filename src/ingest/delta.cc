@@ -88,35 +88,6 @@ util::Status ValidateDeltaBatch(const wiki::Corpus& base,
   return util::Status::OK();
 }
 
-util::Result<wiki::Corpus> ApplyDeltaToCorpus(const wiki::Corpus& base,
-                                              const DeltaBatch& batch) {
-  WIKIMATCH_RETURN_NOT_OK(ValidateDeltaBatch(base, batch));
-  // Copy-and-patch: far cheaper than re-adding every article, because the
-  // title and language indexes are copied structurally instead of being
-  // rebuilt entry by entry. Updated records replace in place (validation
-  // guarantees the key exists and is unchanged), removals compact the id
-  // space, additions append, and Finalize() re-derives everything derived
-  // (entity types for the patched records, induced symmetric links, type
-  // indexes) — the exact corpus a from-scratch rebuild would consume.
-  wiki::Corpus out = base;
-  for (const auto& article : batch.updated) {
-    wiki::ArticleId id = out.FindExactTitle(article.language, article.title);
-    WIKIMATCH_RETURN_NOT_OK(out.ReplaceArticle(id, article));
-  }
-  std::vector<wiki::ArticleId> removed_ids;
-  removed_ids.reserve(batch.removed.size());
-  for (const auto& [language, title] : batch.removed) {
-    removed_ids.push_back(out.FindExactTitle(language, title));
-  }
-  out.EraseArticles(std::move(removed_ids));
-  for (const auto& article : batch.added) {
-    auto added = out.AddArticle(article);
-    if (!added.ok()) return added.status();
-  }
-  out.Finalize();
-  return out;
-}
-
 util::Status ApplyDeltaInPlace(wiki::Corpus* corpus, const DeltaBatch& batch,
                                DeltaUndo* undo) {
   WIKIMATCH_RETURN_NOT_OK(ValidateDeltaBatch(*corpus, batch));

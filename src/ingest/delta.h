@@ -1,12 +1,13 @@
 // Delta batches: the unit of incremental ingest. A DeltaBatch is a set of
 // added, updated, and removed articles relative to an existing finalized
 // corpus — the shape of a Wikipedia edit stream between two dump dates.
-// ApplyDeltaToCorpus materializes the post-delta corpus deterministically:
-// surviving articles keep their relative order (updates replace in place),
-// removed articles are dropped, added articles append in batch order, and
-// Finalize() re-runs. Both the incremental matcher and a from-scratch
-// rebuild consume this exact corpus, which is what makes bit-identical
-// equivalence between the two paths a meaningful invariant.
+// ApplyDeltaInPlace patches the corpus deterministically: surviving
+// articles keep their relative order (updates replace in place), removed
+// articles are dropped, added articles append in batch order, and
+// Finalize() re-runs. That is exactly the corpus a from-scratch rebuild
+// of the post-delta edition consumes, which is what makes bit-identical
+// equivalence between the incremental matcher and a rebuild a meaningful
+// invariant. The undo record it fills rolls the patch back.
 
 #ifndef WIKIMATCH_INGEST_DELTA_H_
 #define WIKIMATCH_INGEST_DELTA_H_
@@ -43,10 +44,6 @@ struct DeltaBatch {
 util::Status ValidateDeltaBatch(const wiki::Corpus& base,
                                 const DeltaBatch& batch);
 
-/// \brief Builds the finalized post-delta corpus (see file comment).
-util::Result<wiki::Corpus> ApplyDeltaToCorpus(const wiki::Corpus& base,
-                                              const DeltaBatch& batch);
-
 /// \brief Undo record filled by ApplyDeltaInPlace: the pre-images and
 /// Finalize mutations needed to restore the corpus byte-identically, and
 /// the raw material incremental change tracking reads (which records the
@@ -64,10 +61,10 @@ struct DeltaUndo {
 
 /// \brief Applies `batch` to `corpus` in place: validate, replace updated
 /// records, erase removed ones (compacting ids), append added ones, and
-/// re-Finalize. Produces exactly the corpus ApplyDeltaToCorpus builds, for
-/// a batch-sized cost plus one Finalize pass instead of a full copy. On
-/// success `undo` holds everything RevertDelta needs; on error the corpus
-/// is untouched (validation is the only failure point).
+/// re-Finalize (see file comment), for a batch-sized cost plus one
+/// Finalize pass instead of a full copy. On success `undo` holds
+/// everything RevertDelta needs; on error the corpus is untouched
+/// (validation is the only failure point).
 util::Status ApplyDeltaInPlace(wiki::Corpus* corpus, const DeltaBatch& batch,
                                DeltaUndo* undo);
 

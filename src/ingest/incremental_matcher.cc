@@ -9,8 +9,6 @@
 
 #include "match/schema_builder.h"
 #include "match/type_matcher.h"
-#include "util/mutex.h"
-#include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
 namespace wikimatch {
@@ -57,11 +55,6 @@ std::string ApplyStats::ToString() const {
   return os.str();
 }
 
-struct IncrementalMatcher::ReclaimerSlot {
-  util::Mutex mu;
-  util::TaskHandle handle WIKIMATCH_GUARDED_BY(mu);
-};
-
 IncrementalMatcher::IncrementalMatcher(
     wiki::Corpus corpus, std::map<LanguagePair, match::PipelineResult> results,
     match::PipelineOptions options)
@@ -77,43 +70,8 @@ IncrementalMatcher::IncrementalMatcher(
     : corpus_(std::move(corpus)),
       dictionary_(std::move(dictionary)),
       results_(std::move(results)),
-      options_(std::move(options)),
-      reclaimer_(std::make_unique<ReclaimerSlot>()) {
+      options_(std::move(options)) {
   RebuildFootprints();
-}
-
-IncrementalMatcher::IncrementalMatcher(IncrementalMatcher&&) noexcept =
-    default;
-
-IncrementalMatcher::~IncrementalMatcher() {
-  if (reclaimer_ == nullptr) return;  // moved-from shell
-  util::MutexLock lock(reclaimer_->mu);
-  // Blocks until the in-flight reclaim (if any) finished — and if it is
-  // still queued behind a saturated pool, steals and runs it right here
-  // (TaskHandle::Wait's contract), so destruction never deadlocks and
-  // never abandons retired state.
-  reclaimer_->handle.Wait();
-}
-
-struct IncrementalMatcher::RetiredState {
-  DeltaUndo undo;  // pre-images of replaced/removed articles
-  std::map<LanguagePair, match::PipelineResult> results;
-  std::map<LanguagePair, std::map<UnitKey, UnitFootprint>> footprints;
-};
-
-void IncrementalMatcher::ReclaimAsync(std::unique_ptr<RetiredState> retired) {
-  util::MutexLock lock(reclaimer_->mu);
-  // One reclaim in flight at a time (the historical join-then-launch
-  // behavior): waiting on the previous handle bounds retired-state memory
-  // to a single generation.
-  reclaimer_->handle.Wait();
-  // shared_ptr capture because std::function requires copyable callables;
-  // the pool releases the closure (and with it the state) as soon as the
-  // task ran, so the deallocation still happens off this thread.
-  reclaimer_->handle = util::thread_pool_async(
-      [state = std::shared_ptr<RetiredState>(std::move(retired))]() mutable {
-        state.reset();
-      });
 }
 
 util::Result<IncrementalMatcher> IncrementalMatcher::FromSnapshot(
@@ -226,9 +184,8 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
   // derivation, induced symmetric links) are both reported — so together
   // they are a complete account of every record that changed.
   Clock::time_point corpus_start = Clock::now();
-  auto retired = std::make_unique<RetiredState>();
-  WIKIMATCH_RETURN_NOT_OK(ApplyDeltaInPlace(&corpus_, batch, &retired->undo));
-  const DeltaUndo& undo = retired->undo;
+  DeltaUndo undo;
+  WIKIMATCH_RETURN_NOT_OK(ApplyDeltaInPlace(&corpus_, batch, &undo));
 
   // 2. Changed-record set: every (language, title) whose finalized record
   // differs between the generations, the (language, entity type) sides any
@@ -356,34 +313,46 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
         dictionary_.Erase(from, term, to);
       }
     }
-    RevertDelta(&corpus_, std::move(retired->undo));
+    RevertDelta(&corpus_, std::move(undo));
     return status;
   };
 
-  // 4. Per language pair: re-run type matching (cheap, corpus-global),
-  // then realign dirty units and reuse the rest. Results land in new
-  // containers and commit at the end; corpus and dictionary are already
-  // patched, so an alignment failure goes through fail() to roll them back.
+  // 4. Phase 1, per language pair: re-run type matching (cheap,
+  // corpus-global), mark dirty units and realign them into slots. This
+  // phase only reads results_ and footprints_; corpus and dictionary are
+  // already patched, so an alignment failure goes through fail() to roll
+  // them back.
   Clock::time_point align_start = Clock::now();
-  std::map<LanguagePair, match::PipelineResult> new_results;
-  std::map<LanguagePair, std::map<UnitKey, UnitFootprint>> new_footprints;
-  for (const auto& [pair, old_result] : results_) {
+  // One language pair's phase-1 output: its type matches and stats
+  // (per_type still empty), and per unit either the previous generation's
+  // result and footprint to reuse or the realigned slot.
+  struct PairUpdate {
+    const LanguagePair* pair = nullptr;
+    match::PipelineResult out;
+    std::vector<match::TypePairResult*> reused;  // nullptr: dirty
+    std::vector<UnitFootprint*> reused_fps;
+    std::vector<std::optional<match::TypePairResult>> slots;
+    std::vector<UnitFootprint> slot_fps;
+  };
+  std::vector<PairUpdate> updates;
+  updates.reserve(results_.size());
+  for (auto& [pair, old_result] : results_) {
     const std::string& lang_a = pair.first;
     const std::string& lang_b = pair.second;
     Clock::time_point pair_start = Clock::now();
-    match::PipelineResult out;
+    PairUpdate& update = updates.emplace_back();
+    update.pair = &pair;
+    match::PipelineResult& out = update.out;
     match::TypeMatcher type_matcher(options_.type_min_votes,
                                     options_.type_min_confidence);
     out.type_matches = type_matcher.Match(corpus_, lang_a, lang_b);
     out.stats.type_match_ms = MsSince(pair_start);
 
-    std::map<UnitKey, size_t> old_index;
-    for (size_t i = 0; i < old_result.per_type.size(); ++i) {
-      old_index.emplace(UnitKey{old_result.per_type[i].type_a,
-                                old_result.per_type[i].type_b},
-                        i);
+    std::map<UnitKey, match::TypePairResult*> old_units;
+    for (match::TypePairResult& unit : old_result.per_type) {
+      old_units.emplace(UnitKey{unit.type_a, unit.type_b}, &unit);
     }
-    const auto& old_fps = footprints_[pair];
+    auto old_fps = footprints_.find(pair);
     const std::set<std::string>* terms_ab = nullptr;
     if (auto it = changed_terms.find(pair); it != changed_terms.end()) {
       terms_ab = &it->second;
@@ -406,74 +375,88 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
       return false;
     };
 
-    std::vector<bool> dirty(out.type_matches.size(), false);
-    for (size_t i = 0; i < out.type_matches.size(); ++i) {
+    // A unit is reused when the previous generation has its result and
+    // footprint and nothing it read changed; the type matcher yields one
+    // match per type_a, so no previous unit is reused twice.
+    const size_t n = out.type_matches.size();
+    update.reused.assign(n, nullptr);
+    update.reused_fps.assign(n, nullptr);
+    for (size_t i = 0; i < n; ++i) {
       const match::TypeMatch& tm = out.type_matches[i];
-      auto old_it = old_index.find(UnitKey{tm.type_a, tm.type_b});
-      auto fp_it = old_fps.find(UnitKey{tm.type_a, tm.type_b});
-      dirty[i] = old_it == old_index.end() || fp_it == old_fps.end() ||
-                 unit_dirty(tm, fp_it->second);
+      UnitKey key{tm.type_a, tm.type_b};
+      auto unit_it = old_units.find(key);
+      if (unit_it == old_units.end() || old_fps == footprints_.end()) continue;
+      auto fp_it = old_fps->second.find(key);
+      if (fp_it == old_fps->second.end() || unit_dirty(tm, fp_it->second)) {
+        continue;
+      }
+      update.reused[i] = unit_it->second;
+      update.reused_fps[i] = &fp_it->second;
     }
 
     // Same slot scheme as MatchPipeline::Run, over the dirty units only,
     // so output order and merge order match a rebuild at any thread count.
     // A realigned unit's footprint is computed in the same task.
-    std::vector<std::optional<match::TypePairResult>> slots(
-        out.type_matches.size());
-    std::vector<UnitFootprint> slot_fps(out.type_matches.size());
-    std::vector<util::Status> errors(out.type_matches.size());
-    std::vector<double> schema_ms(out.type_matches.size(), 0.0);
-    util::thread_pool_for(
-        out.type_matches.size(), options_.num_threads, [&](size_t i) {
-          if (!dirty[i]) return;
-          const match::TypeMatch& tm = out.type_matches[i];
-          errors[i] = match::AlignTypePair(corpus_, dictionary_, lang_a,
-                                           lang_b, tm, options_, &slots[i],
-                                           &schema_ms[i]);
-          if (slots[i].has_value()) {
-            slot_fps[i] = ComputeFootprint(corpus_, lang_a, tm.type_a,
-                                           lang_b, tm.type_b);
-          }
-        });
+    update.slots.resize(n);
+    update.slot_fps.resize(n);
+    std::vector<util::Status> errors(n);
+    std::vector<double> schema_ms(n, 0.0);
+    util::thread_pool_for(n, options_.num_threads, [&](size_t i) {
+      if (update.reused[i] != nullptr) return;
+      const match::TypeMatch& tm = out.type_matches[i];
+      errors[i] = match::AlignTypePair(corpus_, dictionary_, lang_a, lang_b,
+                                       tm, options_, &update.slots[i],
+                                       &schema_ms[i]);
+      if (update.slots[i].has_value()) {
+        update.slot_fps[i] =
+            ComputeFootprint(corpus_, lang_a, tm.type_a, lang_b, tm.type_b);
+      }
+    });
 
-    auto& fps_out = new_footprints[pair];
-    for (size_t i = 0; i < out.type_matches.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       if (!errors[i].ok()) return fail(errors[i]);
       out.stats.schema_ms += schema_ms[i];
-      const match::TypeMatch& tm = out.type_matches[i];
-      UnitKey key{tm.type_a, tm.type_b};
-      if (dirty[i]) {
-        ++stats.units_recomputed;
-        if (!slots[i].has_value()) continue;  // NotFound: skipped, like Run
-        fps_out.emplace(key, std::move(slot_fps[i]));
-        out.per_type.push_back(std::move(*slots[i]));
-      } else {
+      if (update.reused[i] != nullptr) {
         ++stats.units_reused;
-        // Copies (not moves) so a failed Apply never corrupts the base.
-        out.per_type.push_back(old_result.per_type[old_index[key]]);
-        fps_out.emplace(key, old_fps.at(key));
+      } else {
+        ++stats.units_recomputed;
       }
     }
-    stats.units_total += out.type_matches.size();
+    stats.units_total += n;
+    out.stats.total_ms = MsSince(pair_start);
+  }
 
+  // 5. Phase 2, which cannot fail: move every reused unit and footprint
+  // out of the previous generation and every realigned one out of its
+  // slot, in type-match order (a NotFound slot is skipped, like Run), then
+  // swap the new containers in. Corpus and dictionary were patched in
+  // place. The displaced containers and the undo record are freed when
+  // they go out of scope at return.
+  std::map<LanguagePair, match::PipelineResult> new_results;
+  std::map<LanguagePair, std::map<UnitKey, UnitFootprint>> new_footprints;
+  for (PairUpdate& update : updates) {
+    match::PipelineResult& out = update.out;
+    auto& fps_out = new_footprints[*update.pair];
+    for (size_t i = 0; i < out.type_matches.size(); ++i) {
+      const match::TypeMatch& tm = out.type_matches[i];
+      UnitKey key{tm.type_a, tm.type_b};
+      if (update.reused[i] != nullptr) {
+        out.per_type.push_back(std::move(*update.reused[i]));
+        fps_out.emplace(std::move(key), std::move(*update.reused_fps[i]));
+      } else if (update.slots[i].has_value()) {
+        out.per_type.push_back(std::move(*update.slots[i]));
+        fps_out.emplace(std::move(key), std::move(update.slot_fps[i]));
+      }
+    }
     out.stats.type_pairs = out.per_type.size();
     for (const auto& unit : out.per_type) {
       out.stats.align.Merge(unit.alignment.stats);
     }
-    out.stats.total_ms = MsSince(pair_start);
-    new_results.emplace(pair, std::move(out));
+    new_results.emplace(*update.pair, std::move(out));
   }
+  results_.swap(new_results);
+  footprints_.swap(new_footprints);
   stats.align_ms = MsSince(align_start);
-
-  // 5. Commit. Corpus and dictionary were patched in place; only the result
-  // and footprint containers swap. The retired containers — and the undo
-  // bundle's pre-image articles — go to the background reclaimer: their
-  // destructors are pure deallocation that nothing downstream waits on.
-  retired->results = std::move(results_);
-  retired->footprints = std::move(footprints_);
-  results_ = std::move(new_results);
-  footprints_ = std::move(new_footprints);
-  ReclaimAsync(std::move(retired));
   ++meta_.generation;
   // Stamp the options the new generation's units were (re)computed under;
   // the next FromSnapshot rejects an apply with different options.

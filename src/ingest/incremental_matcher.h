@@ -42,7 +42,6 @@
 #define WIKIMATCH_INGEST_INCREMENTAL_MATCHER_H_
 
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -112,19 +111,18 @@ class IncrementalMatcher {
   static util::Result<IncrementalMatcher> FromSnapshot(
       store::Snapshot snapshot, match::PipelineOptions options = {});
 
-  /// Movable (FromSnapshot returns by value), not copyable or assignable:
-  /// the matcher owns the handle of a background reclaim task (shared
-  /// thread pool, util/thread_pool.h) for retired generation state,
-  /// waited on at destruction. Defined out of line where ReclaimerSlot is
-  /// complete.
-  IncrementalMatcher(IncrementalMatcher&&) noexcept;
-  IncrementalMatcher& operator=(IncrementalMatcher&&) = delete;
-  ~IncrementalMatcher();
-
   /// \brief Applies one batch: patches the corpus and dictionary in place,
   /// marks dirty units, realigns only those, and advances the generation.
   /// InvalidArgument on a malformed batch; any failure rolls the in-place
   /// patches back, so the matcher keeps serving its previous generation.
+  ///
+  /// Two phases. The first patches, type-matches, marks and realigns the
+  /// dirty units into locals, reading the current results and footprints
+  /// only; every failure happens here. The second cannot fail: it moves
+  /// each reused unit and footprint into new containers beside the
+  /// realigned ones and swaps them in. The displaced containers and the
+  /// batch's undo record are freed on the calling thread before Apply
+  /// returns.
   util::Result<ApplyStats> Apply(const DeltaBatch& batch);
 
   const wiki::Corpus& corpus() const { return corpus_; }
@@ -174,27 +172,12 @@ class IncrementalMatcher {
   /// options_.num_threads participants), one task per unit.
   void RebuildFootprints();
 
-  /// The previous generation's containers, bundled so their destruction
-  /// (several ms of pure deallocation at corpus scale) can be handed to
-  /// the shared thread pool instead of riding the Apply critical path.
-  struct RetiredState;
-  /// The reclaim task's pool handle plus the mutex that guards it,
-  /// bundled behind a unique_ptr so the matcher stays movable (a
-  /// util::Mutex member is not) and the thread-safety analysis can prove
-  /// every wait/launch of the handle happens under the lock. Destruction
-  /// waits on the handle; a reclaim still queued at that point is stolen
-  /// and run by the destroying thread (tracked completion, never
-  /// fire-and-forget).
-  struct ReclaimerSlot;
-  void ReclaimAsync(std::unique_ptr<RetiredState> retired);
-
   wiki::Corpus corpus_;
   match::TranslationDictionary dictionary_;
   std::map<LanguagePair, match::PipelineResult> results_;
   std::map<LanguagePair, std::map<UnitKey, UnitFootprint>> footprints_;
   match::PipelineOptions options_;
   store::SnapshotMeta meta_;
-  std::unique_ptr<ReclaimerSlot> reclaimer_;
 };
 
 }  // namespace ingest

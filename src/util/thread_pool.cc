@@ -69,45 +69,6 @@ size_t DefaultThreads() {
   return threads;
 }
 
-// ---------------------------------------------------------------- TaskHandle
-
-struct TaskHandle::State {
-  ThreadPool* pool = nullptr;  ///< for the Wait steal path
-  // Owned by whoever dequeued the task (worker, stealing waiter, or the
-  // pool destructor) — exactly one runner, handed off under the pool
-  // mutex, so no guard is needed. Cleared as soon as the task ran so its
-  // captures are released even while handles remain.
-  std::function<void()> fn;
-  Mutex mu;
-  CondVar cv;
-  bool done WIKIMATCH_GUARDED_BY(mu) = false;
-  std::exception_ptr err WIKIMATCH_GUARDED_BY(mu);
-};
-
-void TaskHandle::Wait() {
-  if (state_ == nullptr) return;
-  {
-    // Checking done first keeps Wait safe after the pool was destroyed
-    // (the destructor completes every task, so by then done is set and
-    // the pool pointer below is never touched).
-    MutexLock lock(state_->mu);
-    if (state_->done) return;
-  }
-  // Still queued? Run it here instead of waiting for a worker: a waiter
-  // behind a saturated (or single-thread) pool must not deadlock.
-  if (state_->pool != nullptr && state_->pool->StealQueuedTask(state_)) {
-    return;
-  }
-  MutexLock lock(state_->mu);
-  while (!state_->done) state_->cv.Wait(state_->mu);
-}
-
-std::exception_ptr TaskHandle::error() const {
-  if (state_ == nullptr) return nullptr;
-  MutexLock lock(state_->mu);
-  return state_->err;
-}
-
 // ---------------------------------------------------------------- ThreadPool
 
 ThreadPool::ThreadPool(size_t num_threads) {
@@ -120,17 +81,12 @@ ThreadPool::ThreadPool(size_t num_threads) {
 }
 
 ThreadPool::~ThreadPool() {
-  std::deque<std::shared_ptr<TaskHandle::State>> leftover;
   {
     MutexLock lock(mu_);
     stop_ = true;
-    leftover.swap(async_queue_);
   }
   work_cv_.NotifyAll();
   for (auto& worker : workers_) worker.join();
-  // Tasks no worker started still complete — on this thread — so every
-  // TaskHandle this pool issued can be waited on after destruction.
-  for (auto& task : leftover) RunAsyncTask(task.get());
 }
 
 void ThreadPool::For(size_t n, size_t max_workers,
@@ -169,18 +125,6 @@ void ThreadPool::For(size_t n, size_t max_workers,
   if (first_error != nullptr) std::rethrow_exception(first_error);
 }
 
-TaskHandle ThreadPool::Async(std::function<void()> fn) {
-  auto state = std::make_shared<TaskHandle::State>();
-  state->pool = this;
-  state->fn = std::move(fn);
-  {
-    MutexLock lock(mu_);
-    async_queue_.push_back(state);
-  }
-  work_cv_.NotifyOne();
-  return TaskHandle(std::move(state));
-}
-
 ThreadPool* ThreadPool::Global() {
   ThreadPool* override_pool = g_pool_override.load(std::memory_order_acquire);
   if (override_pool != nullptr) return override_pool;
@@ -195,31 +139,19 @@ void ThreadPool::SetDefaultPoolSize(size_t num_threads) {
 void ThreadPool::WorkerLoop() {
   for (;;) {
     ForJob* job = nullptr;
-    std::shared_ptr<TaskHandle::State> task;
     {
       MutexLock lock(mu_);
       for (;;) {
         if (stop_) return;
         job = PickJob();
-        if (job != nullptr) {
-          AttachWorker(job);
-          break;
-        }
-        if (!async_queue_.empty()) {
-          task = std::move(async_queue_.front());
-          async_queue_.pop_front();
-          break;
-        }
+        if (job != nullptr) break;
         work_cv_.Wait(mu_);
       }
+      AttachWorker(job);
     }
-    if (job != nullptr) {
-      RunForLoop(job);
-      MutexLock lock(mu_);
-      if (DetachWorker(job)) done_cv_.NotifyAll();
-    } else {
-      RunAsyncTask(task.get());
-    }
+    RunForLoop(job);
+    MutexLock lock(mu_);
+    if (DetachWorker(job)) done_cv_.NotifyAll();
   }
 }
 
@@ -237,32 +169,6 @@ void ThreadPool::RunForLoop(ForJob* job) {
       job->failed.store(true, std::memory_order_relaxed);
     }
   }
-}
-
-void ThreadPool::RunAsyncTask(TaskHandle::State* task) {
-  std::exception_ptr err;
-  try {
-    task->fn();
-  } catch (...) {
-    err = std::current_exception();
-  }
-  task->fn = nullptr;  // release captures now, not at last-handle death
-  MutexLock lock(task->mu);
-  task->done = true;
-  task->err = err;
-  task->cv.NotifyAll();
-}
-
-bool ThreadPool::StealQueuedTask(
-    const std::shared_ptr<TaskHandle::State>& state) {
-  {
-    MutexLock lock(mu_);
-    auto it = std::find(async_queue_.begin(), async_queue_.end(), state);
-    if (it == async_queue_.end()) return false;
-    async_queue_.erase(it);
-  }
-  RunAsyncTask(state.get());
-  return true;
 }
 
 ThreadPool::ForJob* ThreadPool::PickJob() {

@@ -7,15 +7,14 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdio>
 #include <map>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "delta_oracle.h"
 #include "ingest/delta.h"
 #include "ingest/incremental_matcher.h"
 #include "match/pipeline.h"
@@ -24,7 +23,6 @@
 #include "synth/delta.h"
 #include "synth/generator.h"
 #include "util/binary_io.h"
-#include "util/thread_pool.h"
 #include "wiki/serialize.h"
 #include "wiki/wikitext_parser.h"
 
@@ -74,7 +72,7 @@ void ExpectMatchesFullRebuild(const IncrementalMatcher& matcher,
                               const wiki::Corpus& base,
                               const DeltaBatch& batch,
                               const std::vector<LanguagePair>& pairs) {
-  auto post = ApplyDeltaToCorpus(base, batch);
+  auto post = delta_oracle::ApplyDeltaToCorpus(base, batch);
   ASSERT_TRUE(post.ok()) << post.status().ToString();
   auto fresh = FullRun(&*post, pairs);
   EXPECT_EQ(CorpusBytes(matcher.corpus()), CorpusBytes(*post));
@@ -176,7 +174,7 @@ TEST(DeltaInPlaceTest, ApplyMatchesCopyAndRevertRestoresBytes) {
   ASSERT_FALSE(batch->empty());
 
   const std::string base_bytes = CorpusBytes(f.corpus);
-  auto copied = ApplyDeltaToCorpus(f.corpus, *batch);
+  auto copied = delta_oracle::ApplyDeltaToCorpus(f.corpus, *batch);
   ASSERT_TRUE(copied.ok()) << copied.status().ToString();
   const std::string post_bytes = CorpusBytes(*copied);
 
@@ -364,7 +362,7 @@ TEST(IncrementalMatcherTest, SupportArticleRemovalDirtiesReferencingUnit) {
   EXPECT_EQ(stats->units_recomputed, 1u);
   EXPECT_EQ(stats->units_reused, 0u);
 
-  auto post = ApplyDeltaToCorpus(corpus, batch);
+  auto post = delta_oracle::ApplyDeltaToCorpus(corpus, batch);
   ASSERT_TRUE(post.ok());
   auto fresh = FullRun(&*post, pairs, options);
   EXPECT_EQ(ResultBytes(matcher.results().at({"pt", "en"})),
@@ -514,42 +512,6 @@ TEST(IncrementalMatcherTest, FromSnapshotRejectsMismatchedOptions) {
   legacy.meta.options.reset();
   EXPECT_TRUE(IncrementalMatcher::FromSnapshot(std::move(legacy), different)
                   .ok());
-}
-
-TEST(IncrementalMatcherTest, DestroyWhileReclaimInFlight) {
-  // Apply() hands the previous generation's containers to the shared
-  // thread pool for off-critical-path destruction. Destroying the matcher
-  // while that reclaim is still *queued* (every worker pinned) must not
-  // deadlock or leak: the destructor's Wait steals the queued task and
-  // runs the reclaim on the destroying thread. Run under TSan by
-  // tools/check.sh.
-  SynthFixture f = MakeSynthFixture();
-  synth::DeltaSpec spec;
-  spec.lang_a = "pt";
-  spec.lang_b = "en";
-  spec.types_b = {"film"};
-  spec.value_edits = 2;
-  auto batch = synth::MakeDeltaBatch(f.corpus, spec);
-  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-
-  util::ThreadPool pool(1);
-  util::ScopedThreadPoolOverride override_pool(&pool);
-  std::atomic<bool> release{false};
-  // Pin the pool's only worker so the reclaim Apply() submits stays in
-  // the queue until the matcher is destroyed.
-  util::TaskHandle blocker = pool.Async([&]() {
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-  });
-  {
-    IncrementalMatcher matcher(f.corpus, f.results);
-    auto stats = matcher.Apply(*batch);
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    // matcher goes out of scope here with the reclaim still queued.
-  }
-  release.store(true, std::memory_order_release);
-  blocker.Wait();
 }
 
 // FromSnapshot plus a chain of Apply calls, with the footprints rebuilt

@@ -1,7 +1,7 @@
 // Tests for the shared work-stealing thread pool (util/thread_pool.h):
 // loop coverage and determinism, work stealing under skewed index costs,
-// reentrancy (For inside For, For inside Async), TaskHandle wait/steal/
-// error semantics, pool injection, DefaultThreads resolution — and the
+// reentrancy (For inside For), the caller's own progress with every
+// worker busy, pool injection, DefaultThreads resolution — and the
 // regression this subsystem exists for: nested loops must not put more
 // threads on the box than the pool owns (the pre-pool ParallelFor spawned
 // fresh std::threads per call, so an outer loop times an inner one
@@ -69,20 +69,29 @@ TEST(ThreadPoolTest, ZeroItemsAndSingleWorkerRunInline) {
 }
 
 TEST(ThreadPoolTest, CallerParticipatesInItsOwnLoop) {
-  // With zero helpers available (every worker pinned by a blocker task),
-  // the caller alone must finish the loop: progress never requires a free
-  // worker.
+  // With zero helpers available (the only worker pinned inside a loop a
+  // second thread runs), the caller alone must finish its loop: progress
+  // never requires a free worker.
   util::ThreadPool pool(1);
+  std::atomic<int> pinned{0};
   std::atomic<bool> release{false};
-  util::TaskHandle blocker = pool.Async([&]() {
-    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+  std::thread other([&]() {
+    // Two indexes that both block: the second thread holds one, and the
+    // pool's worker attaches and holds the other.
+    pool.For(2, 2, [&](size_t) {
+      pinned.fetch_add(1, std::memory_order_acq_rel);
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
   });
+  SpinUntil([&]() { return pinned.load() == 2; }, "worker pinned");
   std::atomic<size_t> sum{0};
   pool.For(100, 8,
            [&](size_t i) { sum.fetch_add(i, std::memory_order_relaxed); });
   EXPECT_EQ(sum.load(), 4950u);
   release.store(true, std::memory_order_release);
-  blocker.Wait();
+  other.join();
 }
 
 TEST(ThreadPoolTest, WorkStealingBalancesSkewedCosts) {
@@ -156,87 +165,6 @@ TEST(ThreadPoolTest, ReentrantForInsideFor) {
     });
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ForInsideAsyncTask) {
-  util::ThreadPool pool(2);
-  std::atomic<size_t> sum{0};
-  util::TaskHandle handle = pool.Async([&]() {
-    pool.For(100, 4,
-             [&](size_t i) { sum.fetch_add(i, std::memory_order_relaxed); });
-  });
-  handle.Wait();
-  EXPECT_EQ(handle.error(), nullptr);
-  EXPECT_EQ(sum.load(), 4950u);
-}
-
-TEST(ThreadPoolTest, AsyncRunsAndWaitIsIdempotent) {
-  util::ThreadPool pool(2);
-  std::atomic<bool> ran{false};
-  util::TaskHandle handle = pool.Async([&]() { ran.store(true); });
-  handle.Wait();
-  handle.Wait();  // second Wait is a no-op
-  EXPECT_TRUE(ran.load());
-  EXPECT_EQ(handle.error(), nullptr);
-}
-
-TEST(ThreadPoolTest, AsyncExceptionCapturedInHandle) {
-  util::ThreadPool pool(2);
-  util::TaskHandle handle =
-      pool.Async([]() { throw std::runtime_error("async boom"); });
-  handle.Wait();
-  ASSERT_NE(handle.error(), nullptr);
-  try {
-    std::rethrow_exception(handle.error());
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "async boom");
-  }
-}
-
-TEST(ThreadPoolTest, WaitStealsQueuedTaskBehindSaturatedPool) {
-  // The only worker is pinned; Wait on the still-queued task must run it
-  // on the waiting thread instead of deadlocking.
-  util::ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  util::TaskHandle blocker = pool.Async([&]() {
-    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
-  });
-  std::thread::id ran_on{};
-  util::TaskHandle queued =
-      pool.Async([&]() { ran_on = std::this_thread::get_id(); });
-  queued.Wait();
-  EXPECT_EQ(ran_on, std::this_thread::get_id());
-  release.store(true, std::memory_order_release);
-  blocker.Wait();
-}
-
-TEST(ThreadPoolTest, EmptyHandleIsInert) {
-  util::TaskHandle handle;
-  EXPECT_FALSE(handle.valid());
-  handle.Wait();  // no-op
-  EXPECT_EQ(handle.error(), nullptr);
-}
-
-TEST(ThreadPoolTest, DestructorCompletesQueuedTasks) {
-  std::atomic<bool> ran{false};
-  util::TaskHandle handle;
-  {
-    util::ThreadPool pool(1);
-    std::atomic<bool> release{false};
-    util::TaskHandle blocker = pool.Async([&]() {
-      while (!release.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-    });
-    handle = pool.Async([&]() { ran.store(true); });
-    release.store(true, std::memory_order_release);
-    blocker.Wait();
-    // The queued task may or may not have started; either way the
-    // destructor must not strand it.
-  }
-  EXPECT_TRUE(ran.load());
-  handle.Wait();  // safe after the pool is gone: the task completed
-  EXPECT_EQ(handle.error(), nullptr);
 }
 
 TEST(ThreadPoolTest, ScopedOverrideRedirectsGlobalAndNests) {

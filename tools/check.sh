@@ -222,8 +222,9 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
         protocol_robustness_test ingest_test sync_test deadlock_test &&
       "$tsan_dir"/tests/deadlock_test &&
       # thread_pool_test stresses the shared work-stealing pool itself:
-      # nested For, async steal-on-wait, handle reuse after pool death,
-      # and a pipeline run whose type pairs spread over an injected pool.
+      # nested For, a caller finishing its loop while another thread's
+      # loop pins every worker, and a pipeline run whose type pairs spread
+      # over an injected pool.
       "$tsan_dir"/tests/thread_pool_test &&
       "$tsan_dir"/tests/parallel_test &&
       # align_join_test runs the pipeline at 1 and 8 loop participants:
@@ -242,8 +243,8 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
       # loops racing a generation swap with zero dropped/mixed responses).
       "$tsan_dir"/tests/net_server_test &&
       "$tsan_dir"/tests/protocol_robustness_test &&
-      # ingest_test covers destroying a matcher while its pool-queued
-      # reclaim task is still in flight (destructor steal path).
+      # ingest_test chains Apply calls whose dirty units realign on the
+      # shared pool and whose reused units move into the new generation.
       "$tsan_dir"/tests/ingest_test &&
       # sync_test classifies article pairs on the shared pool at several
       # thread counts (byte-identity across counts) and runs Resync
