@@ -321,7 +321,9 @@ TEST(IncrementalMatcherTest, UnrelatedArticleReusesEveryUnit) {
 
 // Removing a support article (no infobox, so no type is touched) that unit
 // members link to must dirty the unit through its title footprint: link
-// canonicalization resolves through that article's record.
+// canonicalization resolves through that article's record. A first batch
+// that reuses the unit comes before it, so the footprint consulted is the
+// one the previous Apply carried over, not one built from scratch.
 TEST(IncrementalMatcherTest, SupportArticleRemovalDirtiesReferencingUnit) {
   wiki::Corpus corpus;
   wiki::WikitextParser parser;
@@ -353,16 +355,25 @@ TEST(IncrementalMatcherTest, SupportArticleRemovalDirtiesReferencingUnit) {
   auto results = FullRun(&corpus, pairs, options);
   ASSERT_EQ(results.at({"pt", "en"}).per_type.size(), 1u);
 
+  DeltaBatch unrelated;
+  auto page = parser.ParseArticle("Unrelated Page", "en", "plain text\n");
+  ASSERT_TRUE(page.ok()) << page.status().ToString();
+  unrelated.added.push_back(std::move(page).ValueOrDie());
   DeltaBatch batch;
   batch.removed.emplace_back("en", "director one");
 
   IncrementalMatcher matcher(corpus, results, options);
+  auto first = matcher.Apply(unrelated);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->units_reused, 1u);
   auto stats = matcher.Apply(batch);
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_EQ(stats->units_recomputed, 1u);
   EXPECT_EQ(stats->units_reused, 0u);
 
-  auto post = delta_oracle::ApplyDeltaToCorpus(corpus, batch);
+  auto between = delta_oracle::ApplyDeltaToCorpus(corpus, unrelated);
+  ASSERT_TRUE(between.ok());
+  auto post = delta_oracle::ApplyDeltaToCorpus(*between, batch);
   ASSERT_TRUE(post.ok());
   auto fresh = FullRun(&*post, pairs, options);
   EXPECT_EQ(ResultBytes(matcher.results().at({"pt", "en"})),
