@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "synth/delta.h"
 #include "synth/generator.h"
 #include "util/binary_io.h"
+#include "util/rng.h"
 #include "wiki/serialize.h"
 #include "wiki/wikitext_parser.h"
 
@@ -601,6 +603,248 @@ TEST(IncrementalMatcherTest, ChainedApplyIsInvariantAcrossThreadCounts) {
   // never consulted.
   EXPECT_GT(one[0].units_reused + one[1].units_reused + one[2].units_reused,
             0u);
+}
+
+// ----------------------------------------------------------- hostile batches
+
+// A batch mutated at the article level, and whether it carries an element
+// validation must reject.
+struct HostileBatch {
+  DeltaBatch batch;
+  bool invalid = false;
+};
+
+// Builds one hostile batch against `corpus` from `rng`: one to four of
+// duplicate-free valid mutations (removals, updates that drop their
+// infobox, change their type, link to themselves or turn into redirects,
+// redirect chains and cycles, 64 KiB+ titles, links to articles the same
+// batch removes), and in one batch of three one element validation must
+// reject (a key named twice across the lists, an empty title, a missing
+// update or removal target, an added key the corpus holds).
+HostileBatch MakeHostileBatch(const wiki::Corpus& corpus, int round,
+                              util::Rng* rng) {
+  HostileBatch out;
+  DeltaBatch& batch = out.batch;
+  std::set<std::pair<std::string, std::string>> named;
+  // A live article the batch does not name yet, claimed for it.
+  auto claim = [&](bool with_infobox) -> const wiki::Article* {
+    for (int tries = 0; tries < 256; ++tries) {
+      const wiki::Article& a =
+          corpus.Get(static_cast<wiki::ArticleId>(rng->NextBounded(corpus.size())));
+      if (with_infobox && !a.infobox.has_value()) continue;
+      if (named.insert({a.language, a.title}).second) return &a;
+    }
+    return nullptr;
+  };
+  int next_title = 0;
+  auto fresh_title = [&](size_t length) {
+    std::string title = "hostile " + std::to_string(round) + "." +
+                        std::to_string(next_title++);
+    if (title.size() < length) title.append(length - title.size(), 'x');
+    return title;
+  };
+  auto link_to = [](wiki::Article* a, const std::string& target) {
+    if (!a->infobox.has_value() || a->infobox->attributes.empty()) return;
+    a->infobox->attributes.front().second.links.push_back({target, target});
+  };
+  auto remove = [&](const wiki::Article& a) {
+    batch.removed.emplace_back(a.language, a.title);
+  };
+
+  const uint64_t ops = 1 + rng->NextBounded(4);
+  for (uint64_t k = 0; k < ops; ++k) {
+    switch (rng->NextBounded(8)) {
+      case 0: {  // plain removal
+        if (const wiki::Article* a = claim(false)) remove(*a);
+        break;
+      }
+      case 1: {  // an update drops its infobox
+        const wiki::Article* a = claim(true);
+        if (a == nullptr) break;
+        wiki::Article post = *a;
+        post.infobox.reset();
+        if (rng->NextBounded(2) == 0) post.entity_type.clear();
+        batch.updated.push_back(std::move(post));
+        break;
+      }
+      case 2: {  // an update changes its type (sometimes left to Finalize)
+        const wiki::Article* a = claim(true);
+        if (a == nullptr) break;
+        wiki::Article post = *a;
+        std::vector<std::string> types = corpus.TypesIn(a->language);
+        types.push_back("hostile type");
+        const std::string& type = types[rng->NextBounded(types.size())];
+        post.infobox->template_type = type;
+        post.entity_type = rng->NextBounded(2) == 0 ? type : "";
+        batch.updated.push_back(std::move(post));
+        break;
+      }
+      case 3: {  // self links: a value link and a same-language cross link
+        const wiki::Article* a = claim(true);
+        if (a == nullptr) break;
+        wiki::Article post = *a;
+        link_to(&post, post.title);
+        post.cross_language_links[post.language] = post.title;
+        batch.updated.push_back(std::move(post));
+        break;
+      }
+      case 4: {  // a new dual copy links to an article the batch removes
+        const wiki::Article* gone = claim(false);
+        const wiki::Article* model = claim(true);
+        if (gone == nullptr || model == nullptr) break;
+        remove(*gone);
+        wiki::Article added = *model;
+        added.title = fresh_title(0);
+        link_to(&added, gone->title);
+        added.cross_language_links[gone->language] = gone->title;
+        batch.added.push_back(std::move(added));
+        break;
+      }
+      case 5: {  // a redirect chain, entered from an updated infobox
+        const wiki::Article* target = claim(false);
+        const wiki::Article* from = claim(true);
+        if (target == nullptr || from == nullptr) break;
+        wiki::Article r1, r2;
+        r1.language = r2.language = target->language;
+        r1.title = fresh_title(0);
+        r2.title = fresh_title(0);
+        r1.redirect_to = r2.title;
+        r2.redirect_to = target->title;
+        wiki::Article post = *from;
+        link_to(&post, r1.title);
+        if (post.language != target->language) {
+          post.cross_language_links[target->language] = r1.title;
+        }
+        batch.added.push_back(std::move(r1));
+        batch.added.push_back(std::move(r2));
+        batch.updated.push_back(std::move(post));
+        break;
+      }
+      case 6: {  // a redirect cycle and an update that redirects to itself
+        const wiki::Article* a = claim(true);
+        if (a == nullptr) break;
+        wiki::Article r1, r2;
+        r1.language = r2.language = a->language;
+        r1.title = fresh_title(0);
+        r2.title = fresh_title(0);
+        r1.redirect_to = r2.title;
+        r2.redirect_to = r1.title;
+        wiki::Article post = *a;
+        link_to(&post, r1.title);
+        post.redirect_to = post.title;
+        batch.added.push_back(std::move(r1));
+        batch.added.push_back(std::move(r2));
+        batch.updated.push_back(std::move(post));
+        break;
+      }
+      case 7: {  // a 64 KiB+ title on a new article cross-linked to a live one
+        const wiki::Article* model = claim(true);
+        if (model == nullptr) break;
+        wiki::Article added = *model;
+        added.title = fresh_title(65536 + rng->NextBounded(1024));
+        added.cross_language_links.clear();
+        for (const auto& [lang, title] : model->cross_language_links) {
+          added.cross_language_links[lang] = title;
+        }
+        batch.added.push_back(std::move(added));
+        break;
+      }
+    }
+  }
+
+  if (rng->NextBounded(3) != 0) return out;
+  out.invalid = true;
+  switch (rng->NextBounded(6)) {
+    case 0: {  // one key in two lists
+      const wiki::Article* a = claim(false);
+      if (a == nullptr) break;
+      batch.updated.push_back(*a);
+      remove(*a);
+      break;
+    }
+    case 1: {  // one new key added twice
+      wiki::Article added;
+      added.language = "pt";
+      added.title = fresh_title(0);
+      batch.added.push_back(added);
+      batch.added.push_back(added);
+      break;
+    }
+    case 2: {  // an added article with an empty title
+      wiki::Article added;
+      added.language = "en";
+      batch.added.push_back(added);
+      break;
+    }
+    case 3: {  // an update of an empty, hence missing, title
+      wiki::Article updated;
+      updated.language = "en";
+      batch.updated.push_back(updated);
+      break;
+    }
+    case 4: {  // a removal of a missing 64 KiB title
+      batch.removed.emplace_back("vi", fresh_title(65536));
+      break;
+    }
+    case 5: {  // an added key the corpus already holds
+      const wiki::Article* a = claim(false);
+      if (a == nullptr) break;
+      batch.added.push_back(*a);
+      break;
+    }
+  }
+  return out;
+}
+
+// Hostile batches, mutated at the article level from a fixed seed (the
+// XML under a batch is fuzzed by DumpFuzzTest and DumpOracleTest), are
+// applied in a chain. Each one is either rejected with InvalidArgument,
+// leaving the corpus, dictionary and result bytes as they were, or gives
+// the bytes of a full rebuild of the corpus it was applied to. The pool
+// loop takes up to four participants, so runs at pool sizes 1 and 4
+// differ.
+TEST(IncrementalMatcherTest, HostileBatchesAreRejectedOrMatchARebuild) {
+  SynthFixture f = MakeSynthFixture();
+  match::PipelineOptions options;
+  options.num_threads = 4;
+  IncrementalMatcher matcher(f.corpus, f.results, options);
+  util::Rng rng(0x4057113);
+  size_t rejected = 0;
+  size_t accepted = 0;
+  for (int round = 0; round < 24; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const wiki::Corpus before = matcher.corpus();
+    const HostileBatch hostile = MakeHostileBatch(before, round, &rng);
+    const std::string corpus_bytes = CorpusBytes(before);
+    const std::string dictionary_bytes = DictionaryBytes(matcher.dictionary());
+    std::vector<std::string> result_bytes;
+    for (const auto& pair : f.pairs) {
+      result_bytes.push_back(ResultBytes(matcher.results().at(pair)));
+    }
+    const uint64_t generation = matcher.generation();
+
+    auto stats = matcher.Apply(hostile.batch);
+    if (!stats.ok()) {
+      ++rejected;
+      EXPECT_TRUE(hostile.invalid) << stats.status().ToString();
+      EXPECT_EQ(stats.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_EQ(matcher.generation(), generation);
+      EXPECT_EQ(CorpusBytes(matcher.corpus()), corpus_bytes);
+      EXPECT_EQ(DictionaryBytes(matcher.dictionary()), dictionary_bytes);
+      for (size_t i = 0; i < f.pairs.size(); ++i) {
+        EXPECT_EQ(ResultBytes(matcher.results().at(f.pairs[i])),
+                  result_bytes[i]);
+      }
+      continue;
+    }
+    ++accepted;
+    EXPECT_FALSE(hostile.invalid);
+    EXPECT_EQ(matcher.generation(), generation + 1);
+    ExpectMatchesFullRebuild(matcher, before, hostile.batch, f.pairs);
+  }
+  // Both outcomes must actually occur, or the seed tests nothing.
+  EXPECT_GE(rejected, 4u);
+  EXPECT_GE(accepted, 8u);
 }
 
 }  // namespace
