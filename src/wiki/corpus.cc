@@ -194,9 +194,15 @@ void Corpus::Finalize(FinalizeReport* report) {
     }
   }
 
-  // 2. Symmetrize cross-language links.
+  // 2. Symmetrize cross-language links. A redirect page's links are not
+  // symmetrized (MediaWiki ignores them too): a backlink names its source's
+  // title, which for a redirect resolves to another article, and that new
+  // link would need a pass of its own. Skipping them makes one pass a
+  // fixpoint, so a decoded corpus re-finalizes to the bytes it was
+  // encoded from.
   for (size_t i = 0; i < articles_.size(); ++i) {
     const Article& a = articles_[i];
+    if (a.IsRedirect()) continue;
     for (const auto& [lang, title] : a.cross_language_links) {
       ArticleId other = FindByTitle(lang, title);
       if (other == kInvalidArticle) continue;

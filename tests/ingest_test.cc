@@ -618,24 +618,46 @@ struct HostileBatch {
 // duplicate-free valid mutations (removals, updates that drop their
 // infobox, change their type, link to themselves or turn into redirects,
 // redirect chains and cycles, 64 KiB+ titles, links to articles the same
-// batch removes), and in one batch of three one element validation must
-// reject (a key named twice across the lists, an empty title, a missing
-// update or removal target, an added key the corpus holds).
+// batch removes, backlinks induced on support pages, redirects whose
+// target changes or goes), and in one batch of three one element
+// validation must reject (a key named twice across the lists, an empty
+// title, a missing update or removal target, an added key the corpus
+// holds).
 HostileBatch MakeHostileBatch(const wiki::Corpus& corpus, int round,
                               util::Rng* rng) {
   HostileBatch out;
   DeltaBatch& batch = out.batch;
   std::set<std::pair<std::string, std::string>> named;
-  // A live article the batch does not name yet, claimed for it.
-  auto claim = [&](bool with_infobox) -> const wiki::Article* {
+  // A live article of `kind` the batch does not name yet, claimed for it.
+  enum Kind { kAny, kInfobox, kSupport, kRedirect };
+  auto claim = [&](Kind kind) -> const wiki::Article* {
     for (int tries = 0; tries < 256; ++tries) {
-      const wiki::Article& a =
-          corpus.Get(static_cast<wiki::ArticleId>(rng->NextBounded(corpus.size())));
-      if (with_infobox && !a.infobox.has_value()) continue;
-      if (named.insert({a.language, a.title}).second) return &a;
+      const wiki::Article& a = corpus.Get(
+          static_cast<wiki::ArticleId>(rng->NextBounded(corpus.size())));
+      const bool fits =
+          kind == kAny || (kind == kInfobox && a.infobox.has_value()) ||
+          (kind == kSupport && !a.infobox.has_value() && !a.IsRedirect()) ||
+          (kind == kRedirect && a.IsRedirect());
+      if (fits && named.insert({a.language, a.title}).second) return &a;
     }
     return nullptr;
   };
+  // Redirects that infobox values link to: a change at their target
+  // re-routes link canonicalization in units the batch does not name.
+  std::vector<wiki::ArticleId> linked_redirects;
+  for (wiki::ArticleId id = 0; id < corpus.size(); ++id) {
+    const wiki::Article& a = corpus.Get(id);
+    if (!a.infobox.has_value()) continue;
+    for (const auto& [name, value] : a.infobox->attributes) {
+      for (const auto& link : value.links) {
+        wiki::ArticleId target = corpus.FindExactTitle(a.language, link.target);
+        if (target != wiki::kInvalidArticle &&
+            corpus.Get(target).IsRedirect()) {
+          linked_redirects.push_back(target);
+        }
+      }
+    }
+  }
   int next_title = 0;
   auto fresh_title = [&](size_t length) {
     std::string title = "hostile " + std::to_string(round) + "." +
@@ -653,13 +675,13 @@ HostileBatch MakeHostileBatch(const wiki::Corpus& corpus, int round,
 
   const uint64_t ops = 1 + rng->NextBounded(4);
   for (uint64_t k = 0; k < ops; ++k) {
-    switch (rng->NextBounded(8)) {
+    switch (rng->NextBounded(11)) {
       case 0: {  // plain removal
-        if (const wiki::Article* a = claim(false)) remove(*a);
+        if (const wiki::Article* a = claim(kAny)) remove(*a);
         break;
       }
       case 1: {  // an update drops its infobox
-        const wiki::Article* a = claim(true);
+        const wiki::Article* a = claim(kInfobox);
         if (a == nullptr) break;
         wiki::Article post = *a;
         post.infobox.reset();
@@ -668,7 +690,7 @@ HostileBatch MakeHostileBatch(const wiki::Corpus& corpus, int round,
         break;
       }
       case 2: {  // an update changes its type (sometimes left to Finalize)
-        const wiki::Article* a = claim(true);
+        const wiki::Article* a = claim(kInfobox);
         if (a == nullptr) break;
         wiki::Article post = *a;
         std::vector<std::string> types = corpus.TypesIn(a->language);
@@ -680,7 +702,7 @@ HostileBatch MakeHostileBatch(const wiki::Corpus& corpus, int round,
         break;
       }
       case 3: {  // self links: a value link and a same-language cross link
-        const wiki::Article* a = claim(true);
+        const wiki::Article* a = claim(kInfobox);
         if (a == nullptr) break;
         wiki::Article post = *a;
         link_to(&post, post.title);
@@ -689,8 +711,8 @@ HostileBatch MakeHostileBatch(const wiki::Corpus& corpus, int round,
         break;
       }
       case 4: {  // a new dual copy links to an article the batch removes
-        const wiki::Article* gone = claim(false);
-        const wiki::Article* model = claim(true);
+        const wiki::Article* gone = claim(kAny);
+        const wiki::Article* model = claim(kInfobox);
         if (gone == nullptr || model == nullptr) break;
         remove(*gone);
         wiki::Article added = *model;
@@ -701,8 +723,8 @@ HostileBatch MakeHostileBatch(const wiki::Corpus& corpus, int round,
         break;
       }
       case 5: {  // a redirect chain, entered from an updated infobox
-        const wiki::Article* target = claim(false);
-        const wiki::Article* from = claim(true);
+        const wiki::Article* target = claim(kAny);
+        const wiki::Article* from = claim(kInfobox);
         if (target == nullptr || from == nullptr) break;
         wiki::Article r1, r2;
         r1.language = r2.language = target->language;
@@ -721,7 +743,7 @@ HostileBatch MakeHostileBatch(const wiki::Corpus& corpus, int round,
         break;
       }
       case 6: {  // a redirect cycle and an update that redirects to itself
-        const wiki::Article* a = claim(true);
+        const wiki::Article* a = claim(kInfobox);
         if (a == nullptr) break;
         wiki::Article r1, r2;
         r1.language = r2.language = a->language;
@@ -738,7 +760,7 @@ HostileBatch MakeHostileBatch(const wiki::Corpus& corpus, int round,
         break;
       }
       case 7: {  // a 64 KiB+ title on a new article cross-linked to a live one
-        const wiki::Article* model = claim(true);
+        const wiki::Article* model = claim(kInfobox);
         if (model == nullptr) break;
         wiki::Article added = *model;
         added.title = fresh_title(65536 + rng->NextBounded(1024));
@@ -749,6 +771,47 @@ HostileBatch MakeHostileBatch(const wiki::Corpus& corpus, int round,
         batch.added.push_back(std::move(added));
         break;
       }
+      case 8: {  // a new plain page induces a backlink on a support page
+        const wiki::Article* support = claim(kSupport);
+        if (support == nullptr) break;
+        wiki::Article added;
+        added.language = support->language == "en" ? "pt" : "en";
+        added.title = fresh_title(0);
+        added.cross_language_links[support->language] = support->title;
+        batch.added.push_back(std::move(added));
+        break;
+      }
+      case 9: {  // a linked redirect's target loses its cross links or goes
+        if (linked_redirects.empty()) break;
+        const wiki::Article* redirect = &corpus.Get(
+            linked_redirects[rng->NextBounded(linked_redirects.size())]);
+        const wiki::ArticleId id =
+            corpus.FindExactTitle(redirect->language, redirect->redirect_to);
+        if (id == wiki::kInvalidArticle) break;
+        const wiki::Article& target = corpus.Get(id);
+        if (!named.insert({target.language, target.title}).second) break;
+        if (rng->NextBounded(2) == 0) {
+          remove(target);
+        } else {
+          wiki::Article post = target;
+          post.cross_language_links.clear();
+          batch.updated.push_back(std::move(post));
+        }
+        break;
+      }
+      case 10: {  // a support page becomes, or a redirect changes, a redirect
+        const wiki::Article* a =
+            claim(rng->NextBounded(2) == 0 ? kSupport : kRedirect);
+        if (a == nullptr) break;
+        const std::vector<wiki::ArticleId>& same_language =
+            corpus.ArticlesInLanguage(a->language);
+        wiki::Article post = *a;
+        post.redirect_to =
+            corpus.Get(same_language[rng->NextBounded(same_language.size())])
+                .title;
+        batch.updated.push_back(std::move(post));
+        break;
+      }
     }
   }
 
@@ -756,7 +819,7 @@ HostileBatch MakeHostileBatch(const wiki::Corpus& corpus, int round,
   out.invalid = true;
   switch (rng->NextBounded(6)) {
     case 0: {  // one key in two lists
-      const wiki::Article* a = claim(false);
+      const wiki::Article* a = claim(kAny);
       if (a == nullptr) break;
       batch.updated.push_back(*a);
       remove(*a);
@@ -787,7 +850,7 @@ HostileBatch MakeHostileBatch(const wiki::Corpus& corpus, int round,
       break;
     }
     case 5: {  // an added key the corpus already holds
-      const wiki::Article* a = claim(false);
+      const wiki::Article* a = claim(kAny);
       if (a == nullptr) break;
       batch.added.push_back(*a);
       break;

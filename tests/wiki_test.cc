@@ -457,6 +457,41 @@ TEST(CorpusRedirectTest, CyclesTerminate) {
   EXPECT_EQ(corpus.FindByTitle("en", "a"), kInvalidArticle);
 }
 
+// A redirect page's cross-language links induce no backlink. The backlink
+// would name the redirect, which resolves to another article, so a second
+// Finalize — the one decoding re-runs — would add a link to that article
+// and the round trip would change the bytes.
+TEST(CorpusRedirectTest, RedirectLinksAreNotSymmetrized) {
+  // Built by hand: the parser gives a redirect page no links.
+  Corpus corpus;
+  auto add = [&](const std::string& title, const std::string& lang,
+                 const std::string& redirect_to,
+                 std::map<std::string, std::string> links) {
+    Article article;
+    article.title = title;
+    article.language = lang;
+    article.redirect_to = redirect_to;
+    article.cross_language_links = std::move(links);
+    ASSERT_TRUE(corpus.AddArticle(std::move(article)).ok());
+  };
+  add("filme", "pt", "", {});
+  add("film", "en", "", {});
+  add("movie", "en", "film", {{"pt", "filme"}});
+  FinalizeReport report;
+  corpus.Finalize(&report);
+  EXPECT_TRUE(report.backlinks_added.empty());
+  EXPECT_TRUE(corpus.Get(0).cross_language_links.empty());
+
+  util::BinaryWriter w;
+  EncodeCorpus(corpus, &w);
+  util::BinaryReader r(w.buffer());
+  auto decoded = DecodeCorpus(&r);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  util::BinaryWriter again;
+  EncodeCorpus(*decoded, &again);
+  EXPECT_EQ(again.buffer(), w.buffer());
+}
+
 TEST(ParserRedirectTest, ParsesRedirectTarget) {
   WikitextParser parser;
   auto article =
