@@ -24,10 +24,10 @@ void RunPair(BenchContext* ctx, const std::string& lang) {
   std::vector<eval::Prf> wm_rows;
   std::vector<eval::Prf> flood_rows;
   for (const auto& type : pair.types) {
-    auto wm = wikimatch.Align(type.translated);
+    const match::AlignmentResult wm = wikimatch.Align(type.translated);
     auto flood = match::RunSimilarityFlooding(type.translated);
-    if (!wm.ok() || !flood.ok()) continue;
-    eval::Prf wm_prf = ctx->Eval(type, wm->matches, lang);
+    if (!flood.ok()) continue;
+    eval::Prf wm_prf = ctx->Eval(type, wm.matches, lang);
     eval::Prf flood_prf = ctx->Eval(type, flood->matches, lang);
     wm_rows.push_back(wm_prf);
     flood_rows.push_back(flood_prf);

@@ -41,10 +41,9 @@ void RunPair(BenchContext* ctx, const std::string& pair_lang) {
     size_t truth_total = 0;
     size_t correct_total = 0;
     for (const auto& type : ctx->Pair(pair_lang).types) {
-      auto result = aligner.Align(type.translated);
-      if (!result.ok()) continue;
+      const match::AlignmentResult result = aligner.Align(type.translated);
       const eval::MatchSet& truth = ctx->Truth(type.hub_type);
-      auto derived = IntraPairs(result->matches, side);
+      auto derived = IntraPairs(result.matches, side);
       // Ground-truth intra pairs restricted to attributes that actually
       // occur in this type pair's schemas.
       std::set<std::pair<eval::AttrKey, eval::AttrKey>> truth_pairs;

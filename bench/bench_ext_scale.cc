@@ -18,9 +18,8 @@ eval::Prf RunPair(benchharness::BenchContext* ctx, const std::string& lang) {
   match::AttributeAligner aligner{match::MatcherConfig{}};
   std::vector<eval::Prf> rows;
   for (const auto& type : ctx->Pair(lang).types) {
-    auto result = aligner.Align(type.translated);
-    if (!result.ok()) continue;
-    rows.push_back(ctx->Eval(type, result->matches, lang));
+    rows.push_back(
+        ctx->Eval(type, aligner.Align(type.translated).matches, lang));
   }
   return eval::AveragePrf(rows);
 }

@@ -40,10 +40,10 @@ void RunPair(BenchContext* ctx, const std::string& lang) {
   std::vector<eval::Prf> wm_rows;
   std::vector<eval::Prf> zig_rows;
   for (const auto& type : pair.types) {
-    auto wm = wikimatch.Align(type.translated);
+    const match::AlignmentResult wm = wikimatch.Align(type.translated);
     auto zig = ziggurat.Match(type.raw);
-    if (!wm.ok() || !zig.ok()) continue;
-    eval::Prf wm_prf = ctx->Eval(type, wm->matches, lang);
+    if (!zig.ok()) continue;
+    eval::Prf wm_prf = ctx->Eval(type, wm.matches, lang);
     eval::Prf zig_prf = ctx->Eval(type, *zig, lang);
     wm_rows.push_back(wm_prf);
     zig_rows.push_back(zig_prf);

@@ -31,10 +31,8 @@ std::vector<query::CaseStudyCurve> RunLang(BenchContext* ctx,
   match::AttributeAligner aligner{match::MatcherConfig{}};
   std::map<std::string, eval::MatchSet> per_type_matches;
   for (const auto& type : pair.types) {
-    auto result = aligner.Align(type.translated);
-    if (result.ok()) {
-      per_type_matches.emplace(type.type_b, std::move(result->matches));
-    }
+    per_type_matches.emplace(type.type_b,
+                             aligner.Align(type.translated).matches);
   }
   std::map<std::string, const eval::MatchSet*> match_ptrs;
   for (const auto& [type_b, matches] : per_type_matches) {

@@ -20,9 +20,8 @@ eval::Prf RunConfig(BenchContext* ctx, const std::string& lang,
   match::AttributeAligner aligner(config);
   std::vector<eval::Prf> rows;
   for (const auto& type : ctx->Pair(lang).types) {
-    auto result = aligner.Align(type.translated);
-    if (!result.ok()) continue;
-    rows.push_back(ctx->Eval(type, result->matches, lang));
+    rows.push_back(
+        ctx->Eval(type, aligner.Align(type.translated).matches, lang));
   }
   return eval::AveragePrf(rows);
 }

@@ -17,17 +17,12 @@ void ShowAlignments(BenchContext* ctx, const std::string& lang,
   for (const auto& type : pair.types) {
     if (type.hub_type != hub_type) continue;
     match::AttributeAligner aligner{match::MatcherConfig{}};
-    auto result = aligner.Align(type.translated);
-    if (!result.ok()) {
-      std::printf("  (alignment failed: %s)\n",
-                  result.status().ToString().c_str());
-      return;
-    }
+    const match::AlignmentResult result = aligner.Align(type.translated);
     std::printf("\nType %s (%s-En), %zu dual infoboxes:\n", hub_type.c_str(),
                 lang.c_str(), type.num_duals);
     const auto& truth = ctx->Truth(hub_type);
     size_t shown = 0;
-    for (const auto& cluster : result->matches.Clusters()) {
+    for (const auto& cluster : result.matches.Clusters()) {
       if (shown >= max_rows) break;
       // Render the cluster, marking whether it is fully correct.
       bool all_correct = true;

@@ -36,9 +36,8 @@ void RunPair(BenchContext* ctx, const std::string& lang) {
   match::AttributeAligner wikimatch{match::MatcherConfig{}};
   for (const auto& type : pair.types) {
     // --- WikiMatch ---
-    auto wm = wikimatch.Align(type.translated);
-    if (!wm.ok()) continue;
-    eval::Prf wm_prf = ctx->Eval(type, wm->matches, lang);
+    eval::Prf wm_prf =
+        ctx->Eval(type, wikimatch.Align(type.translated).matches, lang);
 
     // --- Bouma ---
     eval::Prf bouma_prf;

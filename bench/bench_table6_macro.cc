@@ -52,8 +52,7 @@ void RunPair(BenchContext* ctx, const std::string& lang, eval::Table* table) {
   PairCounts wm, bouma, coma, lsi;
   for (const auto& type : pair.types) {
     const auto& truth = ctx->Truth(type.hub_type);
-    auto wm_result = wikimatch.Align(type.translated);
-    if (wm_result.ok()) wm.Add(wm_result->matches, truth, lang, gc.hub);
+    wm.Add(wikimatch.Align(type.translated).matches, truth, lang, gc.hub);
 
     auto bouma_result = baselines::RunBoumaMatcher(gc.corpus, lang,
                                                    type.type_a, gc.hub,

@@ -37,16 +37,12 @@ int main(int argc, char** argv) {
 
   // Align and show the top candidate pairs with their evidence.
   match::AttributeAligner aligner{match::MatcherConfig{}};
-  auto result = aligner.Align(*data);
-  if (!result.ok()) {
-    std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
-    return 1;
-  }
+  const match::AlignmentResult result = aligner.Align(*data);
 
   eval::Table evidence(
       {"rank", "pair", "LSI", "vsim", "lsim", "matched?"});
   size_t shown = 0;
-  for (const auto& p : result->all_pairs) {
+  for (const auto& p : result.all_pairs) {
     const auto& ka = data->groups[p.i].key;
     const auto& kb = data->groups[p.j].key;
     if (ka.language == kb.language) continue;  // Show cross-language only.
@@ -56,7 +52,7 @@ int main(int argc, char** argv) {
                          ":" + kb.name,
                      eval::Table::Num(p.lsi, 3), eval::Table::Num(p.vsim, 3),
                      eval::Table::Num(p.lsim, 3),
-                     result->matches.AreMatched(ka, kb) ? "yes" : "no"});
+                     result.matches.AreMatched(ka, kb) ? "yes" : "no"});
     ++shown;
   }
   std::printf("Top cross-language candidates by LSI correlation:\n%s\n",
@@ -66,21 +62,18 @@ int main(int argc, char** argv) {
   match::MatcherConfig no_revise;
   no_revise.use_revise_uncertain = false;
   match::AttributeAligner strict(no_revise);
-  auto strict_result = strict.Align(*data);
-  if (strict_result.ok()) {
-    std::printf("Matches recovered only by ReviseUncertain:\n");
-    for (const auto& [a, b] :
-         result->matches.CrossLanguagePairs("pt", "en")) {
-      if (!strict_result->matches.AreMatched(a, b)) {
-        std::printf("  %s ~ %s\n", (a.language + ":" + a.name).c_str(),
-                    (b.language + ":" + b.name).c_str());
-      }
+  const match::AlignmentResult strict_result = strict.Align(*data);
+  std::printf("Matches recovered only by ReviseUncertain:\n");
+  for (const auto& [a, b] : result.matches.CrossLanguagePairs("pt", "en")) {
+    if (!strict_result.matches.AreMatched(a, b)) {
+      std::printf("  %s ~ %s\n", (a.language + ":" + a.name).c_str(),
+                  (b.language + ":" + b.name).c_str());
     }
   }
 
   // Final clusters.
   std::printf("\nDerived film matches (clusters):\n");
-  for (const auto& cluster : result->matches.Clusters()) {
+  for (const auto& cluster : result.matches.Clusters()) {
     std::string line;
     for (const auto& attr : cluster) {
       if (!line.empty()) line += " ~ ";

@@ -36,7 +36,7 @@ RankCandidates(const match::TypePairData& data, CorrelationMeasure measure,
 
   match::LsiCorrelation lsi;
   if (measure == CorrelationMeasure::kLsi) {
-    WIKIMATCH_ASSIGN_OR_RETURN(lsi, match::LsiCorrelation::Compute(data));
+    lsi = match::LsiCorrelation::Compute(data);
   }
 
   struct Scored {

@@ -8,9 +8,8 @@ namespace baselines {
 util::Result<LsiMatcherResult> RunLsiMatcher(const match::TypePairData& data,
                                              const LsiMatcherConfig& config) {
   LsiMatcherResult out;
-  WIKIMATCH_ASSIGN_OR_RETURN(
-      match::LsiCorrelation lsi,
-      match::LsiCorrelation::Compute(data, config.lsi));
+  const match::LsiCorrelation lsi =
+      match::LsiCorrelation::Compute(data, config.lsi);
 
   // Global ranking of cross-language pairs, best first.
   struct Scored {

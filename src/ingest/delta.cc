@@ -2,6 +2,8 @@
 
 #include <map>
 
+#include "util/logging.h"
+
 namespace wikimatch {
 namespace ingest {
 namespace {
@@ -89,53 +91,35 @@ util::Status ValidateDeltaBatch(const wiki::Corpus& base,
 }
 
 util::Status ApplyDeltaInPlace(wiki::Corpus* corpus, const DeltaBatch& batch,
-                               DeltaUndo* undo) {
+                               DeltaChanges* changes) {
   WIKIMATCH_RETURN_NOT_OK(ValidateDeltaBatch(*corpus, batch));
-  // Updates first: keys are untouched by updates, so ids are stable here.
-  undo->replaced.reserve(batch.updated.size());
+  // Validation guarantees the keys below: updated and removed ones exist,
+  // added ones do not, and none repeats. Updates first: keys are untouched
+  // by updates, so ids are stable here.
+  changes->replaced.reserve(batch.updated.size());
   for (const auto& article : batch.updated) {
     wiki::ArticleId id =
         corpus->FindExactTitle(article.language, article.title);
-    undo->replaced.emplace_back(id, corpus->Get(id));
-    WIKIMATCH_RETURN_NOT_OK(corpus->ReplaceArticle(id, article));
+    changes->replaced.push_back(corpus->Get(id));
+    util::Status replaced = corpus->ReplaceArticle(id, article);
+    WIKIMATCH_CHECK(replaced.ok(), replaced.ToString());
   }
   std::vector<wiki::ArticleId> removed_ids;
   removed_ids.reserve(batch.removed.size());
+  changes->removed.reserve(batch.removed.size());
   for (const auto& [language, title] : batch.removed) {
     wiki::ArticleId id = corpus->FindExactTitle(language, title);
     removed_ids.push_back(id);
-    undo->removed.emplace_back(id, corpus->Get(id));
+    changes->removed.push_back(corpus->Get(id));
   }
   corpus->EraseArticles(std::move(removed_ids));
   for (const auto& article : batch.added) {
     auto added = corpus->AddArticle(article);
-    if (!added.ok()) return added.status();  // unreachable after validation
+    WIKIMATCH_CHECK(added.ok(), added.status().ToString());
   }
-  undo->added_count = batch.added.size();
-  corpus->Finalize(&undo->finalize);
+  changes->added_count = batch.added.size();
+  corpus->Finalize(&changes->finalize);
   return util::Status::OK();
-}
-
-void RevertDelta(wiki::Corpus* corpus, DeltaUndo undo) {
-  // Reverse order of ApplyDeltaInPlace. Finalize mutations first, while
-  // the reported post-batch ids are still valid.
-  for (const auto& backlink : undo.finalize.backlinks_added) {
-    corpus->GetMutable(backlink.id)->cross_language_links.erase(
-        backlink.language);
-  }
-  for (wiki::ArticleId id : undo.finalize.entity_type_derived) {
-    corpus->GetMutable(id)->entity_type.clear();
-  }
-  corpus->PopArticles(undo.added_count);
-  corpus->RestoreArticles(std::move(undo.removed));
-  for (auto& [id, article] : undo.replaced) {
-    // Keys match by construction; the status is always OK.
-    auto status = corpus->ReplaceArticle(id, std::move(article));
-    (void)status;
-  }
-  // Everything is back to its finalized pre-batch value; this pass only
-  // rebuilds the type index and clears the un-finalized flag.
-  corpus->Finalize();
 }
 
 }  // namespace ingest

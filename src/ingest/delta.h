@@ -7,7 +7,8 @@
 // Finalize() re-runs. That is exactly the corpus a from-scratch rebuild
 // of the post-delta edition consumes, which is what makes bit-identical
 // equivalence between the incremental matcher and a rebuild a meaningful
-// invariant. The undo record it fills rolls the patch back.
+// invariant. The change record it fills is what incremental change
+// tracking reads.
 
 #ifndef WIKIMATCH_INGEST_DELTA_H_
 #define WIKIMATCH_INGEST_DELTA_H_
@@ -44,33 +45,30 @@ struct DeltaBatch {
 util::Status ValidateDeltaBatch(const wiki::Corpus& base,
                                 const DeltaBatch& batch);
 
-/// \brief Undo record filled by ApplyDeltaInPlace: the pre-images and
-/// Finalize mutations needed to restore the corpus byte-identically, and
-/// the raw material incremental change tracking reads (which records the
-/// batch really touched, and how Finalize rippled beyond them).
-struct DeltaUndo {
-  /// Pre-images of updated articles, at their (stable) ids.
-  std::vector<std::pair<wiki::ArticleId, wiki::Article>> replaced;
-  /// Removed articles at the ids they occupied before the batch.
-  std::vector<std::pair<wiki::ArticleId, wiki::Article>> removed;
+/// \brief What ApplyDeltaInPlace changed: the raw material incremental
+/// change tracking reads (which records the batch really touched, and how
+/// Finalize rippled beyond them).
+struct DeltaChanges {
+  /// Pre-images of updated articles.
+  std::vector<wiki::Article> replaced;
+  /// Pre-images of removed articles.
+  std::vector<wiki::Article> removed;
   /// Number of articles appended at the tail.
   size_t added_count = 0;
-  /// Record mutations Finalize performed (post-batch id space).
+  /// Backlinks Finalize induced (post-batch id space).
   wiki::FinalizeReport finalize;
 };
 
 /// \brief Applies `batch` to `corpus` in place: validate, replace updated
 /// records, erase removed ones (compacting ids), append added ones, and
 /// re-Finalize (see file comment), for a batch-sized cost plus one
-/// Finalize pass instead of a full copy. On success `undo` holds
-/// everything RevertDelta needs; on error the corpus is untouched
-/// (validation is the only failure point).
+/// Finalize pass instead of a full copy. Validation is the only failure
+/// point and runs before any mutation, so on error the corpus is
+/// untouched. Past it the patch cannot fail: a broken invariant aborts
+/// rather than leave the corpus half-patched. On success `changes`
+/// describes the patch.
 util::Status ApplyDeltaInPlace(wiki::Corpus* corpus, const DeltaBatch& batch,
-                               DeltaUndo* undo);
-
-/// \brief Exact inverse of ApplyDeltaInPlace: restores the pre-batch
-/// corpus byte-identically (same records, same ids, re-finalized).
-void RevertDelta(wiki::Corpus* corpus, DeltaUndo undo);
+                               DeltaChanges* changes);
 
 /// \brief True iff two articles carry identical field values — equivalent
 /// to comparing their serialized records, but allocation-free. Compares

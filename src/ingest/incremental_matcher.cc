@@ -177,15 +177,14 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
   stats.articles_updated = batch.updated.size();
   stats.articles_removed = batch.removed.size();
 
-  // 1. Patch the corpus in place (validation is the only failure point, and
-  // it runs before any mutation). The undo record carries the pre-images of
-  // every batch-named article plus the mutations Finalize performed beyond
-  // the batch — and Finalize's only two mutation kinds (entity-type
-  // derivation, induced symmetric links) are both reported — so together
-  // they are a complete account of every record that changed.
+  // 1. Patch the corpus in place. Validation is Apply's only failure point,
+  // and it runs before any mutation; nothing after it can fail. The change
+  // record carries the pre-images of every batch-named article plus the
+  // backlinks Finalize induced beyond the batch, so together they are a
+  // complete account of every record that changed.
   Clock::time_point corpus_start = Clock::now();
-  DeltaUndo undo;
-  WIKIMATCH_RETURN_NOT_OK(ApplyDeltaInPlace(&corpus_, batch, &undo));
+  DeltaChanges changes;
+  WIKIMATCH_RETURN_NOT_OK(ApplyDeltaInPlace(&corpus_, batch, &changes));
 
   // 2. Changed-record set: every (language, title) whose finalized record
   // differs between the generations, the (language, entity type) sides any
@@ -208,8 +207,7 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
       affected_keys.insert({lang, article.language, title});
     }
   };
-  for (const auto& [id, pre] : undo.replaced) {
-    (void)id;  // pre-batch id; removals below it may have shifted the record
+  for (const wiki::Article& pre : changes.replaced) {
     const wiki::Article& post =
         corpus_.Get(corpus_.FindExactTitle(pre.language, pre.title));
     if (ArticlesEqual(pre, post)) continue;  // no-op update
@@ -219,13 +217,13 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
     note_links(pre);
     note_links(post);
   }
-  for (const auto& [id, pre] : undo.removed) {
-    (void)id;
+  for (const wiki::Article& pre : changes.removed) {
     changed.insert({pre.language, pre.title});
     note_version(pre);
     note_links(pre);
   }
-  for (size_t k = corpus_.size() - undo.added_count; k < corpus_.size(); ++k) {
+  for (size_t k = corpus_.size() - changes.added_count; k < corpus_.size();
+       ++k) {
     const wiki::Article& post = corpus_.Get(static_cast<wiki::ArticleId>(k));
     changed.insert({post.language, post.title});
     note_version(post);
@@ -236,7 +234,7 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
   // Entity-type derivations need no pass of their own: in a finalized base
   // corpus they can only hit batch-named articles, whose final records are
   // compared above.
-  for (const auto& backlink : undo.finalize.backlinks_added) {
+  for (const auto& backlink : changes.finalize.backlinks_added) {
     const wiki::Article& post = corpus_.Get(backlink.id);
     changed.insert({post.language, post.title});
     note_version(post);
@@ -256,7 +254,6 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
   Clock::time_point dict_start = Clock::now();
   std::map<std::pair<std::string, std::string>, std::set<std::string>>
       changed_terms;
-  std::vector<std::pair<DictKey, std::optional<std::string>>> dict_undo;
   if (!affected_keys.empty()) {
     std::map<DictKey, std::pair<wiki::ArticleId, std::string>> reverse_winner;
     for (wiki::ArticleId id = 0; id < corpus_.size(); ++id) {
@@ -291,7 +288,6 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
           winner.has_value() ? std::optional<std::string>(winner->second)
                              : std::nullopt;
       if (current == target) continue;
-      dict_undo.emplace_back(key, std::move(current));
       if (target.has_value()) {
         dictionary_.Put(from, term, to, *target);
       } else {
@@ -302,26 +298,9 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
   }
   stats.dictionary_ms = MsSince(dict_start);
 
-  // Undoes steps 1–3 so a failed Apply leaves the matcher serving its
-  // previous generation byte-identically.
-  auto fail = [&](util::Status status) {
-    for (const auto& [key, old] : dict_undo) {
-      const auto& [from, to, term] = key;
-      if (old.has_value()) {
-        dictionary_.Put(from, term, to, *old);
-      } else {
-        dictionary_.Erase(from, term, to);
-      }
-    }
-    RevertDelta(&corpus_, std::move(undo));
-    return status;
-  };
-
   // 4. Phase 1, per language pair: re-run type matching (cheap,
   // corpus-global), mark dirty units and realign them into slots. This
-  // phase only reads results_ and footprints_; corpus and dictionary are
-  // already patched, so an alignment failure goes through fail() to roll
-  // them back.
+  // phase only reads results_ and footprints_.
   Clock::time_point align_start = Clock::now();
   // One language pair's phase-1 output: its type matches and stats
   // (per_type still empty), and per unit either the previous generation's
@@ -399,14 +378,12 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
     // A realigned unit's footprint is computed in the same task.
     update.slots.resize(n);
     update.slot_fps.resize(n);
-    std::vector<util::Status> errors(n);
     std::vector<double> schema_ms(n, 0.0);
     util::thread_pool_for(n, options_.num_threads, [&](size_t i) {
       if (update.reused[i] != nullptr) return;
       const match::TypeMatch& tm = out.type_matches[i];
-      errors[i] = match::AlignTypePair(corpus_, dictionary_, lang_a, lang_b,
-                                       tm, options_, &update.slots[i],
-                                       &schema_ms[i]);
+      match::AlignTypePair(corpus_, dictionary_, lang_a, lang_b, tm, options_,
+                           &update.slots[i], &schema_ms[i]);
       if (update.slots[i].has_value()) {
         update.slot_fps[i] =
             ComputeFootprint(corpus_, lang_a, tm.type_a, lang_b, tm.type_b);
@@ -414,7 +391,6 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
     });
 
     for (size_t i = 0; i < n; ++i) {
-      if (!errors[i].ok()) return fail(errors[i]);
       out.stats.schema_ms += schema_ms[i];
       if (update.reused[i] != nullptr) {
         ++stats.units_reused;
@@ -426,12 +402,12 @@ util::Result<ApplyStats> IncrementalMatcher::Apply(const DeltaBatch& batch) {
     out.stats.total_ms = MsSince(pair_start);
   }
 
-  // 5. Phase 2, which cannot fail: move every reused unit and footprint
-  // out of the previous generation and every realigned one out of its
-  // slot, in type-match order (a NotFound slot is skipped, like Run), then
-  // swap the new containers in. Corpus and dictionary were patched in
-  // place. The displaced containers and the undo record are freed when
-  // they go out of scope at return.
+  // 5. Phase 2: move every reused unit and footprint out of the previous
+  // generation and every realigned one out of its slot, in type-match
+  // order (a NotFound slot is skipped, like Run), then swap the new
+  // containers in. Corpus and dictionary were patched in place. The
+  // displaced containers and the change record are freed when they go out
+  // of scope at return.
   std::map<LanguagePair, match::PipelineResult> new_results;
   std::map<LanguagePair, std::map<UnitKey, UnitFootprint>> new_footprints;
   for (PairUpdate& update : updates) {

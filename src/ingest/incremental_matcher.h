@@ -24,14 +24,17 @@
 //     lowest-article-id winner, Build's first-insertion-wins order), and
 //     the actually-retranslated terms dirty the units that use them.
 //
-// The changed-article set itself comes from ApplyDeltaInPlace's undo
+// The changed-article set itself comes from ApplyDeltaInPlace's change
 // record: a field-level comparison of each batch-named article's pre-image
 // against its finalized post record, plus the FinalizeReport — and since
 // Finalize() is the only source of mutations beyond the batch and reports
-// both kinds it performs (entity-type derivation, induced symmetric
-// links), indirect ripple is caught no matter how the delta caused it.
-// The same undo record rolls the corpus back byte-identically if a later
-// stage of Apply fails.
+// the only kind that reaches records the batch did not name (induced
+// symmetric links), indirect ripple is caught no matter how the delta
+// caused it.
+//
+// Apply fails only in validation, before anything is mutated. Everything
+// after it — the in-place patches, type matching, schema building and
+// alignment — cannot fail, so there is nothing to roll back.
 //
 // Type matching (cross-language link voting) is cheap and corpus-global,
 // so it always re-runs in full; per-type-pair SimilarityJoinIndexes are
@@ -113,16 +116,16 @@ class IncrementalMatcher {
 
   /// \brief Applies one batch: patches the corpus and dictionary in place,
   /// marks dirty units, realigns only those, and advances the generation.
-  /// InvalidArgument on a malformed batch; any failure rolls the in-place
-  /// patches back, so the matcher keeps serving its previous generation.
+  /// InvalidArgument on a malformed batch, found by validation before any
+  /// mutation, so the matcher keeps serving its previous generation; a
+  /// batch that validates always applies.
   ///
   /// Two phases. The first patches, type-matches, marks and realigns the
   /// dirty units into locals, reading the current results and footprints
-  /// only; every failure happens here. The second cannot fail: it moves
-  /// each reused unit and footprint into new containers beside the
-  /// realigned ones and swaps them in. The displaced containers and the
-  /// batch's undo record are freed on the calling thread before Apply
-  /// returns.
+  /// only. The second moves each reused unit and footprint into new
+  /// containers beside the realigned ones and swaps them in. The displaced
+  /// containers and the batch's change record are freed on the calling
+  /// thread before Apply returns.
   util::Result<ApplyStats> Apply(const DeltaBatch& batch);
 
   const wiki::Corpus& corpus() const { return corpus_; }

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
-#include "util/status.h"
+#include "util/logging.h"
 
 namespace wikimatch {
 namespace la {
@@ -24,12 +25,12 @@ double OffDiagonalNorm(const Matrix& a) {
 
 }  // namespace
 
-util::Result<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
-                                                      int max_sweeps,
-                                                      double tol) {
-  if (a.rows() != a.cols()) {
-    return util::Status::InvalidArgument("matrix must be square");
-  }
+EigenDecomposition JacobiEigenSymmetric(const Matrix& a, int max_sweeps,
+                                        double tol) {
+  WIKIMATCH_CHECK(a.rows() == a.cols(),
+                  "JacobiEigenSymmetric: matrix must be square, got " +
+                      std::to_string(a.rows()) + "x" +
+                      std::to_string(a.cols()));
   const size_t n = a.rows();
   if (n == 0) {
     return EigenDecomposition{{}, Matrix()};
@@ -115,7 +116,7 @@ std::vector<double> SvdResult::ScaledRowVector(size_t i) const {
   return out;
 }
 
-util::Result<SvdResult> ComputeSvd(const Matrix& a, double rank_tol) {
+SvdResult ComputeSvd(const Matrix& a, double rank_tol) {
   const size_t m = a.rows();
   const size_t n = a.cols();
   if (m == 0 || n == 0) {
@@ -124,8 +125,7 @@ util::Result<SvdResult> ComputeSvd(const Matrix& a, double rank_tol) {
   const bool rows_short = m <= n;
   // Gram matrix over the shorter side.
   Matrix gram = rows_short ? a.GramOfRows() : a.Transposed().GramOfRows();
-  WIKIMATCH_ASSIGN_OR_RETURN(EigenDecomposition eig,
-                             JacobiEigenSymmetric(gram));
+  EigenDecomposition eig = JacobiEigenSymmetric(gram);
 
   const size_t short_dim = rows_short ? m : n;
   double sigma_max = std::sqrt(std::max(eig.values.empty() ? 0.0 : eig.values[0], 0.0));
@@ -168,9 +168,8 @@ util::Result<SvdResult> ComputeSvd(const Matrix& a, double rank_tol) {
   return out;
 }
 
-util::Result<SvdResult> ComputeTruncatedSvd(const Matrix& a, size_t f,
-                                            double rank_tol) {
-  WIKIMATCH_ASSIGN_OR_RETURN(SvdResult full, ComputeSvd(a, rank_tol));
+SvdResult ComputeTruncatedSvd(const Matrix& a, size_t f, double rank_tol) {
+  SvdResult full = ComputeSvd(a, rank_tol);
   const size_t k = full.singular_values.size();
   if (f == 0 || f >= k) return full;
 

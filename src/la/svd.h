@@ -10,6 +10,9 @@
 //    x thousands of dual infoboxes), so the Gram matrix is small.
 //  * ComputeTruncatedSvd — rank-f truncation, keeping the f largest
 //    singular triplets; this is LSI's dimensionality reduction.
+//
+// None of them can fail: every matrix has an SVD, and the one precondition
+// (a square input to the eigensolver) is checked in every build.
 
 #ifndef WIKIMATCH_LA_SVD_H_
 #define WIKIMATCH_LA_SVD_H_
@@ -18,7 +21,6 @@
 #include <vector>
 
 #include "la/matrix.h"
-#include "util/result.h"
 
 namespace wikimatch {
 namespace la {
@@ -33,13 +35,13 @@ struct EigenDecomposition {
 
 /// \brief Cyclic Jacobi eigensolver.
 ///
-/// \param a symmetric matrix (symmetry is enforced by averaging).
+/// \param a square, symmetric matrix (symmetry is enforced by averaging);
+///        a non-square one aborts with a message.
 /// \param max_sweeps upper bound on full Jacobi sweeps.
 /// \param tol convergence threshold on the off-diagonal Frobenius norm,
 ///        relative to the matrix norm.
-util::Result<EigenDecomposition> JacobiEigenSymmetric(const Matrix& a,
-                                                      int max_sweeps = 64,
-                                                      double tol = 1e-12);
+EigenDecomposition JacobiEigenSymmetric(const Matrix& a, int max_sweeps = 64,
+                                        double tol = 1e-12);
 
 /// \brief Thin SVD A = U S V^T.
 struct SvdResult {
@@ -59,14 +61,14 @@ struct SvdResult {
 ///
 /// Internally eigen-decomposes the Gram matrix of the shorter dimension;
 /// singular values below `rank_tol` times the largest are dropped.
-util::Result<SvdResult> ComputeSvd(const Matrix& a, double rank_tol = 1e-7);
+SvdResult ComputeSvd(const Matrix& a, double rank_tol = 1e-7);
 
 /// \brief Rank-f truncated SVD (the f largest triplets).
 ///
 /// If `f` is zero or exceeds the numerical rank, the full thin SVD is
 /// returned.
-util::Result<SvdResult> ComputeTruncatedSvd(const Matrix& a, size_t f,
-                                            double rank_tol = 1e-7);
+SvdResult ComputeTruncatedSvd(const Matrix& a, size_t f,
+                              double rank_tol = 1e-7);
 
 }  // namespace la
 }  // namespace wikimatch

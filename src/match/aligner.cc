@@ -169,8 +169,7 @@ std::vector<CandidatePair> AttributeAligner::IndexedCandidates(
   return pairs;
 }
 
-util::Result<AlignmentResult> AttributeAligner::Align(
-    const TypePairData& data) const {
+AlignmentResult AttributeAligner::Align(const TypePairData& data) const {
   Clock::time_point align_start = Clock::now();
   AlignmentResult result;
   const size_t n = data.groups.size();
@@ -182,8 +181,7 @@ util::Result<AlignmentResult> AttributeAligner::Align(
   Clock::time_point phase_start = Clock::now();
   LsiCorrelation lsi_scores;
   if (config_.use_lsi) {
-    WIKIMATCH_ASSIGN_OR_RETURN(lsi_scores,
-                               LsiCorrelation::Compute(data, config_.lsi));
+    lsi_scores = LsiCorrelation::Compute(data, config_.lsi);
   }
   result.stats.lsi_ms = MsSince(phase_start);
 

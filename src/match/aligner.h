@@ -12,12 +12,12 @@
 #define WIKIMATCH_MATCH_ALIGNER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "eval/match_set.h"
 #include "match/lsi.h"
 #include "match/schema_builder.h"
-#include "util/result.h"
 
 namespace wikimatch {
 namespace match {
@@ -125,7 +125,7 @@ class AttributeAligner {
   explicit AttributeAligner(MatcherConfig config = {});
 
   /// \brief Runs AttributeAlignment over one type pair.
-  util::Result<AlignmentResult> Align(const TypePairData& data) const;
+  AlignmentResult Align(const TypePairData& data) const;
 
   /// \brief Similarity features for one pair of groups: cosine of value
   /// vectors (vsim) and of link-structure vectors (lsim).

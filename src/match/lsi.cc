@@ -9,8 +9,8 @@
 namespace wikimatch {
 namespace match {
 
-util::Result<LsiCorrelation> LsiCorrelation::Compute(
-    const TypePairData& data, const LsiOptions& options) {
+LsiCorrelation LsiCorrelation::Compute(const TypePairData& data,
+                                       const LsiOptions& options) {
   const size_t n = data.groups.size();
   LsiCorrelation out;
   out.is_lang_a_.resize(n);
@@ -45,8 +45,7 @@ util::Result<LsiCorrelation> LsiCorrelation::Compute(
 
   size_t rank = options.rank;
   if (rank == 0) rank = std::clamp<size_t>(n / 3, 4, 64);
-  WIKIMATCH_ASSIGN_OR_RETURN(la::SvdResult svd,
-                             la::ComputeTruncatedSvd(m, rank));
+  la::SvdResult svd = la::ComputeTruncatedSvd(m, rank);
   out.rank_ = svd.singular_values.size();
 
   out.reduced_.resize(n);

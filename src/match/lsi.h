@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "match/schema_builder.h"
-#include "util/result.h"
 
 namespace wikimatch {
 namespace match {
@@ -39,8 +38,8 @@ class LsiCorrelation {
   LsiCorrelation() = default;
 
   /// \brief Runs the truncated SVD and caches attribute vectors.
-  static util::Result<LsiCorrelation> Compute(const TypePairData& data,
-                                              const LsiOptions& options = {});
+  static LsiCorrelation Compute(const TypePairData& data,
+                                const LsiOptions& options = {});
 
   /// \brief The paper's LSI score for groups i and j (indexes into
   /// data.groups). Symmetric; clamped to [0, 1].

@@ -42,13 +42,11 @@ const TypePairResult* PipelineResult::FindByTypeB(
   return nullptr;
 }
 
-util::Status AlignTypePair(const wiki::Corpus& corpus,
-                           const TranslationDictionary& dictionary,
-                           const std::string& lang_a,
-                           const std::string& lang_b, const TypeMatch& tm,
-                           const PipelineOptions& options,
-                           std::optional<TypePairResult>* slot,
-                           double* schema_ms) {
+void AlignTypePair(const wiki::Corpus& corpus,
+                   const TranslationDictionary& dictionary,
+                   const std::string& lang_a, const std::string& lang_b,
+                   const TypeMatch& tm, const PipelineOptions& options,
+                   std::optional<TypePairResult>* slot, double* schema_ms) {
   Clock::time_point build_start = Clock::now();
   auto data = BuildTypePairData(corpus, dictionary, lang_a, tm.type_a,
                                 lang_b, tm.type_b, options.schema);
@@ -56,18 +54,15 @@ util::Status AlignTypePair(const wiki::Corpus& corpus,
   if (!data.ok()) {
     WIKIMATCH_LOG(Warning) << "skipping type pair " << tm.type_a << "/"
                            << tm.type_b << ": " << data.status().ToString();
-    return util::Status::OK();
+    return;
   }
   TypePairResult result;
   result.type_a = tm.type_a;
   result.type_b = tm.type_b;
   result.num_duals = data->num_duals;
   result.frequencies = data->Frequencies();
-  WIKIMATCH_ASSIGN_OR_RETURN(
-      result.alignment,
-      AttributeAligner(options.matcher).Align(data.ValueOrDie()));
+  result.alignment = AttributeAligner(options.matcher).Align(*data);
   *slot = std::move(result);
-  return util::Status::OK();
 }
 
 MatchPipeline::MatchPipeline(const wiki::Corpus* corpus) : corpus_(corpus) {
@@ -97,15 +92,12 @@ util::Result<PipelineResult> MatchPipeline::Run(
   // summed after the join (workers never touch shared stats).
   const size_t n = out.type_matches.size();
   std::vector<std::optional<TypePairResult>> slots(n);
-  std::vector<util::Status> errors(n);
   std::vector<double> schema_ms(n, 0.0);
   util::thread_pool_for(n, options.num_threads, [&](size_t i) {
-    errors[i] = AlignTypePair(*corpus_, dictionary_, lang_a, lang_b,
-                              out.type_matches[i], options, &slots[i],
-                              &schema_ms[i]);
+    AlignTypePair(*corpus_, dictionary_, lang_a, lang_b, out.type_matches[i],
+                  options, &slots[i], &schema_ms[i]);
   });
   for (size_t i = 0; i < n; ++i) {
-    if (!errors[i].ok()) return errors[i];
     out.stats.schema_ms += schema_ms[i];
     if (slots[i].has_value()) {
       ++out.stats.type_pairs;

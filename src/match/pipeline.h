@@ -82,18 +82,16 @@ struct PipelineResult {
 };
 
 /// \brief One unit of alignment work: builds the schema of type pair `tm`
-/// (BuildTypePairData) and aligns it into `*slot`. A pair without a schema
-/// (NotFound, the only error BuildTypePairData returns) leaves `*slot`
-/// empty after a warning; an alignment error is returned. `*schema_ms`
-/// receives the schema build's wall time. MatchPipeline::Run and
-/// IncrementalMatcher::Apply both spread these units over the pool.
-util::Status AlignTypePair(const wiki::Corpus& corpus,
-                           const TranslationDictionary& dictionary,
-                           const std::string& lang_a,
-                           const std::string& lang_b, const TypeMatch& tm,
-                           const PipelineOptions& options,
-                           std::optional<TypePairResult>* slot,
-                           double* schema_ms);
+/// (BuildTypePairData) and aligns it into `*slot`. It cannot fail: a pair
+/// without a schema (NotFound, the only error BuildTypePairData returns)
+/// leaves `*slot` empty after a warning, and alignment always succeeds.
+/// `*schema_ms` receives the schema build's wall time. MatchPipeline::Run
+/// and IncrementalMatcher::Apply both spread these units over the pool.
+void AlignTypePair(const wiki::Corpus& corpus,
+                   const TranslationDictionary& dictionary,
+                   const std::string& lang_a, const std::string& lang_b,
+                   const TypeMatch& tm, const PipelineOptions& options,
+                   std::optional<TypePairResult>* slot, double* schema_ms);
 
 /// \brief Runs WikiMatch over a finalized corpus.
 class MatchPipeline {
@@ -102,7 +100,8 @@ class MatchPipeline {
   /// across Run() calls with different configs (threshold sweeps).
   explicit MatchPipeline(const wiki::Corpus* corpus);
 
-  /// \brief Aligns every type shared by (lang_a, lang_b).
+  /// \brief Aligns every type shared by (lang_a, lang_b). Every unit
+  /// succeeds (AlignTypePair), so the result is always OK.
   util::Result<PipelineResult> Run(const std::string& lang_a,
                                    const std::string& lang_b,
                                    const PipelineOptions& options = {}) const;

@@ -22,9 +22,7 @@ util::Result<FloodingResult> RunSimilarityFlooding(
   if (side_a.empty() || side_b.empty()) return out;
 
   LsiCorrelation lsi;
-  if (config.lsi_blend > 0.0) {
-    WIKIMATCH_ASSIGN_OR_RETURN(lsi, LsiCorrelation::Compute(data, config.lsi));
-  }
+  if (config.lsi_blend > 0.0) lsi = LsiCorrelation::Compute(data, config.lsi);
 
   // Node space: all cross-language pairs.
   struct Node {

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "util/mutex.h"
@@ -67,6 +68,12 @@ LogMessage::~LogMessage() {
     MutexLock lock(EmitMutex());
     std::fwrite(line.data(), 1, line.size(), stderr);
   }
+}
+
+void CheckFailed(const char* file, int line, const std::string& message) {
+  std::fprintf(stderr, "[FATAL %s:%d] check failed: %s\n", Basename(file),
+               line, message.c_str());
+  std::abort();
 }
 
 }  // namespace util

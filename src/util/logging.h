@@ -47,11 +47,27 @@ class LogMessage {
   std::ostringstream stream_;
 };
 
+/// \brief Writes "check failed" with the location and `message` to stderr
+/// and aborts. Reached through WIKIMATCH_CHECK.
+[[noreturn]] void CheckFailed(const char* file, int line,
+                              const std::string& message);
+
 }  // namespace util
 }  // namespace wikimatch
 
 #define WIKIMATCH_LOG(severity)                                     \
   ::wikimatch::util::LogMessage(                                    \
       ::wikimatch::util::LogLevel::k##severity, __FILE__, __LINE__)
+
+// Aborts with `message` (evaluated only on failure) when `condition` is
+// false, in every build: unlike assert, NDEBUG does not remove it. For
+// invariants no input can break, where carrying on would leave state
+// half-changed.
+#define WIKIMATCH_CHECK(condition, message)                              \
+  do {                                                                   \
+    if (!(condition)) {                                                  \
+      ::wikimatch::util::CheckFailed(__FILE__, __LINE__, (message));     \
+    }                                                                    \
+  } while (false)
 
 #endif  // WIKIMATCH_UTIL_LOGGING_H_

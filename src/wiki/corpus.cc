@@ -80,82 +80,6 @@ void Corpus::EraseArticles(std::vector<ArticleId> ids) {
   finalized_ = false;
 }
 
-void Corpus::PopArticles(size_t n) {
-  n = std::min(n, articles_.size());
-  for (size_t k = 0; k < n; ++k) {
-    const ArticleId id = static_cast<ArticleId>(articles_.size() - 1 - k);
-    const Article& a = articles_[id];
-    title_index_.at(a.language).erase(a.title);
-    // Language lists are ascending by id, so the popped article is the
-    // last entry of its language's list.
-    auto it = language_index_.find(a.language);
-    it->second.pop_back();
-    if (it->second.empty()) language_index_.erase(it);
-  }
-  articles_.resize(articles_.size() - n);
-  type_index_.clear();
-  finalized_ = false;
-}
-
-void Corpus::RestoreArticles(
-    std::vector<std::pair<ArticleId, Article>> originals) {
-  if (originals.empty()) return;
-  std::sort(originals.begin(), originals.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-  // Merge survivors and restored records back into original positions.
-  std::vector<Article> merged;
-  merged.reserve(articles_.size() + originals.size());
-  size_t next_restored = 0;
-  size_t next_survivor = 0;
-  while (merged.size() < articles_.size() + originals.size()) {
-    const ArticleId pos = static_cast<ArticleId>(merged.size());
-    if (next_restored < originals.size() &&
-        originals[next_restored].first == pos) {
-      merged.push_back(std::move(originals[next_restored].second));
-      ++next_restored;
-    } else {
-      merged.push_back(std::move(articles_[next_survivor++]));
-    }
-  }
-  articles_ = std::move(merged);
-  // Survivor id c moves back up to c + (#restored ids at or below the
-  // shifted position) — the inverse of EraseArticles' downshift.
-  auto shifted = [&](ArticleId c) {
-    size_t k = 0;
-    ArticleId o = c;
-    while (k < originals.size() && originals[k].first <= o) {
-      ++k;
-      o = c + static_cast<ArticleId>(k);
-    }
-    return o;
-  };
-  for (auto& [language, list] : language_index_) {
-    for (ArticleId& id : list) id = shifted(id);
-  }
-  // Re-point the titles of the survivors that moved and index the restored
-  // records, in id order. A restored key already present keeps its entry.
-  size_t next = 0;
-  for (size_t i = originals.front().first; i < articles_.size(); ++i) {
-    const Article& a = articles_[i];
-    const ArticleId id = static_cast<ArticleId>(i);
-    if (next < originals.size() && originals[next].first == id) {
-      ++next;
-      title_index_[a.language].try_emplace(a.title, id);
-    } else {
-      title_index_.at(a.language).at(a.title) = id;
-    }
-  }
-  // Language lists stay ascending by id.
-  for (const auto& original : originals) {
-    const ArticleId id = original.first;
-    const Article& a = articles_[id];
-    auto& list = language_index_[a.language];
-    list.insert(std::lower_bound(list.begin(), list.end(), id), id);
-  }
-  type_index_.clear();
-  finalized_ = false;
-}
-
 util::Result<size_t> Corpus::IngestDump(const std::vector<DumpPage>& pages,
                                         const std::string& language,
                                         const WikitextParser& parser) {
@@ -184,13 +108,9 @@ void Corpus::Finalize(FinalizeReport* report) {
   if (finalized_) return;
 
   // 1. Entity types from infobox template types.
-  for (size_t i = 0; i < articles_.size(); ++i) {
-    Article& article = articles_[i];
+  for (Article& article : articles_) {
     if (article.entity_type.empty() && article.infobox.has_value()) {
       article.entity_type = article.infobox->template_type;
-      if (report != nullptr && !article.entity_type.empty()) {
-        report->entity_type_derived.push_back(static_cast<ArticleId>(i));
-      }
     }
   }
 

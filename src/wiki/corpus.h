@@ -19,14 +19,14 @@
 namespace wikimatch {
 namespace wiki {
 
-/// \brief What Finalize() changed on already-present records: entity types
-/// it derived and cross-language backlinks it induced. These are the only
-/// two record mutations Finalize performs, so a caller holding this report
-/// (plus its own edits) knows every record that differs from the
-/// pre-Finalize state — the basis of incremental change tracking.
+/// \brief What Finalize() changed on records nobody edited since the last
+/// Finalize: the cross-language backlinks it induced. Its other record
+/// mutation, deriving an empty entity_type from the infobox, can only
+/// change records added or replaced since then (in a finalized corpus an
+/// empty type means an untyped infobox). So a caller holding this report
+/// plus its own edits knows every record that differs from the previous
+/// finalized state — the basis of incremental change tracking.
 struct FinalizeReport {
-  /// Articles whose empty entity_type was derived from their infobox.
-  std::vector<ArticleId> entity_type_derived;
   struct Backlink {
     ArticleId id;          ///< article that gained the link
     std::string language;  ///< key of the inserted cross_language_links entry
@@ -61,16 +61,6 @@ class Corpus {
   /// done mutating.
   void EraseArticles(std::vector<ArticleId> ids);
 
-  /// \brief Removes the last `n` articles (inverse of `n` AddArticle
-  /// calls). Un-finalizes the corpus.
-  void PopArticles(size_t n);
-
-  /// \brief Re-inserts articles previously removed by EraseArticles, at the
-  /// ids they originally occupied; later articles shift back up. The exact
-  /// inverse of EraseArticles(ids) when given the same ids with the
-  /// removed records. Un-finalizes the corpus.
-  void RestoreArticles(std::vector<std::pair<ArticleId, Article>> originals);
-
   /// \brief Parses every main-namespace, non-redirect page of a dump with
   /// `parser` and adds the results. Returns the number of articles added.
   util::Result<size_t> IngestDump(const std::vector<DumpPage>& pages,
@@ -79,15 +69,14 @@ class Corpus {
 
   /// \brief Resolves entity types (from infobox templates), symmetrizes the
   /// cross-language link graph (if A links to B, B links to A), and builds
-  /// per-type indexes. Idempotent. When `report` is non-null, every record
-  /// mutation performed is appended to it (nothing is recorded when the
-  /// corpus was already finalized).
+  /// per-type indexes. Idempotent. When `report` is non-null, the backlinks
+  /// induced are appended to it (nothing is recorded when the corpus was
+  /// already finalized).
   void Finalize(FinalizeReport* report = nullptr);
 
   size_t size() const { return articles_.size(); }
 
   const Article& Get(ArticleId id) const { return articles_[id]; }
-  Article* GetMutable(ArticleId id) { return &articles_[id]; }
 
   /// \brief Id of the article with normalized `title` in `language`,
   /// following redirect pages (bounded depth), or kInvalidArticle.

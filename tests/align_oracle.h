@@ -12,19 +12,17 @@
 #include "match/aligner.h"
 #include "match/lsi.h"
 #include "match/schema_builder.h"
-#include "util/result.h"
 
 namespace wikimatch {
 namespace align_oracle {
 
 /// \brief Every candidate pair of `data` under `config`, in ascending
 /// (i, j) order — what Align() scores, before it orders or prunes them.
-inline util::Result<std::vector<match::CandidatePair>> AllPairs(
+inline std::vector<match::CandidatePair> AllPairs(
     const match::TypePairData& data, const match::MatcherConfig& config) {
   match::LsiCorrelation lsi_scores;
   if (config.use_lsi) {
-    WIKIMATCH_ASSIGN_OR_RETURN(
-        lsi_scores, match::LsiCorrelation::Compute(data, config.lsi));
+    lsi_scores = match::LsiCorrelation::Compute(data, config.lsi);
   }
   auto link_supported = [&](const match::AttributeGroup& g) {
     return g.links.Sum() >= config.min_link_support * g.occurrences;

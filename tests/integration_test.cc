@@ -183,8 +183,7 @@ TEST(CaseStudyPinTest, Figure4CumulativeGainsAtPaperScale) {
     match::AttributeAligner aligner{match::MatcherConfig{}};
     std::map<std::string, eval::MatchSet> per_type;
     for (const auto& [type_b, data] : types) {
-      auto result = aligner.Align(data);
-      if (result.ok()) per_type.emplace(type_b, std::move(result->matches));
+      per_type.emplace(type_b, aligner.Align(data).matches);
     }
     std::map<std::string, const eval::MatchSet*> ptrs;
     for (const auto& [type_b, matches] : per_type) ptrs[type_b] = &matches;
@@ -280,7 +279,6 @@ Table2 RunTable2(const synth::GeneratedCorpus& gc, const std::string& lang) {
       return eval::WeightedPrf(matches, truth, freqs, lang, gc.hub);
     };
     auto wm = aligner.Align(type.translated);
-    if (!wm.ok()) continue;
     eval::Prf coma_prf, bouma_prf, lsi_prf;
     auto coma = baselines::RunComaMatcher(type.sampled, coma_config, mt);
     if (coma.ok()) coma_prf = prf(coma->matches);
@@ -289,7 +287,7 @@ Table2 RunTable2(const synth::GeneratedCorpus& gc, const std::string& lang) {
     if (bouma.ok()) bouma_prf = prf(bouma->matches);
     auto lsi = baselines::RunLsiMatcher(type.translated);
     if (lsi.ok()) lsi_prf = prf(lsi->matches);
-    wm_rows.push_back(prf(wm->matches));
+    wm_rows.push_back(prf(wm.matches));
     coma_rows.push_back(coma_prf);
     bouma_rows.push_back(bouma_prf);
     lsi_rows.push_back(lsi_prf);
@@ -478,8 +476,7 @@ std::map<std::string, eval::Prf> RunTable3(const synth::GeneratedCorpus& gc,
     std::vector<eval::Prf> rows;
     for (const auto& [hub_type, data] : types) {
       auto result = aligner.Align(data);
-      if (!result.ok()) continue;
-      rows.push_back(eval::WeightedPrf(result->matches,
+      rows.push_back(eval::WeightedPrf(result.matches,
                                        gc.ground_truth.at(hub_type),
                                        data.Frequencies(), lang, gc.hub));
     }
@@ -552,8 +549,7 @@ std::map<std::string, eval::Prf> RunTable6(const synth::GeneratedCorpus& gc,
         if (truth.AreMatched(a, b)) ++c.correct;
       }
     };
-    auto wm = aligner.Align(type.translated);
-    if (wm.ok()) add("WikiMatch", wm->matches);
+    add("WikiMatch", aligner.Align(type.translated).matches);
     auto bouma = baselines::RunBoumaMatcher(gc.corpus, lang, type.type_a,
                                             gc.hub, type.type_b);
     if (bouma.ok()) add("Bouma", bouma->matches);

@@ -342,20 +342,18 @@ TypePairData HandLsiData() {
 TEST(LsiTest, CrossLanguageCorrelationFollowsCoOccurrence) {
   TypePairData data = HandLsiData();
   auto lsi = LsiCorrelation::Compute(data);
-  ASSERT_TRUE(lsi.ok());
   // a0 correlates with b0, not with b1.
-  EXPECT_GT(lsi->Score(0, 2), 0.9);
-  EXPECT_LT(lsi->Score(0, 3), 0.1);
-  EXPECT_GT(lsi->Score(1, 3), 0.9);
+  EXPECT_GT(lsi.Score(0, 2), 0.9);
+  EXPECT_LT(lsi.Score(0, 3), 0.1);
+  EXPECT_GT(lsi.Score(1, 3), 0.9);
 }
 
 TEST(LsiTest, SameLanguageNonCoOccurringScoresHigh) {
   TypePairData data = HandLsiData();
   auto lsi = LsiCorrelation::Compute(data);
-  ASSERT_TRUE(lsi.ok());
   // a0 and a1 never co-occur: 1 - cosine is high (they are anti-correlated
   // in the reduced space).
-  EXPECT_GT(lsi->Score(0, 1), 0.9);
+  EXPECT_GT(lsi.Score(0, 1), 0.9);
 }
 
 TEST(LsiTest, SameLanguageCoOccurringIsZero) {
@@ -363,8 +361,7 @@ TEST(LsiTest, SameLanguageCoOccurringIsZero) {
   // Make a0 and a1 co-occur.
   data.co_occur[{0, 1}] = 3.0;
   auto lsi = LsiCorrelation::Compute(data);
-  ASSERT_TRUE(lsi.ok());
-  EXPECT_EQ(lsi->Score(0, 1), 0.0);
+  EXPECT_EQ(lsi.Score(0, 1), 0.0);
 }
 
 TEST(LsiTest, CoOccurToleranceAbsorbsNoise) {
@@ -373,8 +370,7 @@ TEST(LsiTest, CoOccurToleranceAbsorbsNoise) {
   LsiOptions opts;
   opts.co_occur_tolerance = 0.02;
   auto lsi = LsiCorrelation::Compute(data, opts);
-  ASSERT_TRUE(lsi.ok());
-  EXPECT_GT(lsi->Score(0, 1), 0.5);
+  EXPECT_GT(lsi.Score(0, 1), 0.5);
 }
 
 TEST(LsiTest, EmptyDataIsSafe) {
@@ -382,8 +378,7 @@ TEST(LsiTest, EmptyDataIsSafe) {
   data.lang_a = "pt";
   data.lang_b = "en";
   auto lsi = LsiCorrelation::Compute(data);
-  ASSERT_TRUE(lsi.ok());
-  EXPECT_EQ(lsi->rank(), 0u);
+  EXPECT_EQ(lsi.rank(), 0u);
 }
 
 TEST(LsiTest, RankClamped) {
@@ -391,8 +386,7 @@ TEST(LsiTest, RankClamped) {
   LsiOptions opts;
   opts.rank = 2;
   auto lsi = LsiCorrelation::Compute(data, opts);
-  ASSERT_TRUE(lsi.ok());
-  EXPECT_LE(lsi->rank(), 2u);
+  EXPECT_LE(lsi.rank(), 2u);
 }
 
 // ---------------------------------------------------------------- Aligner
@@ -405,12 +399,11 @@ TEST_F(HandCorpusTest, AlignerFindsCorrectMatches) {
   config.lsi.co_occur_tolerance = 0.0;
   AttributeAligner aligner(config);
   auto result = aligner.Align(*data);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->matches.AreMatched({"pt", "direção"},
+  EXPECT_TRUE(result.matches.AreMatched({"pt", "direção"},
                                          {"en", "directed by"}));
-  EXPECT_TRUE(result->matches.AreMatched({"pt", "duração"},
+  EXPECT_TRUE(result.matches.AreMatched({"pt", "duração"},
                                          {"en", "running time"}));
-  EXPECT_FALSE(result->matches.AreMatched({"pt", "direção"},
+  EXPECT_FALSE(result.matches.AreMatched({"pt", "direção"},
                                           {"en", "running time"}));
 }
 
@@ -462,13 +455,12 @@ TEST_F(HandCorpusTest, SingleStepHasHighRecallLowPrecisionShape) {
   config.single_step = true;
   AttributeAligner aligner(config);
   auto result = aligner.Align(*data);
-  ASSERT_TRUE(result.ok());
   // Every positive-similarity pair is accepted, including the wrong ones
   // that share numbers (duração vs running time are correct, but direção /
   // running time etc. stay apart only if their sims are 0).
-  EXPECT_TRUE(result->matches.AreMatched({"pt", "direção"},
+  EXPECT_TRUE(result.matches.AreMatched({"pt", "direção"},
                                          {"en", "directed by"}));
-  EXPECT_GE(result->matches.CrossLanguagePairs("pt", "en").size(), 2u);
+  EXPECT_GE(result.matches.CrossLanguagePairs("pt", "en").size(), 2u);
 }
 
 TEST_F(HandCorpusTest, DisabledFeaturesZeroTheirScores) {
@@ -480,14 +472,13 @@ TEST_F(HandCorpusTest, DisabledFeaturesZeroTheirScores) {
   config.use_lsim = false;
   AttributeAligner aligner(config);
   auto result = aligner.Align(*data);
-  ASSERT_TRUE(result.ok());
-  for (const auto& p : result->all_pairs) {
+  for (const auto& p : result.all_pairs) {
     EXPECT_EQ(p.vsim, 0.0);
     EXPECT_EQ(p.lsim, 0.0);
   }
   // Nothing clears Tsim, and with ReviseUncertain's minimum-similarity
   // floor nothing can be revised either: no matches.
-  EXPECT_TRUE(result->matches.empty());
+  EXPECT_TRUE(result.matches.empty());
 }
 
 TEST_F(HandCorpusTest, ProcessedOrderIsDescendingInLsi) {
@@ -496,9 +487,8 @@ TEST_F(HandCorpusTest, ProcessedOrderIsDescendingInLsi) {
   ASSERT_TRUE(data.ok());
   AttributeAligner aligner{MatcherConfig{}};
   auto result = aligner.Align(*data);
-  ASSERT_TRUE(result.ok());
-  for (size_t i = 1; i < result->all_pairs.size(); ++i) {
-    EXPECT_GE(result->all_pairs[i - 1].lsi, result->all_pairs[i].lsi);
+  for (size_t i = 1; i < result.all_pairs.size(); ++i) {
+    EXPECT_GE(result.all_pairs[i - 1].lsi, result.all_pairs[i].lsi);
   }
 }
 

@@ -506,8 +506,7 @@ class AlignerPropertyTest : public ::testing::Test {
   static size_t NumMatches(const match::MatcherConfig& config) {
     match::AttributeAligner aligner(config);
     auto result = aligner.Align(*data_);
-    EXPECT_TRUE(result.ok());
-    return result->matches.CrossLanguagePairs("pt", "en").size();
+    return result.matches.CrossLanguagePairs("pt", "en").size();
   }
 
   static synth::GeneratedCorpus* gc_;
@@ -524,10 +523,8 @@ TEST_F(AlignerPropertyTest, Deterministic) {
   match::AttributeAligner aligner(config);
   auto a = aligner.Align(*data_);
   auto b = aligner.Align(*data_);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->matches.Clusters(), b->matches.Clusters());
-  EXPECT_EQ(a->all_pairs.size(), b->all_pairs.size());
+  EXPECT_EQ(a.matches.Clusters(), b.matches.Clusters());
+  EXPECT_EQ(a.all_pairs.size(), b.all_pairs.size());
 }
 
 TEST_F(AlignerPropertyTest, TlsiRaisingShrinksCandidateSet) {
@@ -547,10 +544,9 @@ TEST_F(AlignerPropertyTest, TlsiRaisingShrinksCandidateSet) {
   // Strict invariant: admitted candidates shrink with the threshold.
   match::AttributeAligner aligner{match::MatcherConfig{}};
   auto result = aligner.Align(*data_);
-  ASSERT_TRUE(result.ok());
   auto admitted = [&](double t) {
     size_t count = 0;
-    for (const auto& p : result->all_pairs) {
+    for (const auto& p : result.all_pairs) {
       if (p.lsi > t) ++count;
     }
     return count;
@@ -567,12 +563,10 @@ TEST_F(AlignerPropertyTest, ReviseUncertainOnlyAddsMatches) {
   match::AttributeAligner a_without(without);
   auto r_with = a_with.Align(*data_);
   auto r_without = a_without.Align(*data_);
-  ASSERT_TRUE(r_with.ok());
-  ASSERT_TRUE(r_without.ok());
   // Every certain match survives revision (revision never removes).
   for (const auto& [a, b] :
-       r_without->matches.CrossLanguagePairs("pt", "en")) {
-    EXPECT_TRUE(r_with->matches.AreMatched(a, b))
+       r_without.matches.CrossLanguagePairs("pt", "en")) {
+    EXPECT_TRUE(r_with.matches.AreMatched(a, b))
         << a.name << " / " << b.name;
   }
 }
@@ -580,8 +574,7 @@ TEST_F(AlignerPropertyTest, ReviseUncertainOnlyAddsMatches) {
 TEST_F(AlignerPropertyTest, AllScoresInRange) {
   match::AttributeAligner aligner{match::MatcherConfig{}};
   auto result = aligner.Align(*data_);
-  ASSERT_TRUE(result.ok());
-  for (const auto& p : result->all_pairs) {
+  for (const auto& p : result.all_pairs) {
     EXPECT_GE(p.vsim, 0.0);
     EXPECT_LE(p.vsim, 1.0 + 1e-12);
     EXPECT_GE(p.lsim, 0.0);
@@ -594,8 +587,7 @@ TEST_F(AlignerPropertyTest, AllScoresInRange) {
 TEST_F(AlignerPropertyTest, MatchedAttributesExistInSchema) {
   match::AttributeAligner aligner{match::MatcherConfig{}};
   auto result = aligner.Align(*data_);
-  ASSERT_TRUE(result.ok());
-  for (const auto& cluster : result->matches.Clusters()) {
+  for (const auto& cluster : result.matches.Clusters()) {
     for (const auto& attr : cluster) {
       EXPECT_NE(data_->GroupIndex(attr), SIZE_MAX)
           << attr.language << ":" << attr.name;

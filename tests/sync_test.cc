@@ -309,9 +309,9 @@ TEST(SyncEngineTest, ResyncByteIdenticalToFullRunAfterDelta) {
     spec.removals = 2;
     auto batch = synth::MakeDeltaBatch(gc.corpus, spec);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ingest::DeltaUndo undo;
+    ingest::DeltaChanges changes;
     auto applied =
-        ingest::ApplyDeltaInPlace(&gc.corpus, batch.ValueOrDie(), &undo);
+        ingest::ApplyDeltaInPlace(&gc.corpus, batch.ValueOrDie(), &changes);
     ASSERT_TRUE(applied.ok()) << applied.ToString();
 
     SyncReport full = engine.Run(scopes, 2);
@@ -353,9 +353,9 @@ TEST(SyncEngineTest, ResyncMatchesReferenceForAnyPreviousReport) {
     spec.attribute_renames = round == 2 ? 1 : 0;
     auto batch = synth::MakeDeltaBatch(gc.corpus, spec);
     ASSERT_TRUE(batch.ok()) << batch.status().ToString();
-    ingest::DeltaUndo undo;
+    ingest::DeltaChanges changes;
     auto applied =
-        ingest::ApplyDeltaInPlace(&gc.corpus, batch.ValueOrDie(), &undo);
+        ingest::ApplyDeltaInPlace(&gc.corpus, batch.ValueOrDie(), &changes);
     ASSERT_TRUE(applied.ok()) << applied.ToString();
 
     using Keys = std::set<std::pair<std::string, std::string>>;
