@@ -188,9 +188,12 @@ fi
 if [[ "${WIKIMATCH_SKIP_ASAN:-0}" != "1" ]]; then
   # Examples stay on: dump_ingest feeds cli_dump_ingest_smoke, which
   # drives the CLI's argv parsing and every verb under the sanitizers.
+  # Release's flags would add -DNDEBUG; replacing them with -O2 keeps
+  # assert() on (Result's ok() checks, util::Rng's bounds).
   stage_asan() {
     local asan_dir="${ASAN_DIR:-build-asan}"
     cmake -B "$asan_dir" -S . -DWIKIMATCH_SANITIZE=address,undefined \
+      -DCMAKE_CXX_FLAGS_RELEASE=-O2 \
       -DWIKIMATCH_BUILD_BENCHMARKS=OFF -DWIKIMATCH_BUILD_EXAMPLES=ON &&
     cmake --build "$asan_dir" -j &&
     (cd "$asan_dir" &&
@@ -214,8 +217,9 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
       # every util::Mutex for this whole stage: any inverted acquisition
       # order in the concurrency tests aborts with both stacks, and
       # deadlock_test's death test proves the abort path end to end.
+      # -O2 without -DNDEBUG keeps assert() on, as in the ASan stage.
       cmake -B "$tsan_dir" -S . -DWIKIMATCH_SANITIZE=thread \
-        -DWIKIMATCH_DEADLOCK_DEBUG=ON \
+        -DCMAKE_CXX_FLAGS_RELEASE=-O2 -DWIKIMATCH_DEADLOCK_DEBUG=ON \
         -DWIKIMATCH_BUILD_BENCHMARKS=OFF -DWIKIMATCH_BUILD_EXAMPLES=OFF &&
       cmake --build "$tsan_dir" -j --target thread_pool_test parallel_test \
         align_join_test serve_test query_test lru_cache_test net_server_test \
