@@ -560,8 +560,8 @@ std::map<std::string, eval::Prf> RunTable6(const synth::GeneratedCorpus& gc,
   }
   std::map<std::string, eval::Prf> out;
   for (const auto& [name, c] : counts) {
-    const double p = c.derived > 0 ? static_cast<double>(c.correct) / c.derived
-                                   : 0.0;
+    const double p =
+        c.derived > 0 ? static_cast<double>(c.correct) / c.derived : 0.0;
     const double r =
         c.truth > 0 ? static_cast<double>(c.correct) / c.truth : 0.0;
     out[name] = eval::Prf::Of(p, r);
