@@ -8,7 +8,9 @@
 //
 // The wrappers add no state and no virtual calls; under GCC the
 // annotations vanish and the generated code is exactly a std::mutex, a
-// std::lock_guard, and a std::condition_variable_any.
+// std::lock_guard, and a std::condition_variable_any. Lock *order* is
+// checked at runtime by ThreadSanitizer's own deadlock detector, which
+// sees every pthread_mutex_lock underneath (docs/ANALYSIS.md).
 
 #ifndef WIKIMATCH_UTIL_MUTEX_H_
 #define WIKIMATCH_UTIL_MUTEX_H_
@@ -17,24 +19,6 @@
 #include <mutex>
 
 #include "util/thread_annotations.h"
-
-// WIKIMATCH_DEADLOCK_DEBUG (CMake option) compiles lock-order tracking
-// into every util::Mutex: acquisitions feed a global acquisition-order
-// graph and a detected order cycle aborts with both stacks — see
-// util/deadlock.h and docs/ANALYSIS.md. Off by default: the hooks
-// serialize on the registry and are strictly a debug/CI mode.
-#if defined(WIKIMATCH_DEADLOCK_DEBUG)
-#include "util/deadlock.h"
-#define WIKIMATCH_DEADLOCK_ON_LOCK(mu) ::wikimatch::util::DeadlockOnLock(mu)
-#define WIKIMATCH_DEADLOCK_ON_UNLOCK(mu) \
-  ::wikimatch::util::DeadlockOnUnlock(mu)
-#define WIKIMATCH_DEADLOCK_ON_DESTROY(mu) \
-  ::wikimatch::util::DeadlockOnDestroy(mu)
-#else
-#define WIKIMATCH_DEADLOCK_ON_LOCK(mu) ((void)0)
-#define WIKIMATCH_DEADLOCK_ON_UNLOCK(mu) ((void)0)
-#define WIKIMATCH_DEADLOCK_ON_DESTROY(mu) ((void)0)
-#endif
 
 namespace wikimatch {
 namespace util {
@@ -48,34 +32,18 @@ namespace util {
 class WIKIMATCH_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
-  ~Mutex() { WIKIMATCH_DEADLOCK_ON_DESTROY(this); }
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  // The lock-order hook runs BEFORE blocking so a genuine deadlock is
-  // still diagnosed (the cycle is reported instead of hanging).
-  void Lock() WIKIMATCH_ACQUIRE() {
-    WIKIMATCH_DEADLOCK_ON_LOCK(this);
-    mu_.lock();
-  }
-  void Unlock() WIKIMATCH_RELEASE() {
-    WIKIMATCH_DEADLOCK_ON_UNLOCK(this);
-    mu_.unlock();
-  }
+  void Lock() WIKIMATCH_ACQUIRE() { mu_.lock(); }
+  void Unlock() WIKIMATCH_RELEASE() { mu_.unlock(); }
 
   // BasicLockable interface for std::condition_variable_any. Exempt from
   // the analysis: CondVar::Wait calls them through std:: code the
   // analysis cannot see, so annotating them would only produce false
-  // positives at the Wait call site. The deadlock hooks still run here so
-  // CondVar's release/reacquire keeps the held-lock stacks balanced.
-  void lock() WIKIMATCH_NO_THREAD_SAFETY_ANALYSIS {
-    WIKIMATCH_DEADLOCK_ON_LOCK(this);
-    mu_.lock();
-  }
-  void unlock() WIKIMATCH_NO_THREAD_SAFETY_ANALYSIS {
-    WIKIMATCH_DEADLOCK_ON_UNLOCK(this);
-    mu_.unlock();
-  }
+  // positives at the Wait call site.
+  void lock() WIKIMATCH_NO_THREAD_SAFETY_ANALYSIS { mu_.lock(); }
+  void unlock() WIKIMATCH_NO_THREAD_SAFETY_ANALYSIS { mu_.unlock(); }
 
  private:
   std::mutex mu_;

@@ -20,6 +20,7 @@
 
 #include "match/pipeline.h"
 #include "synth/generator.h"
+#include "util/mutex.h"
 #include "util/thread_pool.h"
 
 namespace wikimatch {
@@ -267,6 +268,43 @@ TEST(ThreadPoolTest, PipelineOutputInvariantAcrossPoolSizes) {
               b->per_type[i].alignment.matches.Clusters());
   }
 }
+
+// Lock order is checked by ThreadSanitizer's own deadlock detector, which
+// sees the pthread_mutex_lock under every util::Mutex. Compiled only under
+// TSan (the concurrency lane builds this binary with -fsanitize=thread).
+#if defined(__SANITIZE_THREAD__)
+#define WIKIMATCH_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define WIKIMATCH_TSAN 1
+#endif
+#endif
+
+#if defined(WIKIMATCH_TSAN)
+// Locks a then b, then b then a on a second thread, and exits 0: the
+// threads never overlap, so only the inverted order can make the exit
+// code TSan's report code (66).
+void InvertThenExit() {
+  util::Mutex a;
+  util::Mutex b;
+  {
+    util::MutexLock la(a);
+    util::MutexLock lb(b);
+  }
+  std::thread inverter([&] {
+    util::MutexLock lb(b);
+    util::MutexLock la(a);
+  });
+  inverter.join();
+  std::exit(0);
+}
+
+TEST(LockOrderDeathTest, TsanReportsInvertedUtilMutexOrder) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(InvertThenExit(), ::testing::ExitedWithCode(66),
+              "lock-order-inversion");
+}
+#endif
 
 }  // namespace
 }  // namespace wikimatch

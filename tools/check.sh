@@ -3,8 +3,8 @@
 # ingest and sync suites at pool sizes 1 and 4, the in-tree analyzer (wikimatch-lint), the
 # static-analysis stages, negative compile checks proving the contracts
 # actually fire, and the sanitizer matrix (ASan+UBSan full suite; TSan
-# concurrency tests with the runtime lock-order deadlock detector
-# compiled in). Performance is measured by bench_e2e (python3
+# concurrency tests, whose lock-order checking is TSan's own deadlock
+# detector). Performance is measured by bench_e2e (python3
 # bench_e2e/run.py), not here; the only file this script writes into the
 # repo root is check_summary.json.
 #
@@ -213,18 +213,19 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
       c++ -fsanitize=thread -x c++ - -o /dev/null 2>/dev/null; then
     stage_tsan() {
       local tsan_dir="${TSAN_DIR:-build-tsan}"
-      # WIKIMATCH_DEADLOCK_DEBUG arms the lock-order cycle detector inside
-      # every util::Mutex for this whole stage: any inverted acquisition
-      # order in the concurrency tests aborts with both stacks, and
-      # deadlock_test's death test proves the abort path end to end.
+      # TSan's deadlock detector checks the lock order of every mutex
+      # acquisition in these tests (an inverted order is a report, so a
+      # nonzero exit); second_deadlock_stack=1 prints both acquisition
+      # stacks of an inversion. thread_pool_test's TSan-only death test
+      # proves the report fires on an inverted util::Mutex pair.
       # -O2 without -DNDEBUG keeps assert() on, as in the ASan stage.
+      local -x TSAN_OPTIONS="second_deadlock_stack=1"
       cmake -B "$tsan_dir" -S . -DWIKIMATCH_SANITIZE=thread \
-        -DCMAKE_CXX_FLAGS_RELEASE=-O2 -DWIKIMATCH_DEADLOCK_DEBUG=ON \
+        -DCMAKE_CXX_FLAGS_RELEASE=-O2 \
         -DWIKIMATCH_BUILD_BENCHMARKS=OFF -DWIKIMATCH_BUILD_EXAMPLES=OFF &&
       cmake --build "$tsan_dir" -j --target thread_pool_test parallel_test \
         align_join_test serve_test query_test lru_cache_test net_server_test \
-        protocol_robustness_test ingest_test sync_test deadlock_test &&
-      "$tsan_dir"/tests/deadlock_test &&
+        protocol_robustness_test ingest_test sync_test &&
       # thread_pool_test stresses the shared work-stealing pool itself:
       # nested For, a caller finishing its loop while another thread's
       # loop pins every worker, and a pipeline run whose type pairs spread
