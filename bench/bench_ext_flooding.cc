@@ -25,16 +25,16 @@ void RunPair(BenchContext* ctx, const std::string& lang) {
   std::vector<eval::Prf> flood_rows;
   for (const auto& type : pair.types) {
     const match::AlignmentResult wm = wikimatch.Align(type.translated);
-    auto flood = match::RunSimilarityFlooding(type.translated);
-    if (!flood.ok()) continue;
+    const match::FloodingResult flood =
+        match::RunSimilarityFlooding(type.translated);
     eval::Prf wm_prf = ctx->Eval(type, wm.matches, lang);
-    eval::Prf flood_prf = ctx->Eval(type, flood->matches, lang);
+    eval::Prf flood_prf = ctx->Eval(type, flood.matches, lang);
     wm_rows.push_back(wm_prf);
     flood_rows.push_back(flood_prf);
     table.AddRow({type.hub_type, F2(wm_prf.precision), F2(wm_prf.recall),
                   F2(wm_prf.f1), F2(flood_prf.precision),
                   F2(flood_prf.recall), F2(flood_prf.f1),
-                  std::to_string(flood->iterations)});
+                  std::to_string(flood.iterations)});
   }
   eval::Prf wm_avg = eval::AveragePrf(wm_rows);
   eval::Prf flood_avg = eval::AveragePrf(flood_rows);

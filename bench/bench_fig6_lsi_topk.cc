@@ -19,9 +19,9 @@ eval::Prf RunTopK(BenchContext* ctx, const std::string& lang, size_t k) {
   for (const auto& type : ctx->Pair(lang).types) {
     baselines::LsiMatcherConfig config;
     config.top_k = k;
-    auto result = baselines::RunLsiMatcher(type.translated, config);
-    if (!result.ok()) continue;
-    rows.push_back(ctx->Eval(type, result->matches, lang));
+    rows.push_back(ctx->Eval(
+        type, baselines::RunLsiMatcher(type.translated, config).matches,
+        lang));
   }
   return eval::AveragePrf(rows);
 }

@@ -63,9 +63,8 @@ void RunPair(BenchContext* ctx, const std::string& lang) {
     if (coma.ok()) coma_prf = ctx->Eval(type, coma->matches, lang);
 
     // --- LSI top-1 ---
-    eval::Prf lsi_prf;
-    auto lsi = baselines::RunLsiMatcher(type.translated);
-    if (lsi.ok()) lsi_prf = ctx->Eval(type, lsi->matches, lang);
+    const eval::Prf lsi_prf = ctx->Eval(
+        type, baselines::RunLsiMatcher(type.translated).matches, lang);
 
     wm_rows.push_back(wm_prf);
     bouma_rows.push_back(bouma_prf);

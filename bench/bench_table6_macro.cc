@@ -70,8 +70,8 @@ void RunPair(BenchContext* ctx, const std::string& lang, eval::Table* table) {
         baselines::RunComaMatcher(type.sampled_translated, coma_config, mt);
     if (coma_result.ok()) coma.Add(coma_result->matches, truth, lang, gc.hub);
 
-    auto lsi_result = baselines::RunLsiMatcher(type.translated);
-    if (lsi_result.ok()) lsi.Add(lsi_result->matches, truth, lang, gc.hub);
+    lsi.Add(baselines::RunLsiMatcher(type.translated).matches, truth, lang,
+            gc.hub);
   }
 
   auto add = [&](const char* name, const PairCounts& counts) {

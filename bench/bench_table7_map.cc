@@ -22,10 +22,9 @@ double PairMap(BenchContext* ctx, const std::string& lang,
   double sum = 0.0;
   size_t n = 0;
   for (const auto& type : pair.types) {
-    auto ranking = baselines::RankCandidates(type.translated, measure);
-    if (!ranking.ok()) continue;
-    sum += eval::MeanAveragePrecision(*ranking, ctx->Truth(type.hub_type),
-                                      lang);
+    sum += eval::MeanAveragePrecision(
+        baselines::RankCandidates(type.translated, measure),
+        ctx->Truth(type.hub_type), lang);
     ++n;
   }
   return n == 0 ? 0.0 : sum / static_cast<double>(n);

@@ -24,9 +24,9 @@ const char* CorrelationMeasureName(CorrelationMeasure measure) {
   return "?";
 }
 
-util::Result<std::vector<std::pair<eval::AttrKey, eval::AttrKey>>>
-RankCandidates(const match::TypePairData& data, CorrelationMeasure measure,
-               uint64_t seed) {
+std::vector<std::pair<eval::AttrKey, eval::AttrKey>> RankCandidates(
+    const match::TypePairData& data, CorrelationMeasure measure,
+    uint64_t seed) {
   std::vector<size_t> side_a;
   std::vector<size_t> side_b;
   for (size_t i = 0; i < data.groups.size(); ++i) {

@@ -17,7 +17,6 @@
 
 #include "eval/match_set.h"
 #include "match/schema_builder.h"
-#include "util/result.h"
 
 namespace wikimatch {
 namespace baselines {
@@ -34,9 +33,9 @@ const char* CorrelationMeasureName(CorrelationMeasure measure);
 /// Co-occurrence for X1..X3 is counted over dual-language infoboxes: Opq is
 /// the number of dual infoboxes containing attribute p on its side and q on
 /// the other side.
-util::Result<std::vector<std::pair<eval::AttrKey, eval::AttrKey>>>
-RankCandidates(const match::TypePairData& data, CorrelationMeasure measure,
-               uint64_t seed = 0xC0FFEE);
+std::vector<std::pair<eval::AttrKey, eval::AttrKey>> RankCandidates(
+    const match::TypePairData& data, CorrelationMeasure measure,
+    uint64_t seed = 0xC0FFEE);
 
 }  // namespace baselines
 }  // namespace wikimatch

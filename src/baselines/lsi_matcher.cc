@@ -5,8 +5,8 @@
 namespace wikimatch {
 namespace baselines {
 
-util::Result<LsiMatcherResult> RunLsiMatcher(const match::TypePairData& data,
-                                             const LsiMatcherConfig& config) {
+LsiMatcherResult RunLsiMatcher(const match::TypePairData& data,
+                               const LsiMatcherConfig& config) {
   LsiMatcherResult out;
   const match::LsiCorrelation lsi =
       match::LsiCorrelation::Compute(data, config.lsi);

@@ -7,7 +7,6 @@
 #include "eval/match_set.h"
 #include "match/lsi.h"
 #include "match/schema_builder.h"
-#include "util/result.h"
 
 namespace wikimatch {
 namespace baselines {
@@ -27,8 +26,8 @@ struct LsiMatcherResult {
 };
 
 /// \brief Runs the LSI baseline over one type pair.
-util::Result<LsiMatcherResult> RunLsiMatcher(
-    const match::TypePairData& data, const LsiMatcherConfig& config = {});
+LsiMatcherResult RunLsiMatcher(const match::TypePairData& data,
+                               const LsiMatcherConfig& config = {});
 
 }  // namespace baselines
 }  // namespace wikimatch

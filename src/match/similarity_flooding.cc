@@ -9,8 +9,8 @@
 namespace wikimatch {
 namespace match {
 
-util::Result<FloodingResult> RunSimilarityFlooding(
-    const TypePairData& data, const FloodingConfig& config) {
+FloodingResult RunSimilarityFlooding(const TypePairData& data,
+                                     const FloodingConfig& config) {
   FloodingResult out;
 
   std::vector<size_t> side_a;

@@ -24,7 +24,6 @@
 #include "eval/match_set.h"
 #include "match/lsi.h"
 #include "match/schema_builder.h"
-#include "util/result.h"
 
 namespace wikimatch {
 namespace match {
@@ -60,8 +59,8 @@ struct FloodingResult {
 };
 
 /// \brief Runs similarity flooding over one type pair.
-util::Result<FloodingResult> RunSimilarityFlooding(
-    const TypePairData& data, const FloodingConfig& config = {});
+FloodingResult RunSimilarityFlooding(const TypePairData& data,
+                                     const FloodingConfig& config = {});
 
 }  // namespace match
 }  // namespace wikimatch

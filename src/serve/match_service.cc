@@ -14,6 +14,9 @@ namespace serve {
 namespace {
 
 constexpr std::string_view kBlanks = " \t";
+// Result-cache shards (concurrency width) and answers per query request.
+constexpr size_t kCacheShards = 8;
+constexpr size_t kQueryTopK = 20;
 
 // Reads the argument after the blanks at `*pos`. A leading double quote
 // runs it to the closing quote, dropping both (so it may hold blanks or be
@@ -116,8 +119,7 @@ util::Result<std::unique_ptr<MatchService>> MatchService::Load(
 }
 
 MatchService::MatchService(const ServiceOptions& options)
-    : options_(options),
-      cache_(options.cache_capacity, options.cache_shards),
+    : cache_(options.cache_capacity, kCacheShards),
       started_(Clock::now()) {}
 
 MatchService::GenerationState::GenerationState(
@@ -356,7 +358,7 @@ const std::vector<VerbSpec>& ProtocolVerbs() {
                translated.status().WithContext("translating c-query"));
          }
          query::EvaluatorOptions options;
-         options.top_k = r.service.options_.query_top_k;
+         options.top_k = kQueryTopK;
          auto answers = r.pair->evaluator->Run(*translated, options);
          if (!answers.ok()) {
            return ErrorResponse(answers.status().WithContext(

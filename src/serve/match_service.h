@@ -64,10 +64,6 @@ namespace serve {
 struct ServiceOptions {
   /// Total LRU result-cache entries (0 disables caching).
   size_t cache_capacity = 4096;
-  /// Cache shards (concurrency width).
-  size_t cache_shards = 8;
-  /// Maximum answers per query request.
-  size_t query_top_k = 20;
 };
 
 /// \brief Observability counters.
@@ -201,7 +197,6 @@ class MatchService {
   /// verbs), then runs the handler.
   std::string Answer(Request& request, std::string_view line);
 
-  ServiceOptions options_;
   ShardedLruCache cache_;
   Clock::time_point started_;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <utility>
 #include <vector>
 
 #include "text/normalize.h"
@@ -121,7 +122,11 @@ double AgreementScore(const Evidence& a, const Evidence& b) {
   }
   auto tokens = [](const Evidence& e) {
     std::set<std::string> out(e.refs);
-    for (int64_t n : e.numbers) out.insert("#" + std::to_string(n));
+    for (int64_t n : e.numbers) {
+      std::string token = "#";
+      token += std::to_string(n);
+      out.insert(std::move(token));
+    }
     return out;
   };
   std::set<std::string> ta = tokens(a);

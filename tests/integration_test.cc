@@ -279,18 +279,16 @@ Table2 RunTable2(const synth::GeneratedCorpus& gc, const std::string& lang) {
       return eval::WeightedPrf(matches, truth, freqs, lang, gc.hub);
     };
     auto wm = aligner.Align(type.translated);
-    eval::Prf coma_prf, bouma_prf, lsi_prf;
+    eval::Prf coma_prf, bouma_prf;
     auto coma = baselines::RunComaMatcher(type.sampled, coma_config, mt);
     if (coma.ok()) coma_prf = prf(coma->matches);
     auto bouma = baselines::RunBoumaMatcher(gc.corpus, lang, type.type_a,
                                             gc.hub, type.type_b);
     if (bouma.ok()) bouma_prf = prf(bouma->matches);
-    auto lsi = baselines::RunLsiMatcher(type.translated);
-    if (lsi.ok()) lsi_prf = prf(lsi->matches);
     wm_rows.push_back(prf(wm.matches));
     coma_rows.push_back(coma_prf);
     bouma_rows.push_back(bouma_prf);
-    lsi_rows.push_back(lsi_prf);
+    lsi_rows.push_back(prf(baselines::RunLsiMatcher(type.translated).matches));
   }
   EXPECT_FALSE(wm_rows.empty()) << lang;
   return {eval::AveragePrf(wm_rows), eval::AveragePrf(coma_rows),
@@ -555,8 +553,7 @@ std::map<std::string, eval::Prf> RunTable6(const synth::GeneratedCorpus& gc,
     if (bouma.ok()) add("Bouma", bouma->matches);
     auto coma = baselines::RunComaMatcher(type.sampled, coma_config, mt);
     if (coma.ok()) add("COMA++", coma->matches);
-    auto lsi = baselines::RunLsiMatcher(type.translated);
-    if (lsi.ok()) add("LSI", lsi->matches);
+    add("LSI", baselines::RunLsiMatcher(type.translated).matches);
   }
   std::map<std::string, eval::Prf> out;
   for (const auto& [name, c] : counts) {
@@ -583,10 +580,9 @@ std::map<std::string, double> RunTable7(const synth::GeneratedCorpus& gc,
     double sum = 0.0;
     size_t n = 0;
     for (const PinType& type : types) {
-      auto ranking = baselines::RankCandidates(type.translated, measure);
-      if (!ranking.ok()) continue;
       sum += eval::MeanAveragePrecision(
-          *ranking, gc.ground_truth.at(type.hub_type), lang);
+          baselines::RankCandidates(type.translated, measure),
+          gc.ground_truth.at(type.hub_type), lang);
       ++n;
     }
     out[baselines::CorrelationMeasureName(measure)] =

@@ -125,7 +125,8 @@ TEST(LruCacheTest, ConcurrentMixedLoad) {
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&cache, t]() {
       for (int i = 0; i < 500; ++i) {
-        std::string key = "k" + std::to_string((i * 7 + t) % 64);
+        std::string key = "k";
+        key += std::to_string((i * 7 + t) % 64);
         std::string value;
         if (!cache.Get(key, &value)) cache.Put(key, key + "!");
       }

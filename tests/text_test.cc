@@ -259,7 +259,9 @@ TEST_P(SimilarityPropertyTest, SymmetricBoundedReflexive) {
       EXPECT_GE(ab, 0.0);
       EXPECT_LE(ab, 1.0);
     }
-    if (!a.empty()) EXPECT_NEAR(fn(a, a), 1.0, 1e-12) << a;
+    if (!a.empty()) {
+      EXPECT_NEAR(fn(a, a), 1.0, 1e-12) << a;
+    }
   }
 }
 
