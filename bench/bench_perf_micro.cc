@@ -1,21 +1,28 @@
 // Performance micro-benchmarks (not in the paper): throughput of the
 // substrates — SVD, wikitext parsing, similarity computation, the
-// end-to-end aligner, and the per-section decode of a snapshot load —
-// via google-benchmark.
+// end-to-end aligner, the per-section decode of a snapshot load, and the
+// two lookups of an uncached served query (cluster lookup and column
+// search) — via google-benchmark.
 
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "la/svd.h"
 #include "match/aligner.h"
 #include "match/pipeline.h"
 #include "match/serialize.h"
+#include "query/c_query.h"
+#include "query/evaluator.h"
+#include "query/translator.h"
 #include "store/snapshot.h"
 #include "sync/sync_engine.h"
 #include "synth/generator.h"
+#include "text/normalize.h"
 #include "text/string_similarity.h"
 #include "util/binary_io.h"
 #include "util/rng.h"
@@ -116,6 +123,8 @@ struct SnapshotSections {
   std::string dictionary;
   std::string sync_report;
   wiki::Corpus decoded;  // the corpus section decoded (finalized)
+  std::map<store::LanguagePair, match::PipelineResult> pipelines;
+  match::TranslationDictionary translations;
 };
 
 const SnapshotSections& PaperSections() {
@@ -144,6 +153,8 @@ const SnapshotSections& PaperSections() {
         &sync_report);
     out->sync_report = sync_report.TakeBuffer();
     out->decoded = std::move(snapshot.corpus);
+    out->pipelines = std::move(snapshot.pipelines);
+    out->translations = pipeline.dictionary();
     return out;
   }();
   return *sections;
@@ -222,6 +233,98 @@ void BM_CorpusFinalize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CorpusFinalize)->Unit(benchmark::kMillisecond);
+
+// The translator's lookup: the en correspondents of one pt attribute,
+// cycling over every pt attribute of every pt:en type alignment.
+void BM_MatchSetCorrespondentsOf(benchmark::State& state) {
+  const auto& result =
+      PaperSections().pipelines.at(store::LanguagePair("pt", "en"));
+  std::vector<std::pair<const eval::MatchSet*, eval::AttrKey>> lookups;
+  for (const auto& tr : result.per_type) {
+    for (const auto& cluster : tr.alignment.matches.Clusters()) {
+      for (const auto& key : cluster) {
+        if (key.language == "pt") {
+          lookups.emplace_back(&tr.alignment.matches, key);
+        }
+      }
+    }
+  }
+  if (lookups.empty()) {
+    state.SkipWithError("no pt attributes");
+    return;
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    const auto& [matches, key] = lookups[i];
+    benchmark::DoNotOptimize(matches->CorrespondentsOf(key, "en"));
+    if (++i == lookups.size()) i = 0;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_MatchSetCorrespondentsOf);
+
+// Equality queries as serve_tail sends them: `type_a(attr="cell value")`
+// over the pt cells of every pt:en type alignment, translated to en up
+// front. The loop times only the evaluation over the en columns, cycling
+// over 2,000 of them.
+struct TranslatedQueries {
+  std::unique_ptr<query::QueryEvaluator> evaluator;
+  std::vector<query::CQuery> queries;
+};
+
+const TranslatedQueries& PaperQueries() {
+  static const TranslatedQueries* queries = [] {
+    const SnapshotSections& sections = PaperSections();
+    const wiki::Corpus& corpus = sections.decoded;
+    const auto& result =
+        sections.pipelines.at(store::LanguagePair("pt", "en"));
+    std::map<std::string, const eval::MatchSet*> per_type;
+    for (const auto& tr : result.per_type) {
+      per_type.emplace(tr.type_b, &tr.alignment.matches);
+    }
+    query::QueryTranslator translator("pt", "en", result.type_matches,
+                                      per_type, &sections.translations);
+    std::vector<query::CQuery> translated;
+    for (const auto& tr : result.per_type) {
+      for (wiki::ArticleId id : corpus.ArticlesOfType("pt", tr.type_a)) {
+        for (const auto& [name, value] : corpus.Get(id).infobox->attributes) {
+          query::Constraint c;
+          c.attributes = {name};
+          c.value = text::NormalizeValue(value.text);
+          if (c.value.empty()) continue;
+          auto q = translator.Translate(
+              query::CQuery{{query::TypeQuery{tr.type_a, {c}}}});
+          if (q.ok() && !q->parts[0].constraints.empty()) {
+            translated.push_back(std::move(q).ValueOrDie());
+          }
+        }
+      }
+    }
+    auto* out = new TranslatedQueries;
+    out->evaluator = std::make_unique<query::QueryEvaluator>(&corpus, "en");
+    util::Rng rng(29);
+    for (size_t i = 0; i < 2000 && !translated.empty(); ++i) {
+      out->queries.push_back(translated[rng.NextBounded(translated.size())]);
+    }
+    return out;
+  }();
+  return *queries;
+}
+
+void BM_QueryEvaluatorEquality(benchmark::State& state) {
+  const TranslatedQueries& fixture = PaperQueries();
+  if (fixture.queries.empty()) {
+    state.SkipWithError("no translated queries");
+    return;
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fixture.evaluator->Run(fixture.queries[i]));
+    if (++i == fixture.queries.size()) i = 0;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_QueryEvaluatorEquality);
 
 }  // namespace
 

@@ -1,34 +1,56 @@
 #include "eval/match_set.h"
 
+#include <algorithm>
+#include <iterator>
+#include <utility>
+
 namespace wikimatch {
 namespace eval {
 
-AttrKey MatchSet::Find(const AttrKey& a) const {
-  auto it = parent_.find(a);
-  if (it == parent_.end()) return a;
-  if (it->second == a) return a;
-  AttrKey root = Find(it->second);
-  // Path compression; skip the no-op write so a fully compressed set (see
-  // CompressPaths) can be read from several threads at once.
-  if (!(it->second == root)) it->second = root;
-  return root;
+size_t MatchSet::AddKey(const AttrKey& a) {
+  auto [it, inserted] = cluster_of_.try_emplace(a, clusters_.size());
+  if (inserted) clusters_.push_back({a});
+  return it->second;
 }
 
 void MatchSet::Union(const AttrKey& a, const AttrKey& b) {
-  if (parent_.find(a) == parent_.end()) parent_[a] = a;
-  if (parent_.find(b) == parent_.end()) parent_[b] = b;
-  AttrKey ra = Find(a);
-  AttrKey rb = Find(b);
-  if (ra == rb) return;
-  // Deterministic: smaller key becomes the root.
-  if (rb < ra) std::swap(ra, rb);
-  parent_[rb] = ra;
+  size_t into = AddKey(a);
+  size_t from = AddKey(b);
+  if (into == from) return;
+  // The smaller cluster's members are re-pointed and merged into the larger.
+  if (clusters_[into].size() < clusters_[from].size()) std::swap(into, from);
+  std::vector<AttrKey>& kept = clusters_[into];
+  std::vector<AttrKey>& moved = clusters_[from];
+  for (const AttrKey& key : moved) cluster_of_.find(key)->second = into;
+  std::vector<AttrKey> merged;
+  merged.reserve(kept.size() + moved.size());
+  std::merge(std::make_move_iterator(kept.begin()),
+             std::make_move_iterator(kept.end()),
+             std::make_move_iterator(moved.begin()),
+             std::make_move_iterator(moved.end()),
+             std::back_inserter(merged));
+  kept = std::move(merged);
+  std::vector<AttrKey>().swap(moved);
+}
+
+const std::vector<AttrKey>* MatchSet::MembersOf(const AttrKey& a) const {
+  auto it = cluster_of_.find(a);
+  return it == cluster_of_.end() ? nullptr : &clusters_[it->second];
+}
+
+std::vector<const std::vector<AttrKey>*> MatchSet::OrderedClusters() const {
+  // Keys come in order, so a cluster's first key seen is its smallest.
+  std::vector<const std::vector<AttrKey>*> out;
+  for (const auto& [key, slot] : cluster_of_) {
+    if (key == clusters_[slot].front()) out.push_back(&clusters_[slot]);
+  }
+  return out;
 }
 
 void MatchSet::AddCluster(const std::vector<AttrKey>& attrs) {
   if (attrs.empty()) return;
   if (transitive_) {
-    if (parent_.find(attrs[0]) == parent_.end()) parent_[attrs[0]] = attrs[0];
+    AddKey(attrs[0]);
     for (size_t i = 1; i < attrs.size(); ++i) Union(attrs[0], attrs[i]);
     return;
   }
@@ -50,31 +72,28 @@ void MatchSet::AddPair(const AttrKey& a, const AttrKey& b) {
 
 bool MatchSet::AreMatched(const AttrKey& a, const AttrKey& b) const {
   if (transitive_) {
-    if (parent_.find(a) == parent_.end() ||
-        parent_.find(b) == parent_.end()) {
-      return false;
-    }
-    return Find(a) == Find(b);
+    auto ia = cluster_of_.find(a);
+    auto ib = cluster_of_.find(b);
+    return ia != cluster_of_.end() && ib != cluster_of_.end() &&
+           ia->second == ib->second;
   }
   auto it = pairs_.find(a);
   return it != pairs_.end() && it->second.count(b) > 0;
 }
 
 bool MatchSet::Contains(const AttrKey& a) const {
-  if (transitive_) return parent_.find(a) != parent_.end();
+  if (transitive_) return cluster_of_.find(a) != cluster_of_.end();
   return pairs_.find(a) != pairs_.end();
 }
 
 std::set<AttrKey> MatchSet::ClusterOf(const AttrKey& a) const {
+  if (transitive_) {
+    const std::vector<AttrKey>* members = MembersOf(a);
+    if (members == nullptr) return {};
+    return std::set<AttrKey>(members->begin(), members->end());
+  }
   std::set<AttrKey> out;
   if (!Contains(a)) return out;
-  if (transitive_) {
-    AttrKey root = Find(a);
-    for (const auto& [key, p] : parent_) {
-      if (Find(key) == root) out.insert(key);
-    }
-    return out;
-  }
   out.insert(a);
   for (const auto& partner : pairs_.at(a)) out.insert(partner);
   return out;
@@ -82,11 +101,10 @@ std::set<AttrKey> MatchSet::ClusterOf(const AttrKey& a) const {
 
 std::vector<std::set<AttrKey>> MatchSet::Clusters() const {
   if (transitive_) {
-    std::map<AttrKey, std::set<AttrKey>> by_root;
-    for (const auto& [key, p] : parent_) by_root[Find(key)].insert(key);
     std::vector<std::set<AttrKey>> out;
-    out.reserve(by_root.size());
-    for (auto& [root, members] : by_root) out.push_back(std::move(members));
+    for (const auto* members : OrderedClusters()) {
+      out.emplace_back(members->begin(), members->end());
+    }
     return out;
   }
   // Pairwise mode: connected components of the adjacency graph.
@@ -116,10 +134,10 @@ std::vector<std::pair<AttrKey, AttrKey>> MatchSet::CrossLanguagePairs(
     const std::string& lang_a, const std::string& lang_b) const {
   std::vector<std::pair<AttrKey, AttrKey>> out;
   if (transitive_) {
-    for (const auto& cluster : Clusters()) {
-      for (const auto& a : cluster) {
+    for (const auto* members : OrderedClusters()) {
+      for (const auto& a : *members) {
         if (a.language != lang_a) continue;
-        for (const auto& b : cluster) {
+        for (const auto& b : *members) {
           if (b.language != lang_b) continue;
           out.emplace_back(a, b);
         }
@@ -147,9 +165,19 @@ std::set<AttrKey> MatchSet::AttributesWithCorrespondents(
 
 std::set<AttrKey> MatchSet::CorrespondentsOf(
     const AttrKey& a, const std::string& other_lang) const {
+  // Either range is in key order, so every insert lands at the end.
   std::set<AttrKey> out;
-  for (const auto& member : ClusterOf(a)) {
-    if (member.language == other_lang && !(member == a)) out.insert(member);
+  auto add_from = [&](const auto& members) {
+    for (const auto& member : members) {
+      if (member.language == other_lang && !(member == a)) {
+        out.insert(out.end(), member);
+      }
+    }
+  };
+  if (transitive_) {
+    if (const std::vector<AttrKey>* members = MembersOf(a)) add_from(*members);
+  } else if (auto it = pairs_.find(a); it != pairs_.end()) {
+    add_from(it->second);
   }
   return out;
 }
@@ -164,11 +192,14 @@ std::vector<std::pair<AttrKey, AttrKey>> MatchSet::DirectPairs() const {
   return out;
 }
 
-void MatchSet::CompressPaths() const {
-  for (const auto& [key, p] : parent_) Find(key);
+size_t MatchSet::NumClusters() const {
+  if (transitive_) {
+    return static_cast<size_t>(
+        std::count_if(clusters_.begin(), clusters_.end(),
+                      [](const auto& members) { return !members.empty(); }));
+  }
+  return Clusters().size();
 }
-
-size_t MatchSet::NumClusters() const { return Clusters().size(); }
 
 }  // namespace eval
 }  // namespace wikimatch

@@ -8,6 +8,11 @@
 //  * pairwise — AddPair records exactly that pair (baselines like LSI
 //    top-k, Bouma, and COMA++ emit independent correspondences, and closing
 //    them transitively would fabricate pairs they never claimed).
+//
+// Transitive mode keeps its clusters explicitly: each key maps to its
+// cluster, and each cluster holds its members in key order, so a lookup is
+// one map search plus a walk over one cluster. Const methods never write,
+// so any number of threads may read one set at once.
 
 #ifndef WIKIMATCH_EVAL_MATCH_SET_H_
 #define WIKIMATCH_EVAL_MATCH_SET_H_
@@ -79,22 +84,23 @@ class MatchSet {
   /// transitive sets through Clusters() instead.
   std::vector<std::pair<AttrKey, AttrKey>> DirectPairs() const;
 
-  /// \brief Fully path-compresses the union-find so that later const
-  /// lookups (Find depth 1) perform no writes to the mutable parent map.
-  /// Call once before sharing a MatchSet across reader threads.
-  void CompressPaths() const;
-
   size_t NumClusters() const;
-  bool empty() const { return parent_.empty() && pairs_.empty(); }
+  bool empty() const { return cluster_of_.empty() && pairs_.empty(); }
   bool transitive() const { return transitive_; }
 
  private:
-  // Union-find over attribute keys (transitive mode).
-  AttrKey Find(const AttrKey& a) const;
+  // Transitive mode.
+  size_t AddKey(const AttrKey& a);  // its cluster; a new singleton if absent
   void Union(const AttrKey& a, const AttrKey& b);
+  const std::vector<AttrKey>* MembersOf(const AttrKey& a) const;
+  // The clusters ordered by their smallest member.
+  std::vector<const std::vector<AttrKey>*> OrderedClusters() const;
 
   bool transitive_;
-  mutable std::map<AttrKey, AttrKey> parent_;
+  // Transitive mode: each key's slot in `clusters_`, and each slot's
+  // members in key order. A merge empties the smaller side's slot.
+  std::map<AttrKey, size_t> cluster_of_;
+  std::vector<std::vector<AttrKey>> clusters_;
   // Pairwise mode: adjacency.
   std::map<AttrKey, std::set<AttrKey>> pairs_;
 };

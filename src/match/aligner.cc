@@ -284,10 +284,10 @@ AlignmentResult AttributeAligner::Align(const TypePairData& data) const {
 
   // Index-space mirror of result.matches' clusters (again only valid with
   // unique keys): the absorb constraint needs every member of one cluster,
-  // and MatchSet::ClusterOf scans its whole string-keyed parent map and
-  // materializes a std::set per call. Here it is a member-list walk with
-  // integer LSI lookups. Order does not matter — the constraint is a
-  // conjunction over all members.
+  // and MatchSet::ClusterOf copies the cluster into a std::set whose
+  // string keys would each need a string-keyed LSI lookup. Here it is a
+  // member-list walk with integer LSI lookups. Order does not matter — the
+  // constraint is a conjunction over all members.
   std::vector<uint32_t> uf(n);
   std::vector<std::vector<uint32_t>> uf_members(n);
   if (keys_unique) {

@@ -66,6 +66,44 @@ void ForEachBit(const std::vector<uint64_t>& bits, Fn fn) {
   }
 }
 
+// The first occurrence of `needle` (not empty) in [from, end), or nullptr.
+// Each step tests eight start positions at once, a word at a time: one
+// 64-bit word holds the eight bytes a match would start with, another the
+// eight it would end with, and the step is skipped unless some byte equals
+// the needle's first byte in the one and its last byte in the other. Only
+// the positions of a flagged step are compared byte by byte.
+const char* Search(const char* from, const char* end, std::string_view needle) {
+  const size_t n = needle.size();
+  if (static_cast<size_t>(end - from) < n) return nullptr;
+  const char* const last_start = end - n;
+  const char first = needle.front();
+  const char last = needle.back();
+  auto match_at = [&](const char* at) {
+    return *at == first && at[n - 1] == last &&
+           std::memcmp(at, needle.data(), n) == 0;
+  };
+  constexpr uint64_t kOnes = 0x0101010101010101;
+  const uint64_t firsts = kOnes * static_cast<unsigned char>(first);
+  const uint64_t lasts = kOnes * static_cast<unsigned char>(last);
+  const char* p = from;
+  for (; last_start - p >= 7; p += 8) {
+    uint64_t heads;
+    uint64_t tails;
+    std::memcpy(&heads, p, 8);
+    std::memcpy(&tails, p + n - 1, 8);
+    // A zero byte of `x` is a position whose first and last bytes match.
+    const uint64_t x = (heads ^ firsts) | (tails ^ lasts);
+    if (((x - kOnes) & ~x & (kOnes << 7)) == 0) continue;
+    for (const char* at = p; at < p + 8; ++at) {
+      if (match_at(at)) return at;
+    }
+  }
+  for (; p <= last_start; ++p) {
+    if (match_at(p)) return p;
+  }
+  return nullptr;
+}
+
 // True iff some link of `box` targets a title in `titles` (sorted).
 bool LinksInto(const wiki::Infobox& box,
                const std::vector<std::string_view>& titles) {
@@ -176,15 +214,14 @@ QueryEvaluator::Bitmap QueryEvaluator::Filter(const TypeIndex& type,
         // and the search resumes after that row.
         const std::string& needle = c.value;
         const char* blob = col.blob.data();
+        const char* blob_end = blob + col.blob.size();
         size_t pos = 0;
         size_t s = 0;  // the string holding `pos` or after it
         size_t r = 0;  // the row holding string `s` or after it
         while (true) {
-          const void* found = ::memmem(blob + pos, col.blob.size() - pos,
-                                       needle.data(), needle.size());
+          const char* found = Search(blob + pos, blob_end, needle);
           if (found == nullptr) break;
-          const size_t at = static_cast<size_t>(
-              static_cast<const char*>(found) - blob);
+          const size_t at = static_cast<size_t>(found - blob);
           while (col.string_end[s] <= at) ++s;
           if (at + needle.size() > col.string_end[s]) {
             pos = col.string_end[s];  // spans into the next string

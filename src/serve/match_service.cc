@@ -177,9 +177,6 @@ std::unique_ptr<const MatchService::CoreState> MatchService::BuildCore(
     PairServing serving;
     serving.result = &result;
     for (const auto& tr : result.per_type) {
-      // Pre-compress so concurrent readers never write to the lazy
-      // union-find (see MatchSet::CompressPaths).
-      tr.alignment.matches.CompressPaths();
       serving.per_type.emplace(tr.type_b, &tr.alignment.matches);
     }
     serving.translator = std::make_unique<query::QueryTranslator>(

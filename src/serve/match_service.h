@@ -28,9 +28,8 @@
 // without touching the cache: stale entries simply stop being
 // addressable and age out of the LRU.
 //
-// Thread safety: a core is read-only once built (MatchSets are fully
-// path-compressed at build so even their lazy union-find performs no
-// writes), the generation pointer is swapped under a mutex,
+// Thread safety: a core is read-only once built (a MatchSet's const
+// lookups never write), the generation pointer is swapped under a mutex,
 // the cache is internally synchronized, and counters are atomic —
 // Handle() and Reload() may be called from any number of threads
 // concurrently.

@@ -306,21 +306,8 @@ SyncReport SyncEngine::Assemble(std::vector<GroupResult> results) {
   return report;
 }
 
-namespace {
-
-// MatchSet lookups lazily path-compress a mutable union-find; compressing up
-// front makes the concurrent const lookups below write-free.
-void FreezeAlignments(const std::vector<SyncScope>& scopes) {
-  for (const SyncScope& scope : scopes) {
-    if (scope.alignment != nullptr) scope.alignment->CompressPaths();
-  }
-}
-
-}  // namespace
-
 SyncReport SyncEngine::Run(const std::vector<SyncScope>& scopes,
                            size_t num_threads) const {
-  FreezeAlignments(scopes);
   std::vector<Group> groups = EnumerateGroups(scopes);
   std::vector<GroupResult> results(groups.size());
   util::thread_pool_for(groups.size(), num_threads, [&](size_t i) {
@@ -333,7 +320,6 @@ SyncReport SyncEngine::Resync(
     const std::vector<SyncScope>& scopes, const SyncReport& previous,
     const std::set<std::pair<std::string, std::string>>& dirty,
     size_t num_threads) const {
-  FreezeAlignments(scopes);
   // Rows and updates of one group all name the pair-side article, and a
   // title is unique within a language, so (pair_lang, pair_title) keys the
   // previous report's groups. The index holds row numbers, in report

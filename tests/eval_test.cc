@@ -5,9 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "eval/match_set.h"
 #include "eval/metrics.h"
 #include "eval/table.h"
+#include "match/serialize.h"
+#include "match_set_oracle.h"
+#include "util/binary_io.h"
+#include "util/rng.h"
 
 namespace wikimatch {
 namespace eval {
@@ -87,6 +96,122 @@ TEST(MatchSetTest, DeterministicClusters) {
   m2.AddPair(A("en", "c"), A("pt", "d"));
   m2.AddPair(A("en", "a"), A("pt", "b"));
   EXPECT_EQ(m1.Clusters(), m2.Clusters());
+}
+
+// Every lookup of `m` agrees with the union-find reference `ref` on every
+// key of `universe`, and both encode to the same bytes.
+void ExpectSameAsOracle(const MatchSet& m,
+                        const match_set_oracle::MatchSet& ref,
+                        const std::vector<AttrKey>& universe,
+                        const std::vector<std::string>& langs,
+                        const std::string& where) {
+  SCOPED_TRACE(where);
+  ASSERT_EQ(m.NumClusters(), ref.NumClusters());
+  ASSERT_EQ(m.Clusters(), ref.Clusters());
+  for (const AttrKey& a : universe) {
+    ASSERT_EQ(m.Contains(a), ref.Contains(a)) << a.language << ":" << a.name;
+    ASSERT_EQ(m.ClusterOf(a), ref.ClusterOf(a)) << a.language << ":" << a.name;
+    for (const std::string& lang : langs) {
+      ASSERT_EQ(m.CorrespondentsOf(a, lang), ref.CorrespondentsOf(a, lang));
+    }
+    for (const AttrKey& b : universe) {
+      ASSERT_EQ(m.AreMatched(a, b), ref.AreMatched(a, b))
+          << a.language << ":" << a.name << " " << b.language << ":"
+          << b.name;
+    }
+  }
+  for (const std::string& lang_a : langs) {
+    for (const std::string& lang_b : langs) {
+      ASSERT_EQ(m.CrossLanguagePairs(lang_a, lang_b),
+                ref.CrossLanguagePairs(lang_a, lang_b));
+      ASSERT_EQ(m.AttributesWithCorrespondents(lang_a, lang_b),
+                ref.AttributesWithCorrespondents(lang_a, lang_b));
+    }
+  }
+  util::BinaryWriter w;
+  match::EncodeMatchSet(m, &w);
+  const std::string bytes = w.TakeBuffer();
+  ASSERT_EQ(bytes, ref.Encode());
+  util::BinaryReader r(bytes);
+  auto decoded = match::DecodeMatchSet(&r);
+  ASSERT_TRUE(decoded.ok());
+  util::BinaryWriter again;
+  match::EncodeMatchSet(*decoded, &again);
+  ASSERT_EQ(again.TakeBuffer(), bytes);
+}
+
+// Random AddPair/AddCluster sequences over three languages, checked
+// against the union-find reference after every step.
+TEST(MatchSetTest, TransitiveLookupsMatchUnionFindReference) {
+  const std::vector<std::string> langs = {"en", "pt", "vi"};
+  const std::vector<std::string> names = {"", "a", "ab", "b", "born",
+                                          "data de nascimento", "z"};
+  std::vector<AttrKey> universe;
+  for (const auto& lang : langs) {
+    for (const auto& name : names) universe.push_back(A(lang, name));
+  }
+  universe.push_back(A("de", "a"));  // a language no step adds
+  util::Rng rng(29);
+  auto random_key = [&] {
+    return universe[rng.NextBounded(universe.size() - 1)];
+  };
+  for (int trial = 0; trial < 60; ++trial) {
+    MatchSet m;
+    match_set_oracle::MatchSet ref;
+    const int steps = static_cast<int>(rng.NextBounded(25));
+    for (int step = 0; step < steps; ++step) {
+      if (rng.NextBool(0.6)) {
+        const AttrKey a = random_key();
+        const AttrKey b = rng.NextBool(0.1) ? a : random_key();
+        m.AddPair(a, b);
+        ref.AddPair(a, b);
+      } else {
+        std::vector<AttrKey> cluster(rng.NextBounded(6));
+        for (AttrKey& key : cluster) key = random_key();
+        m.AddCluster(cluster);
+        ref.AddCluster(cluster);
+      }
+      ExpectSameAsOracle(m, ref, universe, langs,
+                         "trial " + std::to_string(trial) + " step " +
+                             std::to_string(step));
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(m.empty(), ref.NumClusters() == 0);
+  }
+}
+
+// Const lookups on one shared set make no writes: four threads read a set
+// no thread has read before (run under TSan by tools/check.sh).
+TEST(MatchSetTest, ConcurrentConstLookupsOnAFreshSet) {
+  MatchSet m;
+  std::vector<AttrKey> keys;
+  for (int i = 0; i < 40; ++i) {
+    keys.push_back(A(i % 2 == 0 ? "en" : "pt", std::to_string(i)));
+  }
+  // A chain of unions, so a lazy union-find would hold deep paths.
+  for (size_t i = keys.size() - 1; i > 0; --i) {
+    m.AddPair(keys[i], keys[i - 1]);
+  }
+  m.AddPair(A("vi", "alone"), A("vi", "other"));
+  const std::set<AttrKey> want(keys.begin(), keys.end());
+  std::vector<std::thread> threads;
+  std::vector<int> failures(4, 0);
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int round = 0; round < 20; ++round) {
+        for (const AttrKey& key : keys) {
+          if (m.ClusterOf(key) != want) ++failures[t];
+          if (!m.AreMatched(key, keys[0])) ++failures[t];
+          if (m.AreMatched(key, A("vi", "alone"))) ++failures[t];
+          if (!m.Contains(key)) ++failures[t];
+          if (m.CorrespondentsOf(key, "vi").size() != 0) ++failures[t];
+        }
+        if (m.NumClusters() != 2) ++failures[t];
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(failures, std::vector<int>(4, 0));
 }
 
 // -------------------------------------------------------- Weighted scores

@@ -349,6 +349,12 @@ class QueryOracleEdgeTest : public ::testing::Test {
               {"n", "4 de junho de 1975", {}}});
     Add("d", {{"n", "-5 and 7.5e2", {}}, {"y", "no digits", {}}});
     Add("e", {{"n", ".5", {}}, {"x", "", {{"", ""}}}});
+    // Column z, for the search's edge cases: repeated bytes, and the
+    // column blob's last string ("tail end", the text of "i").
+    Add("f", {{"z", "aaaa", {}}});
+    Add("g", {{"z", "abcab ababa", {{"Q", "q"}}}});
+    Add("h", {{"z", "x", {}}});
+    Add("i", {{"z", "tail end", {}}});
     corpus_.Finalize();
   }
 
@@ -421,6 +427,52 @@ TEST_F(QueryOracleEdgeTest, AnchorsAndTargetsOutsideTheTextMatch) {
             std::vector<std::string>{"c"});
   EXPECT_EQ(Titles(Single("thing", {Eq("x", "yz")})),
             std::vector<std::string>{"a"});
+}
+
+TEST_F(QueryOracleEdgeTest, SearchEdgeCases) {
+  // A one-byte constant.
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "x")})),
+            std::vector<std::string>{"h"});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "b")})),
+            std::vector<std::string>{"g"});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "q")})),
+            std::vector<std::string>{"g"});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "aq")})),
+            std::vector<std::string>{});
+  // First and last bytes that repeat, inside and across strings.
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "aa")})),
+            std::vector<std::string>{"f"});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "aaa")})),
+            std::vector<std::string>{"f"});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "aaaaa")})),
+            std::vector<std::string>{});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "aba")})),
+            std::vector<std::string>{"g"});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "abab")})),
+            std::vector<std::string>{"g"});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "abba")})),
+            std::vector<std::string>{});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "ax")})),
+            std::vector<std::string>{});
+  // A constant that ends exactly at the end of the column blob.
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "end")})),
+            std::vector<std::string>{"i"});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "d")})),
+            std::vector<std::string>{"i"});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "endx")})),
+            std::vector<std::string>{});
+  // A constant equal to a whole string.
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "aaaa")})),
+            std::vector<std::string>{"f"});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "tail end")})),
+            std::vector<std::string>{"i"});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "abcab ababa")})),
+            std::vector<std::string>{"g"});
+  // A constant longer than every string (and than the whole column).
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", "abcab ababa tail end")})),
+            std::vector<std::string>{});
+  EXPECT_EQ(Titles(Single("thing", {Eq("z", std::string(64, 'a'))})),
+            std::vector<std::string>{});
 }
 
 TEST_F(QueryOracleEdgeTest, OnlyTheFirstOfRepeatedAttributesCounts) {

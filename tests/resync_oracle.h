@@ -207,9 +207,6 @@ inline SyncReport Resync(
     const SyncReport& previous,
     const std::set<std::pair<std::string, std::string>>& dirty,
     size_t num_threads = 1) {
-  for (const SyncScope& scope : scopes) {
-    if (scope.alignment != nullptr) scope.alignment->CompressPaths();
-  }
   using GroupKey = std::pair<std::string, std::string>;
   std::map<GroupKey, GroupResult> prev;
   for (const CellVerdict& v : previous.cells) {

@@ -225,7 +225,7 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
         -DWIKIMATCH_BUILD_BENCHMARKS=OFF -DWIKIMATCH_BUILD_EXAMPLES=OFF &&
       cmake --build "$tsan_dir" -j --target thread_pool_test parallel_test \
         align_join_test serve_test query_test lru_cache_test net_server_test \
-        protocol_robustness_test ingest_test sync_test &&
+        protocol_robustness_test ingest_test sync_test eval_test &&
       # thread_pool_test stresses the shared work-stealing pool itself:
       # nested For, a caller finishing its loop while another thread's
       # loop pins every worker, and a pipeline run whose type pairs spread
@@ -254,7 +254,10 @@ if [[ "${WIKIMATCH_SKIP_TSAN:-0}" != "1" ]]; then
       # sync_test classifies article pairs on the shared pool at several
       # thread counts (byte-identity across counts) and runs Resync
       # concurrently with full Run results.
-      "$tsan_dir"/tests/sync_test
+      "$tsan_dir"/tests/sync_test &&
+      # eval_test reads one MatchSet from four threads with no earlier
+      # lookup: its const lookups must make no writes.
+      "$tsan_dir"/tests/eval_test
     }
     run_stage "TSan concurrency tests" stage_tsan
   else
